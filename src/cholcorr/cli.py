@@ -131,31 +131,30 @@ def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) 
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _factor_correlation(m: CorrelationMatrix, method: str) -> CholeskyFactor:
-    if method == "reference":
-        return reference_cholesky(m)
-    if method == "semipartial":
-        return chol_semipartial(m)
-    return chol_detratio(m, extract_signs(chol_semipartial(m)))
-
-
-def _factor_covariance(m: CovarianceMatrix, method: str) -> CholeskyFactor:
-    if method == "reference":
-        return reference_cholesky(m)
-    if method == "detratio":
-        return chol_covariance(m)
-    scaled = m.sigmas[:, None] * chol_semipartial(m.correlation()).entries
-    return CholeskyFactor(scaled, "covariance")
+def _factor(m, covariance: bool, method: str, built: dict) -> CholeskyFactor:
+    """The factor of ``m`` by route ``method``, kept in ``built`` so that no
+    route is built twice; detratio takes its signs from the semi-partial
+    factor."""
+    if method not in built:
+        if method == "reference":
+            factor = reference_cholesky(m)
+        elif method == "semipartial" and covariance:
+            scaled = m.sigmas[:, None] * chol_semipartial(m.correlation()).entries
+            factor = CholeskyFactor(scaled, "covariance")
+        elif method == "semipartial":
+            factor = chol_semipartial(m)
+        else:
+            signs = extract_signs(_factor(m, covariance, "semipartial", built))
+            factor = chol_covariance(m, signs) if covariance else chol_detratio(m, signs)
+        built[method] = factor
+    return built[method]
 
 
 def cmd_decompose(args) -> int:
     a = load_square(args.input, args.format)
-    if args.covariance:
-        m = CovarianceMatrix(a)
-        factor = _factor_covariance(m, args.method)
-    else:
-        m = CorrelationMatrix(a)
-        factor = _factor_correlation(m, args.method)
+    m = CovarianceMatrix(a) if args.covariance else CorrelationMatrix(a)
+    built = {}
+    factor = _factor(m, args.covariance, args.method, built)
     fmt = infer_format(args.out, args.format)
     write_output(factor.entries, args.out, fmt)
     if args.out:
@@ -169,8 +168,7 @@ def cmd_decompose(args) -> int:
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
         methods = ("reference", "semipartial", "detratio")
-        build = _factor_covariance if args.covariance else _factor_correlation
-        factors = [build(m, name).entries for name in methods]
+        factors = [_factor(m, args.covariance, name, built).entries for name in methods]
         cross = max(
             float(np.max(np.abs(fa - fb)))
             for x, fa in enumerate(factors)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateColumn, InvalidSemiPartial, NearSingular
-from .matrix_core import TOL_PD, CorrelationMatrix
+from .matrix_core import CorrelationMatrix
 from .parametrizations import chol_semipartial
 
 
@@ -119,11 +119,16 @@ def sample_correlation(x: SampleMatrix) -> CorrelationMatrix:
     Raises ``DegenerateColumn`` if a column variance vanishes numerically
     and ``NearSingular`` if the estimate fails positive-definite
     construction (e.g. two columns are perfectly collinear).
+
+    A variance vanishes at or below the rounding that centering leaves in
+    a constant column, (N eps)^2 times the column's mean square, so
+    neither the units nor a large offset of a column decide degeneracy.
     """
     centered = x.data - x.data.mean(axis=0)
     cov = centered.T @ centered / x.N
     var = np.diag(cov)
-    dead = np.nonzero(var <= TOL_PD)[0]
+    rounding = (x.N * np.finfo(float).eps) ** 2 * np.mean(x.data**2, axis=0)
+    dead = np.nonzero(var <= rounding)[0]
     if dead.size:
         raise DegenerateColumn(int(dead[0]) + 1)
     d = 1.0 / np.sqrt(var)

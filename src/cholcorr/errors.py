@@ -2,7 +2,8 @@
 
 
 class NotPositiveDefinite(ValueError):
-    """A factorization pivot fell at or below the acceptance tolerance.
+    """A factorization pivot fell at or below the acceptance tolerance
+    (``tol_pd`` times its diagonal entry).
 
     The offending pivot is the Schur complement of the leading block at
     ``pivot_index`` (1-based), i.e. the square of the diagonal entry the

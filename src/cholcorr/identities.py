@@ -2,8 +2,8 @@
 make the two factor constructions interchangeable.
 
 Each verifier computes both sides of an identity through deliberately
-different code paths (explicit blockwise inverses against triangular
-solves, LU determinants against pivot products) and reports the worst
+different code paths (explicit blockwise inverses against the
+semi-partial recursion, LU determinants against pivot products) and reports the worst
 absolute residual with its location, so a shared bug cannot cancel.
 
 ``check_order_conditions`` is the odd one out: it does not assume
@@ -108,7 +108,7 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
         rho_{i+1}^{*j} R_i^{-1} rho_{i+1}^T = sum_{k<=i} c[k, i+1] c[k, j],
 
     for 1 <= i < j <= n. Left side via blockwise inverses, right side via
-    the triangular-solve table.
+    the semi-partial table.
     """
     n = r.n
     if n < 2:

@@ -17,10 +17,11 @@ with ``B_i^j`` the leading (i-1)-block bordered by column j's prefix and
 only). Both routes must agree with the reference factorization entrywise;
 the test suite holds them to ``TOL_EQ``.
 
-Quadratic forms are evaluated by triangular solves against the reference
-factor of the leading block rather than explicit inversion; explicit
-blockwise inverses live in the ``identities`` verifiers where they are
-the point.
+The quadratic forms q_ij are never formed by inversion or by solves
+against the reference factor: they grow by the paper's rank-one
+recursion Q_{i+1} = Q_i + c_i c_i^T, so the semi-partial route shares no
+code with the reference it is checked against. Explicit blockwise
+inverses live in the ``identities`` verifiers where they are the point.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NegativeRadicand, NotPositiveDefinite
 from .matrix_core import (
@@ -36,7 +36,6 @@ from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    _cholesky_pivots,
     _freeze,
     bordered_minor_column,
     leading_minor_determinants,
@@ -105,53 +104,39 @@ class SignPattern:
 def semipartial_table(r: CorrelationMatrix) -> SemiPartialTable:
     """All semi-partial coefficients of a correlation matrix in one pass.
 
-    Column i is produced from one triangular solve against the reference
-    factor of the leading (i-1)-block (which is the leading block of the
-    full reference factor), so the whole table costs O(n^3).
+    Runs the recursion on the bordered quadratic forms: with Q_1 = 0 and
+    q_ij the entries of Q_i, column i of the table is
+
+        c_ji = (rho_ij - q_ij) / sqrt(1 - q_ii)   (j > i),
+
+    its diagonal entry is sqrt(1 - q_ii), and Q_{i+1} = Q_i + c_i c_i^T.
+    Q_i is kept as the sum of the columns already written, so step i
+    needs only its column i, one product of the first i-1 columns of the
+    table with row i: O(n^2) per step and O(n^3) for the table. Neither
+    the reference factorization nor a triangular solve is involved.
     """
     a = r.values
     n = r.n
-    ref = _cholesky_pivots(a, TOL_PD)[0]
     coeffs = np.zeros((n, n))
-    coeffs[:, 0] = a[:, 0]
-    coeffs[0, 0] = 1.0
-    for i in range(2, n + 1):
-        block = ref[: i - 1, : i - 1]
-        rhs = a[: i - 1, i - 1:]
-        w = solve_triangular(block, rhs, lower=True, check_finite=False)
-        z = w[:, 0]
-        schur = 1.0 - z @ z
+    for i in range(n):
+        q = coeffs[i:, :i] @ coeffs[i, :i]  # q_ji for j = i..n
+        schur = 1.0 - q[0]
         if not schur > TOL_PD:
-            raise NotPositiveDefinite(i, schur)
+            raise NotPositiveDefinite(i + 1, schur)
         root = np.sqrt(schur)
-        coeffs[i - 1, i - 1] = root
-        if i < n:
-            coeffs[i:, i - 1] = (a[i - 1, i:] - z @ w[:, 1:]) / root
+        coeffs[i, i] = root
+        coeffs[i + 1:, i] = (a[i + 1:, i] - q[1:]) / root
     return SemiPartialTable(n=n, coeffs=coeffs)
 
 
 def semipartial_coefficient(r: CorrelationMatrix, i: int, j: int) -> float:
     """Semi-partial correlation between variables i and j given 1..i-1
-    (1-based, 1 <= i <= j <= n).
+    (1-based, 1 <= i <= j <= n), read off ``semipartial_table``.
 
     For i = 1 this is the plain correlation rho_1j; for i = j it is the
     residual standard deviation sqrt(1 - q_ii).
     """
-    n = r.n
-    if not 1 <= i <= j <= n:
-        raise IndexError(f"need 1 <= i <= j <= {n}, got i={i}, j={j}")
-    a = r.values
-    if i == 1:
-        return 1.0 if j == 1 else float(a[0, j - 1])
-    block = _cholesky_pivots(a[: i - 1, : i - 1], TOL_PD)[0]
-    z = solve_triangular(block, a[: i - 1, i - 1], lower=True, check_finite=False)
-    schur = 1.0 - z @ z
-    if not schur > TOL_PD:
-        raise NotPositiveDefinite(i, schur)
-    if i == j:
-        return float(np.sqrt(schur))
-    w = solve_triangular(block, a[: i - 1, j - 1], lower=True, check_finite=False)
-    return float((a[i - 1, j - 1] - w @ z) / np.sqrt(schur))
+    return semipartial_table(r).coefficient(i, j)
 
 
 def chol_semipartial(r: CorrelationMatrix) -> CholeskyFactor:
@@ -177,50 +162,42 @@ def chol_detratio(r: CorrelationMatrix, signs: SignPattern) -> CholeskyFactor:
     -TOL_PD raise ``NegativeRadicand``; tiny negative values produced by
     rounding are clamped to zero. The diagonal does not depend on signs.
     """
-    n = r.n
-    if signs.n != n:
-        raise ValueError(f"sign pattern is for n={signs.n}, matrix has n={n}")
-    minors = leading_minor_determinants(r)
-    prev = np.concatenate(([1.0], minors[:-1]))
-    entries = np.zeros((n, n))
-    entries[0, 0] = 1.0
-    for j in range(2, n + 1):
-        ladder = bordered_minor_column(r, j) / prev[:j]
-        diffs = ladder[:-1] - ladder[1:]
-        low = np.min(diffs) if diffs.size else 0.0
-        if low < -TOL_PD:
-            i_bad = int(np.argmin(diffs)) + 1
-            raise NegativeRadicand(i_bad, j, float(low))
-        np.clip(diffs, 0.0, None, out=diffs)
-        entries[j - 1, : j - 1] = signs.signs[j - 1, : j - 1] * np.sqrt(diffs)
-        entries[j - 1, j - 1] = np.sqrt(ladder[-1])
-    return CholeskyFactor(entries, "detratio")
+    return _ladder_factor(r, signs, "detratio")
 
 
-def chol_covariance(s: CovarianceMatrix) -> CholeskyFactor:
+def chol_covariance(s: CovarianceMatrix, signs: SignPattern) -> CholeskyFactor:
     """Cholesky factor of a covariance matrix from determinant ratios.
 
     Same ladder construction as ``chol_detratio`` with the bordered minors
     taken on the covariance itself, so the first ratio of row j starts at
-    sigma_j^2 instead of 1. Signs come from the semi-partial factor of the
-    underlying correlation matrix. Row j equals sigma_j times row j of the
-    correlation factor.
+    sigma_j^2 instead of 1 and the negative-radicand threshold scales with
+    the largest variance. Signs are supplied externally, e.g. from the
+    semi-partial factor of ``s.correlation()``. Row j equals sigma_j times
+    row j of the correlation factor.
     """
-    n = s.n
-    signs = extract_signs(chol_semipartial(s.correlation())).signs
-    minors = leading_minor_determinants(s)
+    return _ladder_factor(s, signs, "covariance")
+
+
+def _ladder_factor(m, signs: SignPattern, method: str) -> CholeskyFactor:
+    """The ladder construction shared by ``chol_detratio`` (unit diagonal)
+    and ``chol_covariance``."""
+    n = m.n
+    if signs.n != n:
+        raise ValueError(f"sign pattern is for n={signs.n}, matrix has n={n}")
+    diag = np.diag(m.values)
+    minors = leading_minor_determinants(m)
     prev = np.concatenate(([1.0], minors[:-1]))
     entries = np.zeros((n, n))
-    entries[0, 0] = float(s.sigmas[0])
-    scale = float(np.max(s.sigmas)) ** 2
+    entries[0, 0] = np.sqrt(diag[0])
+    scale = float(np.max(diag))
     for j in range(2, n + 1):
-        ladder = bordered_minor_column(s, j) / prev[:j]
+        ladder = bordered_minor_column(m, j) / prev[:j]
         diffs = ladder[:-1] - ladder[1:]
         low = np.min(diffs) if diffs.size else 0.0
         if low < -TOL_PD * scale:
             i_bad = int(np.argmin(diffs)) + 1
             raise NegativeRadicand(i_bad, j, float(low))
         np.clip(diffs, 0.0, None, out=diffs)
-        entries[j - 1, : j - 1] = signs[j - 1, : j - 1] * np.sqrt(diffs)
+        entries[j - 1, : j - 1] = signs.signs[j - 1, : j - 1] * np.sqrt(diffs)
         entries[j - 1, j - 1] = np.sqrt(ladder[-1])
-    return CholeskyFactor(entries, "covariance")
+    return CholeskyFactor(entries, method)

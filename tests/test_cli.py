@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+import cholcorr.cli as cli
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, main
 from cholcorr.randcorr import GeneratorConfig, generate_batch
@@ -81,6 +83,33 @@ class TestDecompose:
         assert code == 0
         ell = read_csv(out)
         np.testing.assert_allclose(ell @ ell.T, r.values * np.outer(sig, sig), atol=1e-9)
+
+    @pytest.mark.parametrize("covariance", [False, True])
+    @pytest.mark.parametrize("method", ["reference", "semipartial", "detratio"])
+    def test_check_builds_each_route_once(self, tmp_path, monkeypatch, covariance, method):
+        r = generate_batch(GeneratorConfig(n=6, seed=3), 1)[0]
+        sig = np.linspace(0.5, 3.0, 6) if covariance else np.ones(6)
+        src = tmp_path / "m.csv"
+        write_csv(src, r.values * np.outer(sig, sig))
+        # each route is counted where the command looks it up
+        routes = ("reference_cholesky", "chol_semipartial", "chol_detratio", "chol_covariance")
+        calls = dict.fromkeys(routes, 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in routes:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        out = tmp_path / "L.csv"
+        argv = ["decompose", str(src), "--method", method, "--out", str(out), "--check"]
+        assert main(argv + (["--covariance"] if covariance else [])) == 0
+        assert calls == {"reference_cholesky": 1, "chol_semipartial": 1,
+                         "chol_detratio": int(not covariance), "chol_covariance": int(covariance)}
+        expected = np.linalg.cholesky(r.values * np.outer(sig, sig))
+        np.testing.assert_allclose(read_csv(out), expected, atol=1e-9)
 
     def test_json_output(self, tmp_path):
         src = tmp_path / "r.csv"

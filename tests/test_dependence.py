@@ -76,6 +76,13 @@ class TestSampleCorrelation:
         r2 = sample_correlation(SampleMatrix(data * np.array([3.0, 0.01, 250.0])))
         assert np.max(np.abs(r1.values - r2.values)) <= 1e-12
 
+    @pytest.mark.parametrize("scale,offset", [(1e-7, 0.0), (1.0, 1e7)])
+    def test_tiny_scale_or_large_offset_is_not_degenerate(self, scale, offset):
+        data = np.random.default_rng(21).standard_normal((500, 4))
+        r1 = sample_correlation(SampleMatrix(data))
+        r2 = sample_correlation(SampleMatrix(scale * data + offset))
+        assert np.max(np.abs(r1.values - r2.values)) <= 1e-8
+
 
 class TestTStatistic:
     def test_zero(self):

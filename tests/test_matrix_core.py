@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from helpers import adjugate_inverse, cofactor_det, random_correlation
+from scipy.linalg import lapack
 
+import cholcorr.matrix_core as matrix_core
 from cholcorr.errors import NotPositiveDefinite, SchurNonPositive
 from cholcorr.matrix_core import (
+    TOL_PD,
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -16,6 +19,18 @@ from cholcorr.matrix_core import (
 )
 
 NOT_PD_3X3 = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]])
+
+
+def tiny_pivot_block(pivot):
+    """2 x 2 correlation block whose second pivot 1 - rho^2 is ``pivot``."""
+    rho = np.sqrt(1.0 - pivot)
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
+def exact_schur(a, k):
+    """Schur complement of the leading (k-1)-block at 1-based index k."""
+    lead = a[: k - 1, : k - 1]
+    return a[k - 1, k - 1] - a[k - 1, : k - 1] @ np.linalg.solve(lead, a[: k - 1, k - 1])
 
 
 class TestContainers:
@@ -64,6 +79,35 @@ class TestContainers:
         s = CovarianceMatrix([[4.0, 0.0], [0.0, 9.0]])
         np.testing.assert_allclose(s.sigmas, [2.0, 3.0])
 
+    def test_covariance_accepts_tiny_variance(self):
+        # pivot 1e-12 is at TOL_PD in absolute terms but 1 relative to its diagonal
+        s = CovarianceMatrix(np.diag([1e-12, 1.0]))
+        np.testing.assert_allclose(s.sigmas, [1e-6, 1.0])
+        np.testing.assert_array_equal(s.correlation().values, np.eye(2))
+        np.testing.assert_allclose(reference_cholesky(s).entries, np.diag([1e-6, 1.0]))
+
+    def test_covariance_rejection_reports_raw_pivot(self):
+        sig = np.array([1e-3, 2e-3, 5e-4])
+        cov = NOT_PD_3X3 * np.outer(sig, sig)
+        with pytest.raises(NotPositiveDefinite) as err:
+            CovarianceMatrix(cov)
+        assert err.value.pivot_index == 3
+        assert abs(err.value.pivot_value - exact_schur(cov, 3)) <= 1e-12 * sig[2] ** 2
+
+    def test_containers_reuse_their_factor(self, monkeypatch):
+        r = random_correlation(6, seed=4)
+        s = CovarianceMatrix(r.values * np.outer(np.arange(1.0, 7.0), np.arange(1.0, 7.0)))
+        expected = {m: np.linalg.cholesky(m.values) for m in (r, s)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a validated container was factored again")
+
+        monkeypatch.setattr(matrix_core, "_cholesky_pivots", refuse)
+        for m in (r, s):
+            np.testing.assert_allclose(reference_cholesky(m).entries, expected[m], atol=1e-12)
+            minors = leading_minor_determinants(m)
+            np.testing.assert_allclose(minors, np.cumprod(np.diag(expected[m]) ** 2), rtol=1e-12)
+
     def test_covariance_correlation_roundtrip(self):
         r = random_correlation(4, seed=11)
         sig = np.array([0.5, 1.0, 1.5, 2.0])
@@ -103,6 +147,40 @@ class TestReferenceCholesky:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             reference_cholesky([[1.0, 0.5], [0.1, 1.0]])
+
+    def test_pivot_below_tolerance_is_rejected(self):
+        # dpotrf alone accepts pivot 2 in (0, TOL_PD]; the tolerance does not
+        a = np.eye(3)
+        a[:2, :2] = tiny_pivot_block(0.5 * TOL_PD)
+        _, info = lapack.dpotrf(a, lower=1)
+        assert info == 0
+        for make in (reference_cholesky, CorrelationMatrix):
+            with pytest.raises(NotPositiveDefinite) as err:
+                make(a)
+            assert err.value.pivot_index == 2
+            assert 0.0 < err.value.pivot_value <= TOL_PD
+
+    def test_tiny_pivot_reported_before_dpotrf_stops(self):
+        a = np.eye(5)
+        a[:2, :2] = tiny_pivot_block(0.5 * TOL_PD)
+        a[2:, 2:] = NOT_PD_3X3
+        _, info = lapack.dpotrf(a, lower=1)
+        assert info == 5
+        with pytest.raises(NotPositiveDefinite) as err:
+            CorrelationMatrix(a)
+        assert err.value.pivot_index == 2
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (200, 142)])
+    def test_failing_pivot_value_is_exact(self, n, k):
+        # equicorrelation: pivot k is (1 - rho)(1 + (k-1) rho) / (1 + (k-2) rho)
+        rho = -1.0 / (k - 1.5)
+        a = np.full((n, n), rho)
+        np.fill_diagonal(a, 1.0)
+        with pytest.raises(NotPositiveDefinite) as err:
+            reference_cholesky(a)
+        expected = (1.0 - rho) * (1.0 + (k - 1) * rho) / (1.0 + (k - 2) * rho)
+        assert err.value.pivot_index == k
+        assert abs(err.value.pivot_value - expected) <= 1e-9
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (12, 2), (25, 3)])
     def test_reconstruction(self, n, seed):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from helpers import random_correlation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cholcorr.matrix_core as matrix_core
+import cholcorr.parametrizations as parametrizations
 from cholcorr.errors import NegativeRadicand
 from cholcorr.matrix_core import (
+    TOL_EQ,
     CorrelationMatrix,
     CovarianceMatrix,
     leading_minor_determinants,
@@ -24,6 +28,12 @@ from cholcorr.parametrizations import (
 
 def ar1(n, rho):
     return CorrelationMatrix(rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+
+
+def covariance_factor(s):
+    """``chol_covariance`` with the signs of the semi-partial factor of the
+    underlying correlation matrix, as ``decompose --covariance`` uses it."""
+    return chol_covariance(s, extract_signs(chol_semipartial(s.correlation())))
 
 
 class TestSemipartialCoefficient:
@@ -89,6 +99,29 @@ class TestCholSemipartial:
         r = random_correlation(5, seed=3)
         diff = chol_semipartial(r).entries - reference_cholesky(r).entries
         assert np.max(np.abs(diff)) <= 1e-10
+
+    def test_independent_of_the_reference(self, monkeypatch):
+        r = random_correlation(12, seed=5)
+        expected = np.linalg.cholesky(r.values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the semi-partial route used the reference factorization")
+
+        # wherever a library module binds the reference or a triangular solve
+        for module in (matrix_core, parametrizations):
+            for name in ("_cholesky_pivots", "solve_triangular"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+        assert np.max(np.abs(chol_semipartial(r).entries - expected)) <= TOL_EQ
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_matches_numpy_on_normalised_gram_matrices(self, n):
+        a = np.random.default_rng(n).standard_normal((n, 2 * n))
+        gram = a @ a.T
+        d = 1.0 / np.sqrt(np.diag(gram))
+        r = CorrelationMatrix(gram * np.outer(d, d))
+        diff = chol_semipartial(r).entries - np.linalg.cholesky(r.values)
+        assert np.max(np.abs(diff)) <= TOL_EQ
 
     def test_reconstruction(self):
         r = random_correlation(9, seed=27)
@@ -195,20 +228,20 @@ class TestCholDetratio:
 class TestCholCovariance:
     def test_uncorrelated_diagonal(self):
         s = CovarianceMatrix([[4.0, 0.0], [0.0, 9.0]])
-        np.testing.assert_allclose(chol_covariance(s).entries, [[2.0, 0.0], [0.0, 3.0]], atol=1e-14)
+        np.testing.assert_allclose(covariance_factor(s).entries, [[2.0, 0.0], [0.0, 3.0]], atol=1e-14)
 
     def test_two_by_two_scaled(self):
         sig = np.array([1.0, 2.0])
         s = CovarianceMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]) * np.outer(sig, sig))
         expected = [[1.0, 0.0], [1.0, 2.0 * np.sqrt(0.75)]]
-        np.testing.assert_allclose(chol_covariance(s).entries, expected, atol=1e-14)
+        np.testing.assert_allclose(covariance_factor(s).entries, expected, atol=1e-14)
 
     def test_agrees_with_reference_seed9(self):
         r = random_correlation(5, seed=9)
         rng = np.random.default_rng(9)
         sig = rng.uniform(0.5, 2.0, size=5)
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
-        diff = chol_covariance(s).entries - reference_cholesky(s).entries
+        diff = covariance_factor(s).entries - reference_cholesky(s).entries
         assert np.max(np.abs(diff)) <= 1e-9
 
     def test_rows_scale_like_sigmas(self):
@@ -217,13 +250,13 @@ class TestCholCovariance:
         sig = rng.uniform(0.5, 2.0, size=6)
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
         scaled = sig[:, None] * chol_semipartial(r).entries
-        assert np.max(np.abs(chol_covariance(s).entries - scaled)) <= 1e-10
+        assert np.max(np.abs(covariance_factor(s).entries - scaled)) <= 1e-10
 
     def test_reconstruction_scale(self):
         r = random_correlation(4, seed=23)
         sig = np.array([0.5, 1.5, 2.0, 1.0])
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
-        out = chol_covariance(s)
+        out = covariance_factor(s)
         tol = 1e-9 * float(np.max(sig) ** 2)
         assert np.max(np.abs(out.reconstruct() - s.values)) <= tol
 
