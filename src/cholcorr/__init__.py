@@ -5,7 +5,7 @@ generator, AR(1) tools, and a sequential dependence t-test.
 
 __version__ = "0.1.0"
 
-from .ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, ar1_transform, sample_mvn
+from .ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from .dependence_test import (
     SampleMatrix,
     StageResult,
@@ -28,7 +28,6 @@ from .identities import (
     DeterminantLadder,
     IdentityReport,
     check_order_conditions,
-    determinant_ladders,
     verify_general_recursion,
     verify_product_sums,
     verify_ratio_differences,
@@ -38,9 +37,7 @@ from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    SquareMatrix,
     banachiewicz_inverse,
-    bordered_determinant,
     bordered_minor_column,
     leading_minor_determinants,
     reference_cholesky,
@@ -52,10 +49,9 @@ from .parametrizations import (
     chol_detratio,
     chol_semipartial,
     extract_signs,
-    semipartial_coefficient,
     semipartial_table,
 )
-from .randcorr import GeneratorConfig, RngState, generate, generate_batch, stream
+from .randcorr import GeneratorConfig, generate, generate_batch, stream
 
 __all__ = [
     "Ar1Spec",
@@ -70,26 +66,21 @@ __all__ = [
     "NearSingular",
     "NegativeRadicand",
     "NotPositiveDefinite",
-    "RngState",
     "SampleMatrix",
     "SchurNonPositive",
     "SemiPartialTable",
     "SignPattern",
-    "SquareMatrix",
     "StageResult",
     "TestReport",
     "ALL_VERIFIERS",
     "ar1_cholesky",
     "ar1_matrix",
-    "ar1_transform",
     "banachiewicz_inverse",
-    "bordered_determinant",
     "bordered_minor_column",
     "check_order_conditions",
     "chol_covariance",
     "chol_detratio",
     "chol_semipartial",
-    "determinant_ladders",
     "extract_signs",
     "generate",
     "generate_batch",
@@ -97,7 +88,6 @@ __all__ = [
     "reference_cholesky",
     "sample_correlation",
     "sample_mvn",
-    "semipartial_coefficient",
     "semipartial_table",
     "sequential_test",
     "stream",

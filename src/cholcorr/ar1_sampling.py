@@ -55,15 +55,6 @@ def ar1_cholesky(spec: Ar1Spec) -> CholeskyFactor:
     return CholeskyFactor(entries, "ar1")
 
 
-def ar1_transform(spec: Ar1Spec, x) -> np.ndarray:
-    """Map a length-n vector of independent standard normals to normals
-    with AR(1) correlation, i.e. multiply by the closed-form factor."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.n,):
-        raise ValueError(f"expected a vector of length {spec.n}, got shape {x.shape}")
-    return ar1_cholesky(spec).entries @ x
-
-
 def sample_mvn(l: CholeskyFactor, count: int, seed: int) -> np.ndarray:
     """``count`` independent draws of L X with X standard normal, one row
     per draw. Deterministic per seed."""

@@ -3,7 +3,7 @@
 
 class NotPositiveDefinite(ValueError):
     """A factorization pivot fell at or below the acceptance tolerance
-    (``tol_pd`` times its diagonal entry).
+    (``TOL_PD`` times its diagonal entry).
 
     The offending pivot is the Schur complement of the leading block at
     ``pivot_index`` (1-based), i.e. the square of the diagonal entry the

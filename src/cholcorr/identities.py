@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import (
-    TOL_SYM,
     CorrelationMatrix,
     _freeze,
-    as_array,
+    _symmetrized,
+    _unit_diagonal,
     banachiewicz_inverse,
-    bordered_minor_column,
     leading_minor_determinants,
-    symmetry_error,
 )
 from .parametrizations import semipartial_table
 
@@ -66,24 +64,15 @@ class DeterminantLadder:
     def __post_init__(self):
         object.__setattr__(self, "ratios", _freeze(self.ratios))
 
-    def satisfies_order(self, tol: float = TOL_ORD) -> bool:
+    def satisfies_order(self) -> bool:
+        """Whether the ratios lie in (0, 1] and never increase, within
+        ``TOL_ORD``."""
         r = self.ratios
         if not np.all(np.isfinite(r)):
             return False
-        if np.any(r <= tol) or np.any(r > 1.0 + tol):
+        if np.any(r <= TOL_ORD) or np.any(r > 1.0 + TOL_ORD):
             return False
-        return bool(np.all(np.diff(r) <= tol))
-
-
-def determinant_ladders(r: CorrelationMatrix) -> list[DeterminantLadder]:
-    """Ladders for every column j = 2..n of a valid correlation matrix,
-    computed from factorization pivots."""
-    minors = leading_minor_determinants(r)
-    prev = np.concatenate(([1.0], minors[:-1]))
-    return [
-        DeterminantLadder(j=j, ratios=bordered_minor_column(r, j) / prev[:j])
-        for j in range(2, r.n + 1)
-    ]
+        return bool(np.all(np.diff(r) <= TOL_ORD))
 
 
 def _inverse_chain(a: np.ndarray, upto: int) -> list[np.ndarray]:
@@ -242,36 +231,30 @@ def _principal_det(a: np.ndarray, i: int, j: int) -> float:
     return float(np.linalg.det(a[np.ix_(idx, idx)]))
 
 
-def check_order_conditions(m, *, tol_ord: float = TOL_ORD, tol_sym: float = TOL_SYM):
+def check_order_conditions(m):
     """Evaluate the two determinant orderings on a symmetric unit-diagonal
     matrix without assuming positive-definiteness.
 
     Returns ``(det_order_ok, ratio_order_ok, ladders)`` where the first
     flag asserts that the leading-minor sequence stays positive and
-    non-increasing (within ``tol_ord``), the second asserts the same for
+    non-increasing (within ``TOL_ORD``), the second asserts the same for
     every per-column ladder of bordered-minor ratios, and ``ladders``
     holds the computed ladders for columns j = 2..n. The two flags are
     both true exactly when the matrix is positive-definite, up to the
     tolerance band around zero.
 
     All determinants are computed by LU so the diagnostic works on
-    indefinite input; feeding it anything asymmetric or with a non-unit
-    diagonal raises ``ValueError``.
+    indefinite input. The input passes the containers' finite, symmetry
+    and unit-diagonal checks (``TOL_SYM``) or raises ``ValueError``.
     """
-    a = as_array(m)
+    a = _unit_diagonal(_symmetrized(m))
     n = a.shape[0]
-    if symmetry_error(a) > tol_sym:
-        raise ValueError("order conditions are defined for symmetric matrices")
-    if np.max(np.abs(np.diag(a) - 1.0)) > tol_sym:
-        raise ValueError("order conditions are defined for unit-diagonal matrices")
-    a = 0.5 * (a + a.T)
-    np.fill_diagonal(a, 1.0)
 
     leading = np.array([np.linalg.det(a[:k, :k]) for k in range(1, n + 1)])
     det_ok = bool(
-        np.all(leading > tol_ord)
-        and np.all(np.diff(leading) <= tol_ord)
-        and leading[0] <= 1.0 + tol_ord
+        np.all(leading > TOL_ORD)
+        and np.all(np.diff(leading) <= TOL_ORD)
+        and leading[0] <= 1.0 + TOL_ORD
     )
 
     prev = np.concatenate(([1.0], leading[:-1]))
@@ -282,6 +265,6 @@ def check_order_conditions(m, *, tol_ord: float = TOL_ORD, tol_sym: float = TOL_
             bordered = np.array([_principal_det(a, i, j) for i in range(1, j + 1)])
             ladder = DeterminantLadder(j=j, ratios=bordered / prev[:j])
             ladders.append(ladder)
-            if not ladder.satisfies_order(tol_ord):
+            if not ladder.satisfies_order():
                 ratio_ok = False
     return det_ok, ratio_ok, ladders

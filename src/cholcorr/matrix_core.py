@@ -9,7 +9,7 @@ storage is 0-based numpy. Every function that takes indices states this.
 
 The step-i "pivot" is the Schur complement of the leading (i-1)-block,
 equal to the square of the factor's i-th diagonal entry. It is accepted
-when it exceeds ``tol_pd`` times a_ii: that ratio is pivot i of the
+when it exceeds ``TOL_PD`` times a_ii: that ratio is pivot i of the
 scaled matrix D^{-1/2} A D^{-1/2}, so the decision does not depend on the
 units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
@@ -20,6 +20,9 @@ All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
 ``CovarianceMatrix`` keep the factor and pivots they were validated with,
 which ``reference_cholesky`` and ``leading_minor_determinants`` reuse.
+
+The tolerances below are fixed constants, not parameters of any public
+function.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy.linalg import lapack, solve_triangular
 
 from .errors import NotPositiveDefinite, SchurNonPositive
 
-TOL_SYM = 1e-10  # max absolute asymmetry accepted at construction
+TOL_SYM = 1e-10  # max absolute asymmetry, and max |a_ii - 1| of a correlation matrix
 TOL_PD = 1e-12   # minimum accepted pivot (Schur complement)
 TOL_REC = 1e-9   # factor reconstruction tolerance
 TOL_EQ = 1e-9    # entrywise agreement tolerance between factor routes
@@ -52,20 +55,45 @@ def as_array(m) -> np.ndarray:
     return a
 
 
-def symmetry_error(a: np.ndarray) -> float:
-    """Largest absolute difference between a matrix and its transpose."""
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
+def _symmetrized(values) -> np.ndarray:
+    """Finite square input, symmetric within ``TOL_SYM``, averaged with its
+    transpose (a fresh array)."""
+    a = as_array(values)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    err = float(np.max(np.abs(a - a.T)))
+    if err > TOL_SYM:
+        raise ValueError(f"matrix is not symmetric: max asymmetry {err:.3e}")
+    return 0.5 * (a + a.T)
 
 
-class SquareMatrix:
-    """Immutable n x n real matrix with finite entries."""
+def _unit_diagonal(a: np.ndarray) -> np.ndarray:
+    """``a`` with its diagonal set to exactly 1, in place, after checking
+    that no diagonal entry is further than ``TOL_SYM`` from 1."""
+    err = float(np.max(np.abs(a.diagonal() - 1.0)))
+    if err > TOL_SYM:
+        raise ValueError(f"matrix does not have a unit diagonal: max |a_ii - 1| {err:.3e}")
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+class _FactoredMatrix:
+    """Immutable symmetric positive-definite n x n matrix that keeps the
+    factor and pivots it was validated with.
+
+    The one validation path of both containers: ``_symmetrized``, then the
+    subclass's ``_check`` (which may set entries exactly), then the
+    reference factorization, which raises ``NotPositiveDefinite`` at the
+    failing pivot.
+    """
 
     def __init__(self, values):
-        a = np.array(as_array(values))
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a.flags.writeable = False
-        self._values = a
+        sym = _symmetrized(values)
+        self._check(sym)
+        lower, pivots = _cholesky_pivots(sym, TOL_PD)
+        for a in (sym, lower, pivots):
+            a.flags.writeable = False
+        self._values, self._lower, self._pivots = sym, lower, pivots
 
     @property
     def values(self) -> np.ndarray:
@@ -83,54 +111,24 @@ class SquareMatrix:
         return f"{type(self).__name__}(n={self.n})"
 
 
-def _symmetrized(values, tol_sym: float) -> np.ndarray:
-    """Finite square input, symmetric within ``tol_sym``, averaged with its
-    transpose (a fresh array)."""
-    a = as_array(values)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    err = symmetry_error(a)
-    if err > tol_sym:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {err:.3e}")
-    return 0.5 * (a + a.T)
-
-
-def _store_validated(m: SquareMatrix, sym: np.ndarray, tol_sym: float, tol_pd: float) -> None:
-    """Factor ``sym`` (raising ``NotPositiveDefinite`` on failure) and freeze
-    it into ``m`` together with its factor and pivots."""
-    lower, pivots = _cholesky_pivots(sym, tol_pd)
-    for a in (sym, lower, pivots):
-        a.flags.writeable = False
-    m._values, m._lower, m._pivots = sym, lower, pivots
-    m.tol_sym = tol_sym
-    m.tol_pd = tol_pd
-
-
-class CorrelationMatrix(SquareMatrix):
+class CorrelationMatrix(_FactoredMatrix):
     """Symmetric positive-definite matrix with unit diagonal.
 
     Construction symmetrizes the input (after checking the asymmetry is
-    below ``tol_sym``), sets the diagonal to exactly 1, requires every
+    below ``TOL_SYM``), requires every diagonal entry to lie within
+    ``TOL_SYM`` of 1 and then sets it to exactly 1, requires every
     off-diagonal entry to lie strictly inside (-1, 1), and runs the
     reference factorization so that a non-positive-definite input is
     rejected immediately with the failing pivot. The factor is kept.
     """
 
-    def __init__(self, values, *, tol_sym: float = TOL_SYM, tol_pd: float = TOL_PD):
-        sym = _symmetrized(values, tol_sym)
-        np.fill_diagonal(sym, 1.0)
-        off = sym[~np.eye(sym.shape[0], dtype=bool)]
+    def _check(self, sym: np.ndarray) -> None:
+        off = _unit_diagonal(sym)[~np.eye(sym.shape[0], dtype=bool)]
         if off.size and np.max(np.abs(off)) >= 1.0:
             raise ValueError("off-diagonal correlations must lie strictly inside (-1, 1)")
-        _store_validated(self, sym, tol_sym, tol_pd)  # raises NotPositiveDefinite on failure
-
-    def prefix(self, i: int, j: int) -> np.ndarray:
-        """Correlations (rho_1j, ..., rho_{i-1,j}) between variable j and
-        variables 1..i-1 (1-based; length i-1, possibly empty)."""
-        return self._values[: i - 1, j - 1]
 
 
-class CovarianceMatrix(SquareMatrix):
+class CovarianceMatrix(_FactoredMatrix):
     """Symmetric positive-definite matrix with standard deviations on record.
 
     ``sigmas[k]`` is the square root of the k-th diagonal entry. Validation
@@ -138,12 +136,10 @@ class CovarianceMatrix(SquareMatrix):
     judged relative to its diagonal entry, and keeps the factor.
     """
 
-    def __init__(self, values, *, tol_sym: float = TOL_SYM, tol_pd: float = TOL_PD):
-        sym = _symmetrized(values, tol_sym)
+    def _check(self, sym: np.ndarray) -> None:
         diag = np.diag(sym)
         if np.any(diag <= 0):
             raise ValueError("covariance diagonal must be strictly positive")
-        _store_validated(self, sym, tol_sym, tol_pd)
         self._sigmas = _freeze(np.sqrt(diag))
 
     @property
@@ -153,7 +149,7 @@ class CovarianceMatrix(SquareMatrix):
     def correlation(self) -> CorrelationMatrix:
         """The correlation matrix obtained by normalizing out the sigmas."""
         d = 1.0 / self._sigmas
-        return CorrelationMatrix(self._values * np.outer(d, d), tol_pd=self.tol_pd)
+        return CorrelationMatrix(self._values * np.outer(d, d))
 
 
 class CholeskyFactor:
@@ -206,41 +202,30 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     Pivot i is the Schur complement ``a_ii - sum_k l_ik^2`` (the squared
     diagonal entry). Raises ``NotPositiveDefinite`` at the first 1-based
     index whose pivot fails to exceed ``tol_pd * a_ii``, or at the index
-    where ``dpotrf`` stops, whichever comes first.
+    where ``dpotrf`` stops, whichever comes first, with the Schur
+    complement there recomputed from the factor of the leading block
+    before it.
     """
     lower, info = lapack.dpotrf(a, lower=1, clean=1)
     stop = info if info > 0 else a.shape[0] + 1  # 1-based index dpotrf failed at
     pivots = lower.diagonal()[: stop - 1] ** 2
-    _check_pivots(a, lower, pivots, tol_pd)
-    return lower, pivots
-
-
-def _check_pivots(a: np.ndarray, lower: np.ndarray, pivots: np.ndarray, tol_pd: float) -> None:
-    """Raise ``NotPositiveDefinite`` unless every one of the n pivots is
-    present and exceeds ``tol_pd * a_ii``.
-
-    The first pivot that fails (or the first one missing, where the
-    factorization stopped) is reported with its Schur complement
-    recomputed from the factor of the leading block before it.
-    """
     small = np.flatnonzero(~(pivots > tol_pd * a.diagonal()[: pivots.size]))  # NaN fails too
-    k = int(small[0]) + 1 if small.size else pivots.size + 1
+    k = int(small[0]) + 1 if small.size else stop
     if k > a.shape[0]:
-        return
+        return lower, pivots
     z = solve_triangular(lower[: k - 1, : k - 1], a[k - 1, : k - 1], lower=True, check_finite=False)
     raise NotPositiveDefinite(k, a[k - 1, k - 1] - z @ z)
 
 
-def _factor_of(m, tol_pd: float):
-    """Lower factor and pivots of ``m``: the ones a container was validated
-    with (re-checked against ``tol_pd``), or one factorization of an array."""
-    if not hasattr(m, "_pivots"):
-        return _cholesky_pivots(as_array(m), tol_pd)
-    _check_pivots(m.values, m._lower, m._pivots, tol_pd)
-    return m._lower, m._pivots
+def _factor_of(m):
+    """Lower factor and pivots of ``m``: the ones a validated container
+    holds, or one factorization of an array after ``_symmetrized``."""
+    if isinstance(m, _FactoredMatrix):
+        return m._lower, m._pivots
+    return _cholesky_pivots(_symmetrized(m), TOL_PD)
 
 
-def reference_cholesky(m, *, tol_pd: float = TOL_PD, tol_sym: float = TOL_SYM) -> CholeskyFactor:
+def reference_cholesky(m) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix with LAPACK ``dpotrf``.
     This is the oracle every closed-form construction in the library is
     compared against; its backward stability is the classic Cholesky
@@ -249,20 +234,14 @@ def reference_cholesky(m, *, tol_pd: float = TOL_PD, tol_sym: float = TOL_SYM) -
 
     Accepts any container with square ``values`` or a plain array; a
     validated container hands back the factor it already holds.
-    Raises ``ValueError`` if the input is asymmetric beyond ``tol_sym``
-    and ``NotPositiveDefinite`` if a pivot falls at or below ``tol_pd``
-    times its diagonal entry.
+    Raises ``ValueError`` if the input is not finite or is asymmetric
+    beyond ``TOL_SYM``, and ``NotPositiveDefinite`` if a pivot falls at or
+    below ``TOL_PD`` times its diagonal entry.
     """
-    a = as_array(m)
-    err = symmetry_error(a)
-    if err > tol_sym:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {err:.3e}")
-    if not hasattr(m, "_pivots"):
-        m = 0.5 * (a + a.T)
-    return CholeskyFactor(_factor_of(m, tol_pd)[0], "reference")
+    return CholeskyFactor(_factor_of(m)[0], "reference")
 
 
-def leading_minor_determinants(m, *, tol_pd: float = TOL_PD) -> np.ndarray:
+def leading_minor_determinants(m) -> np.ndarray:
     """Determinants of every leading principal block, element j (1-based)
     being the determinant of the leading j x j block.
 
@@ -271,10 +250,10 @@ def leading_minor_determinants(m, *, tol_pd: float = TOL_PD) -> np.ndarray:
     the first element is exactly 1 and the sequence is positive and
     non-increasing.
     """
-    return np.cumprod(_factor_of(m, tol_pd)[1])
+    return np.cumprod(_factor_of(m)[1])
 
 
-def bordered_minor_column(m, j: int, *, tol_pd: float = TOL_PD) -> np.ndarray:
+def bordered_minor_column(m, j: int) -> np.ndarray:
     """All bordered minors toward column j in one factorization.
 
     Element i (1-based, i = 1..j) is the determinant of the principal
@@ -291,28 +270,11 @@ def bordered_minor_column(m, j: int, *, tol_pd: float = TOL_PD) -> np.ndarray:
         raise IndexError(f"column index {j} outside 1..{n}")
     order = np.arange(-1, j - 1)  # j, then 1..j-1, within the leading j-block
     sub = a[:j, :j][order][:, order]
-    _, pivots = _cholesky_pivots(sub, tol_pd)
+    _, pivots = _cholesky_pivots(sub, TOL_PD)
     return np.cumprod(pivots)
 
 
-def bordered_determinant(r, i: int, j: int, *, tol_pd: float = TOL_PD) -> float:
-    """Determinant of the leading (i-1)-block bordered with the prefix row
-    of column j, i.e. of the principal submatrix on {1, ..., i-1, j}
-    (all indices 1-based, 2 <= i <= j <= n).
-
-    When j = i this is the leading i x i minor.
-    """
-    a = as_array(r)
-    n = a.shape[0]
-    if not (2 <= i <= j <= n):
-        raise IndexError(f"need 2 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    idx = np.r_[np.arange(i - 1), j - 1]
-    sub = a[np.ix_(idx, idx)]
-    _, pivots = _cholesky_pivots(sub, tol_pd)
-    return float(np.prod(pivots))
-
-
-def banachiewicz_inverse(r_prev_inv, rho, c: float, *, tol_pd: float = TOL_PD) -> np.ndarray:
+def banachiewicz_inverse(r_prev_inv, rho, c: float) -> np.ndarray:
     """Extend a block inverse by one row and column.
 
     Given ``B = r_prev_inv``, the inverse of the leading block ``A``, the
@@ -330,7 +292,7 @@ def banachiewicz_inverse(r_prev_inv, rho, c: float, *, tol_pd: float = TOL_PD) -
     m = rho.shape[0]
     if inv.shape != (m, m):
         raise ValueError(f"inverse block is {inv.shape}, border has length {m}")
-    if not c > tol_pd:
+    if not c > TOL_PD:
         raise SchurNonPositive(c)
     v = inv @ rho
     out = np.empty((m + 1, m + 1))

@@ -92,7 +92,8 @@ class SignPattern:
         low = s[np.tril_indices(self.n, -1)]
         if low.size and not np.all(np.abs(low) == 1):
             raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "signs", _freeze(s).astype(int))
+        s.flags.writeable = False
+        object.__setattr__(self, "signs", s)
 
     def sign(self, i: int, j: int) -> int:
         """Sign attached to factor entry (row j, column i), 1-based i < j."""
@@ -127,16 +128,6 @@ def semipartial_table(r: CorrelationMatrix) -> SemiPartialTable:
         coeffs[i, i] = root
         coeffs[i + 1:, i] = (a[i + 1:, i] - q[1:]) / root
     return SemiPartialTable(n=n, coeffs=coeffs)
-
-
-def semipartial_coefficient(r: CorrelationMatrix, i: int, j: int) -> float:
-    """Semi-partial correlation between variables i and j given 1..i-1
-    (1-based, 1 <= i <= j <= n), read off ``semipartial_table``.
-
-    For i = 1 this is the plain correlation rho_1j; for i = j it is the
-    residual standard deviation sqrt(1 - q_ii).
-    """
-    return semipartial_table(r).coefficient(i, j)
 
 
 def chol_semipartial(r: CorrelationMatrix) -> CholeskyFactor:

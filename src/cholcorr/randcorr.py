@@ -38,8 +38,6 @@ import numpy as np
 
 from .matrix_core import CholeskyFactor, CorrelationMatrix
 
-RngState = np.random.Generator
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -60,7 +58,7 @@ class GeneratorConfig:
             raise ValueError("sign_bias must lie in [0, 1]")
 
 
-def stream(seed: int, index: int | None = None) -> RngState:
+def stream(seed: int, index: int | None = None) -> np.random.Generator:
     """Deterministic PCG64 stream for ``seed``; with ``index`` given, the
     per-element substream ``SeedSequence(seed, spawn_key=(index,))``."""
     if index is None:
@@ -70,12 +68,12 @@ def stream(seed: int, index: int | None = None) -> RngState:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _uniforms_open_closed(rng: RngState, count: int, low: float = 0.0) -> np.ndarray:
+def _uniforms_open_closed(rng: np.random.Generator, count: int, low: float = 0.0) -> np.ndarray:
     """``count`` uniforms on (low, 1], via 1 - (1 - low) * u with u on [0, 1)."""
     return 1.0 - (1.0 - low) * rng.random(count)
 
 
-def generate(cfg: GeneratorConfig, rng: RngState | None = None):
+def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     """One random factor and its correlation matrix.
 
     Returns ``(l, r)`` with ``l`` the generated lower factor (method tag

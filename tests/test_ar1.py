@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, ar1_transform, sample_mvn
+from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from cholcorr.matrix_core import leading_minor_determinants, reference_cholesky
 from cholcorr.parametrizations import semipartial_table
 from cholcorr.randcorr import GeneratorConfig, generate
@@ -81,17 +81,15 @@ class TestAr1Cholesky:
 
 
 class TestAr1Transform:
+    """The induced transform of independent normals, x -> L x."""
+
     def test_zero_rho_is_identity_map(self):
         x = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_array_equal(ar1_transform(Ar1Spec(3, 0.0), x), x)
+        np.testing.assert_array_equal(ar1_cholesky(Ar1Spec(3, 0.0)).entries @ x, x)
 
     def test_first_basis_vector_gives_powers(self):
-        out = ar1_transform(Ar1Spec(5, 0.6), [1.0, 0.0, 0.0, 0.0, 0.0])
+        out = ar1_cholesky(Ar1Spec(5, 0.6)).entries @ np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(out, 0.6 ** np.arange(5), atol=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ar1_transform(Ar1Spec(3, 0.5), [1.0, 2.0])
 
     def test_covariance_monte_carlo(self):
         spec = Ar1Spec(4, 0.6)

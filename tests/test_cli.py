@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -66,6 +67,15 @@ class TestDecompose:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["decompose", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_non_unit_diagonal_is_usage_error(self, tmp_path, capsys, command):
+        src = tmp_path / "r.csv"
+        src.write_text("4,0.5\n0.5,4\n")
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unit diagonal" in captured.err
 
     def test_nonsquare_exit_code(self, tmp_path):
         src = tmp_path / "rect.csv"
@@ -159,6 +169,16 @@ class TestGenerate:
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["options"]["seed"] == 9
         assert manifest["outputs"] == [f"corr_{k:04d}.csv" for k in range(3)]
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        outdir = tmp_path / "golden"
+        assert main(["generate", "--n", "25", "--count", "100", "--seed", "42",
+                     "--out", str(outdir)]) == 0
+        digest = hashlib.sha256()
+        for k in range(100):
+            digest.update((outdir / f"corr_{k:04d}.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "e3c1e18d04f5e617a973d82675111084e2c399157786fac063539114dc3e214f")
 
     def test_bad_count(self, tmp_path):
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(tmp_path / "x")]) == 2

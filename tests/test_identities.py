@@ -4,14 +4,19 @@ from helpers import cofactor_det, random_correlation
 
 from cholcorr.identities import (
     ALL_VERIFIERS,
+    DeterminantLadder,
     check_order_conditions,
-    determinant_ladders,
     verify_general_recursion,
     verify_product_sums,
     verify_ratio_differences,
     verify_recursion,
 )
-from cholcorr.matrix_core import CorrelationMatrix, reference_cholesky
+from cholcorr.matrix_core import (
+    CorrelationMatrix,
+    bordered_minor_column,
+    leading_minor_determinants,
+    reference_cholesky,
+)
 
 
 def ar1(n, rho):
@@ -138,20 +143,28 @@ class TestAllVerifiersSweep:
                 assert fn(r).max_residual <= 1e-9
 
 
+def pivot_ladders(r):
+    """Ladders for columns j = 2..n from factorization pivots: bordered
+    minors toward j divided by the previous leading minors."""
+    prev = np.concatenate(([1.0], leading_minor_determinants(r)[:-1]))
+    return [DeterminantLadder(j=j, ratios=bordered_minor_column(r, j) / prev[:j])
+            for j in range(2, r.n + 1)]
+
+
 class TestDeterminantLadders:
     def test_identity_ladders_are_all_ones(self):
-        for ladder in determinant_ladders(CorrelationMatrix(np.eye(5))):
+        for ladder in pivot_ladders(CorrelationMatrix(np.eye(5))):
             np.testing.assert_array_equal(ladder.ratios, np.ones(ladder.j))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_differences_are_nonnegative(self, seed):
         # each difference is a squared factor entry, so it cannot go below 0
-        for ladder in determinant_ladders(random_correlation(8, seed)):
+        for ladder in pivot_ladders(random_correlation(8, seed)):
             assert np.all(-np.diff(ladder.ratios) >= -1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_orders_hold_on_valid_input(self, seed):
-        for ladder in determinant_ladders(random_correlation(7, seed)):
+        for ladder in pivot_ladders(random_correlation(7, seed)):
             assert ladder.satisfies_order()
 
 
@@ -182,6 +195,10 @@ class TestCheckOrderConditions:
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError):
             check_order_conditions(np.array([[2.0, 0.2], [0.2, 2.0]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            check_order_conditions(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_factorization_success(self, seed):

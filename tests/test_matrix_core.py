@@ -10,9 +10,7 @@ from cholcorr.matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    SquareMatrix,
     banachiewicz_inverse,
-    bordered_determinant,
     bordered_minor_column,
     leading_minor_determinants,
     reference_cholesky,
@@ -36,14 +34,14 @@ def exact_schur(a, k):
 class TestContainers:
     def test_square_matrix_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            SquareMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+            CorrelationMatrix([[1.0, 0.2, 0.3], [0.2, 1.0, 0.4]])
 
     def test_square_matrix_rejects_nan(self):
         with pytest.raises(ValueError):
-            SquareMatrix([[1.0, np.nan], [np.nan, 1.0]])
+            CorrelationMatrix([[1.0, np.nan], [np.nan, 1.0]])
 
     def test_entries_are_frozen(self):
-        m = SquareMatrix(np.eye(2))
+        m = CorrelationMatrix(np.eye(2))
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
 
@@ -51,6 +49,11 @@ class TestContainers:
         r = CorrelationMatrix([[1.0 + 5e-11, 0.3], [0.3, 1.0 - 5e-11]])
         assert r.values[0, 0] == 1.0
         assert r.values[1, 1] == 1.0
+
+    @pytest.mark.parametrize("diagonal", [4.0, 1.0 + 2e-10, 1.0 - 2e-10])
+    def test_correlation_rejects_non_unit_diagonal(self, diagonal):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            CorrelationMatrix([[diagonal, 0.5], [0.5, diagonal]])
 
     def test_correlation_rejects_abs_one(self):
         with pytest.raises(ValueError):
@@ -70,10 +73,6 @@ class TestContainers:
         r = CorrelationMatrix([[1.0]])
         assert r.n == 1
         assert leading_minor_determinants(r).tolist() == [1.0]
-
-    def test_prefix_accessor(self):
-        r = random_correlation(5, seed=2)
-        np.testing.assert_array_equal(r.prefix(3, 5), r.values[:2, 4])
 
     def test_covariance_sigmas(self):
         s = CovarianceMatrix([[4.0, 0.0], [0.0, 9.0]])
@@ -224,45 +223,49 @@ class TestLeadingMinors:
 
 
 class TestBorderedDeterminant:
+    """``bordered_minor_column(r, j)[i-1]`` is the determinant of the
+    principal submatrix on {1, ..., i-1, j}."""
+
     def test_coincides_with_leading_minor_when_j_equals_i(self):
         r = random_correlation(6, seed=5)
         minors = leading_minor_determinants(r)
         for i in range(2, 7):
-            assert abs(bordered_determinant(r, i, i) - minors[i - 1]) <= 1e-12
+            assert abs(bordered_minor_column(r, i)[i - 1] - minors[i - 1]) <= 1e-12
 
     def test_two_by_two_hand_formula(self):
         r = random_correlation(4, seed=7)
         rho_14 = r.values[0, 3]
-        assert abs(bordered_determinant(r, 2, 4) - (1.0 - rho_14**2)) <= 1e-14
+        assert abs(bordered_minor_column(r, 4)[1] - (1.0 - rho_14**2)) <= 1e-14
 
     def test_identity_blocks(self):
         r = CorrelationMatrix(np.eye(5))
-        assert bordered_determinant(r, 3, 5) == 1.0
+        assert bordered_minor_column(r, 5)[2] == 1.0
 
     def test_against_cofactor_oracle(self):
         r = random_correlation(5, seed=13)
-        for i in range(2, 6):
-            for j in range(i, 6):
+        for j in range(2, 6):
+            col = bordered_minor_column(r, j)
+            for i in range(2, j + 1):
                 idx = list(range(i - 1)) + [j - 1]
                 expected = cofactor_det(r.values[np.ix_(idx, idx)])
-                assert abs(bordered_determinant(r, i, j) - expected) <= 1e-12
+                assert abs(col[i - 1] - expected) <= 1e-12
 
     def test_column_matches_single_queries(self):
+        # each element against an LU determinant of its own submatrix
         r = random_correlation(6, seed=21)
         for j in range(2, 7):
             col = bordered_minor_column(r, j)
             assert col[0] == 1.0
             for i in range(2, j + 1):
-                assert abs(col[i - 1] - bordered_determinant(r, i, j)) <= 1e-12
+                idx = list(range(i - 1)) + [j - 1]
+                assert abs(col[i - 1] - np.linalg.det(r.values[np.ix_(idx, idx)])) <= 1e-12
 
     def test_index_errors(self):
         r = random_correlation(4, seed=1)
         with pytest.raises(IndexError):
-            bordered_determinant(r, 1, 3)
+            bordered_minor_column(r, 0)
         with pytest.raises(IndexError):
-            bordered_determinant(r, 3, 2)
-        with pytest.raises(IndexError):
-            bordered_determinant(r, 2, 5)
+            bordered_minor_column(r, 5)
 
 
 class TestBanachiewiczInverse:

@@ -21,7 +21,6 @@ from cholcorr.parametrizations import (
     chol_detratio,
     chol_semipartial,
     extract_signs,
-    semipartial_coefficient,
     semipartial_table,
 )
 
@@ -40,39 +39,44 @@ class TestSemipartialCoefficient:
     def test_first_column_is_plain_correlation(self):
         r = random_correlation(5, seed=8)
         for j in range(2, 6):
-            assert semipartial_coefficient(r, 1, j) == r.values[0, j - 1]
-        assert semipartial_coefficient(r, 1, 1) == 1.0
+            assert semipartial_table(r).coefficient(1, j) == r.values[0, j - 1]
+        assert semipartial_table(r).coefficient(1, 1) == 1.0
 
     def test_two_given_one_formula(self):
         r = random_correlation(3, seed=15)
         r12, r13, r23 = r.values[0, 1], r.values[0, 2], r.values[1, 2]
         expected = (r23 - r12 * r13) / np.sqrt(1.0 - r12**2)
-        assert abs(semipartial_coefficient(r, 2, 3) - expected) <= 1e-14
+        assert abs(semipartial_table(r).coefficient(2, 3) - expected) <= 1e-14
 
     def test_identity_cases(self):
         r = CorrelationMatrix(np.eye(4))
-        assert semipartial_coefficient(r, 2, 4) == 0.0
-        assert semipartial_coefficient(r, 3, 3) == 1.0
+        assert semipartial_table(r).coefficient(2, 4) == 0.0
+        assert semipartial_table(r).coefficient(3, 3) == 1.0
 
     def test_ar1_closed_form(self):
         r = ar1(3, 0.5)
-        value = semipartial_coefficient(r, 2, 3)
+        value = semipartial_table(r).coefficient(2, 3)
         assert abs(value - 0.5 * np.sqrt(0.75)) <= 1e-14
         assert abs(value - reference_cholesky(r).entry(3, 2)) <= 1e-14
 
     def test_matches_table(self):
+        # the recursion's table against the defining formula with explicit solves
         r = random_correlation(6, seed=31)
         table = semipartial_table(r)
+        a = r.values
         for i in range(1, 7):
+            w = np.linalg.solve(a[: i - 1, : i - 1], a[: i - 1, i - 1]) if i > 1 else np.zeros(0)
+            root = np.sqrt(1.0 - a[: i - 1, i - 1] @ w)
             for j in range(i, 7):
-                assert abs(semipartial_coefficient(r, i, j) - table.coefficient(i, j)) <= 1e-13
+                expected = (a[i - 1, j - 1] - a[: i - 1, j - 1] @ w) / root
+                assert abs(table.coefficient(i, j) - expected) <= 1e-13
 
     def test_index_errors(self):
-        r = random_correlation(3, seed=0)
+        table = semipartial_table(random_correlation(3, seed=0))
         with pytest.raises(IndexError):
-            semipartial_coefficient(r, 3, 2)
+            table.coefficient(3, 2)
         with pytest.raises(IndexError):
-            semipartial_coefficient(r, 0, 1)
+            table.coefficient(0, 1)
 
 
 class TestSemipartialTable:
@@ -159,6 +163,12 @@ class TestExtractSigns:
             SignPattern(n=3, signs=np.triu(np.ones((3, 3), dtype=int)))
         with pytest.raises(ValueError):
             SignPattern(n=2, signs=np.array([[0, 0], [2, 0]]))
+
+    def test_signs_are_frozen_integers(self):
+        signs = extract_signs(chol_semipartial(random_correlation(4, seed=2)))
+        assert signs.signs.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            signs.signs[1, 0] = -signs.signs[1, 0]
 
 
 class TestCholDetratio:
