@@ -25,7 +25,6 @@ from .errors import (
 )
 from .identities import (
     ALL_VERIFIERS,
-    DeterminantLadder,
     IdentityReport,
     check_order_conditions,
     verify_general_recursion,
@@ -43,13 +42,10 @@ from .matrix_core import (
     reference_cholesky,
 )
 from .parametrizations import (
-    SemiPartialTable,
-    SignPattern,
     chol_covariance,
     chol_detratio,
     chol_semipartial,
     extract_signs,
-    semipartial_table,
 )
 from .randcorr import GeneratorConfig, generate, generate_batch, stream
 
@@ -59,7 +55,6 @@ __all__ = [
     "CorrelationMatrix",
     "CovarianceMatrix",
     "DegenerateColumn",
-    "DeterminantLadder",
     "GeneratorConfig",
     "IdentityReport",
     "InvalidSemiPartial",
@@ -68,8 +63,6 @@ __all__ = [
     "NotPositiveDefinite",
     "SampleMatrix",
     "SchurNonPositive",
-    "SemiPartialTable",
-    "SignPattern",
     "StageResult",
     "TestReport",
     "ALL_VERIFIERS",
@@ -88,7 +81,6 @@ __all__ = [
     "reference_cholesky",
     "sample_correlation",
     "sample_mvn",
-    "semipartial_table",
     "sequential_test",
     "stream",
     "t_quantile",

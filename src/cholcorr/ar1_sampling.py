@@ -52,7 +52,7 @@ def ar1_cholesky(spec: Ar1Spec) -> CholeskyFactor:
     tail = np.sqrt(1.0 - rho * rho)
     for i in range(1, n):
         entries[i:, i] = powers[: n - i] * tail
-    return CholeskyFactor(entries, "ar1")
+    return CholeskyFactor(entries)
 
 
 def sample_mvn(l: CholeskyFactor, count: int, seed: int) -> np.ndarray:

@@ -139,7 +139,7 @@ def _factor(m, covariance: bool, method: str, built: dict) -> CholeskyFactor:
             factor = reference_cholesky(m)
         elif method == "semipartial" and covariance:
             scaled = m.sigmas[:, None] * chol_semipartial(m.correlation()).entries
-            factor = CholeskyFactor(scaled, "covariance")
+            factor = CholeskyFactor(scaled)
         elif method == "semipartial":
             factor = chol_semipartial(m)
         else:

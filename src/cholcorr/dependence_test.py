@@ -22,7 +22,7 @@ choice is immaterial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -36,8 +36,11 @@ from .parametrizations import chol_semipartial
 class SampleMatrix:
     """N samples of p variables, one column per variable.
 
-    Requires N > p >= 2, finite values, and positive sample variance in
-    every column.
+    Requires N > p >= 2 and finite values, and raises ``DegenerateColumn``
+    at the first column whose sample variance vanishes numerically: at or
+    below the rounding that centering leaves in a constant column,
+    (N eps)^2 times the column's mean square, so neither the units nor a
+    large offset of a column decide degeneracy.
     """
 
     data: np.ndarray
@@ -53,8 +56,8 @@ class SampleMatrix:
             raise ValueError(f"need more samples than variables, got N={n_samples}, p={p}")
         if not np.all(np.isfinite(a)):
             raise ValueError("sample values must be finite")
-        var = a.var(axis=0)
-        dead = np.nonzero(var <= 0.0)[0]
+        rounding = (n_samples * np.finfo(float).eps) ** 2 * np.mean(a**2, axis=0)
+        dead = np.nonzero(a.var(axis=0) <= rounding)[0]
         if dead.size:
             raise DegenerateColumn(int(dead[0]) + 1)
         a.flags.writeable = False
@@ -95,43 +98,19 @@ class TestReport:
     largest_rejected_k: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "variable_order": list(self.variable_order),
-            "per_k": [
-                {
-                    "k": s.k,
-                    "r_semi": s.r_semi,
-                    "t_stat": s.t_stat,
-                    "df": s.df,
-                    "critical": s.critical,
-                    "reject": s.reject,
-                }
-                for s in self.per_k
-            ],
-            "largest_rejected_k": self.largest_rejected_k,
-        }
+        return asdict(self)
 
 
 def sample_correlation(x: SampleMatrix) -> CorrelationMatrix:
-    """Product-moment correlation matrix of the sample columns.
+    """Product-moment correlation matrix of the sample columns (each of
+    which ``SampleMatrix`` has checked for variance).
 
-    Raises ``DegenerateColumn`` if a column variance vanishes numerically
-    and ``NearSingular`` if the estimate fails positive-definite
+    Raises ``NearSingular`` if the estimate fails positive-definite
     construction (e.g. two columns are perfectly collinear).
-
-    A variance vanishes at or below the rounding that centering leaves in
-    a constant column, (N eps)^2 times the column's mean square, so
-    neither the units nor a large offset of a column decide degeneracy.
     """
     centered = x.data - x.data.mean(axis=0)
     cov = centered.T @ centered / x.N
-    var = np.diag(cov)
-    rounding = (x.N * np.finfo(float).eps) ** 2 * np.mean(x.data**2, axis=0)
-    dead = np.nonzero(var <= rounding)[0]
-    if dead.size:
-        raise DegenerateColumn(int(dead[0]) + 1)
-    d = 1.0 / np.sqrt(var)
+    d = 1.0 / np.sqrt(np.diag(cov))
     corr = cov * np.outer(d, d)
     try:
         return CorrelationMatrix(corr)

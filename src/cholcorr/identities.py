@@ -20,13 +20,12 @@ import numpy as np
 
 from .matrix_core import (
     CorrelationMatrix,
-    _freeze,
     _symmetrized,
     _unit_diagonal,
     banachiewicz_inverse,
     leading_minor_determinants,
 )
-from .parametrizations import semipartial_table
+from .parametrizations import chol_semipartial
 
 TOL_ORD = 1e-10  # slack for order comparisons; exact ties are legitimate
 
@@ -46,33 +45,6 @@ class IdentityReport:
     def __post_init__(self):
         if self.max_residual < 0:
             raise ValueError("residual must be non-negative")
-
-
-@dataclass(frozen=True)
-class DeterminantLadder:
-    """Per-column sequence of bordered-minor ratios.
-
-    ``ratios[i-1]`` is |B_i^j| / |R_{i-1}| for i = 1..j, starting at 1 and
-    ending at |R_j| / |R_{j-1}|. For a positive-definite matrix the
-    sequence lies in (0, 1] and is non-increasing; successive differences
-    are squared factor entries and therefore non-negative.
-    """
-
-    j: int
-    ratios: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", _freeze(self.ratios))
-
-    def satisfies_order(self) -> bool:
-        """Whether the ratios lie in (0, 1] and never increase, within
-        ``TOL_ORD``."""
-        r = self.ratios
-        if not np.all(np.isfinite(r)):
-            return False
-        if np.any(r <= TOL_ORD) or np.any(r > 1.0 + TOL_ORD):
-            return False
-        return bool(np.all(np.diff(r) <= TOL_ORD))
 
 
 def _inverse_chain(a: np.ndarray, upto: int) -> list[np.ndarray]:
@@ -97,14 +69,14 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
         rho_{i+1}^{*j} R_i^{-1} rho_{i+1}^T = sum_{k<=i} c[k, i+1] c[k, j],
 
     for 1 <= i < j <= n. Left side via blockwise inverses, right side via
-    the semi-partial table.
+    the semi-partial factor.
     """
     n = r.n
     if n < 2:
         raise ValueError("need n >= 2")
     a = r.values
     invs = _inverse_chain(a, n - 1)
-    coeffs = semipartial_table(r).coeffs
+    coeffs = chol_semipartial(r).entries
     worst, where = -1.0, (0, 0, 0)
     for i in range(1, n):
         w = invs[i] @ a[:i, i]
@@ -157,7 +129,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
             = (rho_ij - q_ij)^2 |R_{i-1}| / |R_i|,
 
     for j >= i+1 >= 3. Left side via LU determinants of principal
-    submatrices, right side via the semi-partial table and pivot-product
+    submatrices, right side via the semi-partial factor and pivot-product
     minors.
     """
     n = r.n
@@ -168,7 +140,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     prev_lu = np.concatenate(([1.0], lead_lu[:-1]))
     minors = leading_minor_determinants(r)
     prev = np.concatenate(([1.0], minors[:-1]))
-    coeffs = semipartial_table(r).coeffs
+    coeffs = chol_semipartial(r).entries
     worst, where = -1.0, (0, 0, 0)
     for i in range(2, n):
         for j in range(i + 1, n + 1):
@@ -237,11 +209,15 @@ def check_order_conditions(m):
 
     Returns ``(det_order_ok, ratio_order_ok, ladders)`` where the first
     flag asserts that the leading-minor sequence stays positive and
-    non-increasing (within ``TOL_ORD``), the second asserts the same for
-    every per-column ladder of bordered-minor ratios, and ``ladders``
-    holds the computed ladders for columns j = 2..n. The two flags are
-    both true exactly when the matrix is positive-definite, up to the
-    tolerance band around zero.
+    non-increasing (within ``TOL_ORD``), the second asserts that every
+    per-column ladder of bordered-minor ratios lies in (0, 1] and never
+    increases (within ``TOL_ORD``), and ``ladders`` lists the ladders of
+    columns j = 2..n as plain arrays: ``ladders[j-2]`` is a read-only
+    array of length j whose element i-1 is |B_i^j| / |R_{i-1}|, starting
+    at 1 and ending at |R_j| / |R_{j-1}|. For a positive-definite matrix
+    successive differences of a ladder are squared factor entries. The
+    two flags are both true exactly when the matrix is positive-definite,
+    up to the tolerance band around zero.
 
     All determinants are computed by LU so the diagnostic works on
     indefinite input. The input passes the containers' finite, symmetry
@@ -263,8 +239,12 @@ def check_order_conditions(m):
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(2, n + 1):
             bordered = np.array([_principal_det(a, i, j) for i in range(1, j + 1)])
-            ladder = DeterminantLadder(j=j, ratios=bordered / prev[:j])
+            ladder = bordered / prev[:j]
+            ladder.flags.writeable = False
             ladders.append(ladder)
-            if not ladder.satisfies_order():
+            if not (np.all(np.isfinite(ladder))
+                    and np.all(ladder > TOL_ORD)
+                    and np.all(ladder <= 1.0 + TOL_ORD)
+                    and np.all(np.diff(ladder) <= TOL_ORD)):
                 ratio_ok = False
     return det_ok, ratio_ok, ladders

@@ -37,8 +37,6 @@ TOL_PD = 1e-12   # minimum accepted pivot (Schur complement)
 TOL_REC = 1e-9   # factor reconstruction tolerance
 TOL_EQ = 1e-9    # entrywise agreement tolerance between factor routes
 
-METHOD_TAGS = ("reference", "semipartial", "detratio", "covariance", "ar1")
-
 
 def _freeze(values) -> np.ndarray:
     out = np.array(values, dtype=float)
@@ -103,10 +101,6 @@ class _FactoredMatrix:
     def n(self) -> int:
         return self._values.shape[0]
 
-    def entry(self, i: int, j: int) -> float:
-        """Entry at row i, column j (1-based)."""
-        return float(self._values[i - 1, j - 1])
-
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"
 
@@ -153,27 +147,20 @@ class CovarianceMatrix(_FactoredMatrix):
 
 
 class CholeskyFactor:
-    """Lower-triangular factor with strictly positive diagonal.
+    """Lower-triangular factor with strictly positive diagonal."""
 
-    ``method`` records which construction produced the factor; it is one
-    of ``reference``, ``semipartial``, ``detratio``, ``covariance``, ``ar1``.
-    """
-
-    def __init__(self, entries, method: str):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square factor, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("factor entries must be finite")
-        if method not in METHOD_TAGS:
-            raise ValueError(f"unknown method tag {method!r}")
         if np.any(np.triu(a, 1) != 0.0):
             raise ValueError("strict upper triangle must be exactly zero")
         if np.any(np.diag(a) <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
         a.flags.writeable = False
         self._entries = a
-        self.method = method
 
     @property
     def entries(self) -> np.ndarray:
@@ -183,16 +170,12 @@ class CholeskyFactor:
     def n(self) -> int:
         return self._entries.shape[0]
 
-    def entry(self, j: int, i: int) -> float:
-        """Factor entry l_ji at row j, column i (1-based)."""
-        return float(self._entries[j - 1, i - 1])
-
     def reconstruct(self) -> np.ndarray:
         """The product L L^T."""
         return self._entries @ self._entries.T
 
     def __repr__(self):
-        return f"CholeskyFactor(n={self.n}, method={self.method!r})"
+        return f"CholeskyFactor(n={self.n})"
 
 
 def _cholesky_pivots(a: np.ndarray, tol_pd: float):
@@ -238,7 +221,7 @@ def reference_cholesky(m) -> CholeskyFactor:
     beyond ``TOL_SYM``, and ``NotPositiveDefinite`` if a pivot falls at or
     below ``TOL_PD`` times its diagonal entry.
     """
-    return CholeskyFactor(_factor_of(m)[0], "reference")
+    return CholeskyFactor(_factor_of(m)[0])
 
 
 def leading_minor_determinants(m) -> np.ndarray:

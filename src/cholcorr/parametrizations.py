@@ -26,8 +26,6 @@ inverses live in the ``identities`` verifiers where they are the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NegativeRadicand, NotPositiveDefinite
@@ -36,85 +34,26 @@ from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    _freeze,
     bordered_minor_column,
     leading_minor_determinants,
 )
 
 
-@dataclass(frozen=True)
-class SemiPartialTable:
-    """Lower-triangular table of semi-partial correlation coefficients.
-
-    ``coeffs[j-1, i-1]`` (1-based i <= j) is the semi-partial correlation
-    between variables i and j given variables 1..i-1; the diagonal entry
-    is the residual standard deviation sqrt(1 - q_ii), which lies in
-    (0, 1] with entry (1, 1) equal to 1.
-    """
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.coeffs, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"coefficient table must be {self.n} x {self.n}")
-        if np.any(np.triu(a, 1) != 0.0):
-            raise ValueError("table must be lower-triangular")
-        d = np.diag(a)
-        if a[0, 0] != 1.0 or np.any(d <= 0.0) or np.any(d > 1.0):
-            raise ValueError("diagonal must lie in (0, 1] with entry (1,1) = 1")
-        low = a[np.tril_indices(self.n, -1)]
-        if low.size and np.max(np.abs(low)) >= 1.0:
-            raise ValueError("off-diagonal coefficients must lie inside (-1, 1)")
-        object.__setattr__(self, "coeffs", _freeze(a))
-
-    def coefficient(self, i: int, j: int) -> float:
-        """Semi-partial coefficient for column i toward row j (1-based, i <= j)."""
-        if not 1 <= i <= j <= self.n:
-            raise IndexError(f"need 1 <= i <= j <= {self.n}, got i={i}, j={j}")
-        return float(self.coeffs[j - 1, i - 1])
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """Strictly-lower-triangular table of factor-entry signs (+1 or -1)."""
-
-    n: int
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.signs, dtype=int)
-        if s.shape != (self.n, self.n):
-            raise ValueError(f"sign table must be {self.n} x {self.n}")
-        if np.any(np.triu(s) != 0):
-            raise ValueError("signs are defined on strictly-lower positions only")
-        low = s[np.tril_indices(self.n, -1)]
-        if low.size and not np.all(np.abs(low) == 1):
-            raise ValueError("signs must be +1 or -1")
-        s.flags.writeable = False
-        object.__setattr__(self, "signs", s)
-
-    def sign(self, i: int, j: int) -> int:
-        """Sign attached to factor entry (row j, column i), 1-based i < j."""
-        if not 1 <= i < j <= self.n:
-            raise IndexError(f"need 1 <= i < j <= {self.n}, got i={i}, j={j}")
-        return int(self.signs[j - 1, i - 1])
-
-
-def semipartial_table(r: CorrelationMatrix) -> SemiPartialTable:
-    """All semi-partial coefficients of a correlation matrix in one pass.
+def chol_semipartial(r: CorrelationMatrix) -> CholeskyFactor:
+    """Cholesky factor whose entry (j, i) is the semi-partial correlation
+    of variables i and j given 1..i-1; its diagonal entry (i, i) is the
+    residual standard deviation sqrt(1 - q_ii).
 
     Runs the recursion on the bordered quadratic forms: with Q_1 = 0 and
-    q_ij the entries of Q_i, column i of the table is
+    q_ij the entries of Q_i, column i of the factor is
 
         c_ji = (rho_ij - q_ij) / sqrt(1 - q_ii)   (j > i),
 
     its diagonal entry is sqrt(1 - q_ii), and Q_{i+1} = Q_i + c_i c_i^T.
     Q_i is kept as the sum of the columns already written, so step i
-    needs only its column i, one product of the first i-1 columns of the
-    table with row i: O(n^2) per step and O(n^3) for the table. Neither
-    the reference factorization nor a triangular solve is involved.
+    needs only its column i, one product of the first i-1 columns with
+    row i: O(n^2) per step and O(n^3) in all. Neither the reference
+    factorization nor a triangular solve is involved.
     """
     a = r.values
     n = r.n
@@ -127,23 +66,20 @@ def semipartial_table(r: CorrelationMatrix) -> SemiPartialTable:
         root = np.sqrt(schur)
         coeffs[i, i] = root
         coeffs[i + 1:, i] = (a[i + 1:, i] - q[1:]) / root
-    return SemiPartialTable(n=n, coeffs=coeffs)
+    return CholeskyFactor(coeffs)
 
 
-def chol_semipartial(r: CorrelationMatrix) -> CholeskyFactor:
-    """Cholesky factor built entrywise from semi-partial coefficients."""
-    return CholeskyFactor(semipartial_table(r).coeffs, "semipartial")
-
-
-def extract_signs(l: CholeskyFactor) -> SignPattern:
-    """Signs of the strictly-lower factor entries; zeros map to +1 so the
-    extraction is total and reconstruction is unaffected."""
+def extract_signs(l: CholeskyFactor) -> np.ndarray:
+    """Signs of the strictly-lower factor entries as a read-only integer
+    (n, n) array: -1 or +1 below the diagonal (zeros map to +1, so the
+    extraction is total and reconstruction is unaffected), 0 elsewhere."""
     low = np.tril(np.ones((l.n, l.n), dtype=int), -1)
     s = np.where(l.entries < 0.0, -1, 1) * low
-    return SignPattern(n=l.n, signs=s)
+    s.flags.writeable = False
+    return s
 
 
-def chol_detratio(r: CorrelationMatrix, signs: SignPattern) -> CholeskyFactor:
+def chol_detratio(r: CorrelationMatrix, signs: np.ndarray) -> CholeskyFactor:
     """Cholesky factor with magnitudes from determinant-ratio differences
     and signs supplied externally.
 
@@ -153,10 +89,10 @@ def chol_detratio(r: CorrelationMatrix, signs: SignPattern) -> CholeskyFactor:
     -TOL_PD raise ``NegativeRadicand``; tiny negative values produced by
     rounding are clamped to zero. The diagonal does not depend on signs.
     """
-    return _ladder_factor(r, signs, "detratio")
+    return _ladder_factor(r, signs)
 
 
-def chol_covariance(s: CovarianceMatrix, signs: SignPattern) -> CholeskyFactor:
+def chol_covariance(s: CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
     """Cholesky factor of a covariance matrix from determinant ratios.
 
     Same ladder construction as ``chol_detratio`` with the bordered minors
@@ -166,15 +102,20 @@ def chol_covariance(s: CovarianceMatrix, signs: SignPattern) -> CholeskyFactor:
     semi-partial factor of ``s.correlation()``. Row j equals sigma_j times
     row j of the correlation factor.
     """
-    return _ladder_factor(s, signs, "covariance")
+    return _ladder_factor(s, signs)
 
 
-def _ladder_factor(m, signs: SignPattern, method: str) -> CholeskyFactor:
+def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
     """The ladder construction shared by ``chol_detratio`` (unit diagonal)
-    and ``chol_covariance``."""
+    and ``chol_covariance``. ``signs`` is an (n, n) array with +1 or -1
+    below the diagonal and 0 elsewhere, as ``extract_signs`` returns."""
     n = m.n
-    if signs.n != n:
-        raise ValueError(f"sign pattern is for n={signs.n}, matrix has n={n}")
+    signs = np.asarray(signs)
+    if signs.shape != (n, n):
+        raise ValueError(f"sign array is {signs.shape}, matrix has n={n}")
+    below = np.tril(np.ones((n, n), dtype=bool), -1)
+    if np.any(signs[~below] != 0) or not np.all(np.abs(signs[below]) == 1):
+        raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
     diag = np.diag(m.values)
     minors = leading_minor_determinants(m)
     prev = np.concatenate(([1.0], minors[:-1]))
@@ -189,6 +130,6 @@ def _ladder_factor(m, signs: SignPattern, method: str) -> CholeskyFactor:
             i_bad = int(np.argmin(diffs)) + 1
             raise NegativeRadicand(i_bad, j, float(low))
         np.clip(diffs, 0.0, None, out=diffs)
-        entries[j - 1, : j - 1] = signs.signs[j - 1, : j - 1] * np.sqrt(diffs)
+        entries[j - 1, : j - 1] = signs[j - 1, : j - 1] * np.sqrt(diffs)
         entries[j - 1, j - 1] = np.sqrt(ladder[-1])
-    return CholeskyFactor(entries, method)
+    return CholeskyFactor(entries)

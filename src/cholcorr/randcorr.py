@@ -76,10 +76,9 @@ def _uniforms_open_closed(rng: np.random.Generator, count: int, low: float = 0.0
 def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     """One random factor and its correlation matrix.
 
-    Returns ``(l, r)`` with ``l`` the generated lower factor (method tag
-    ``detratio``, unit row norms up to rounding) and ``r`` the assembled
-    correlation matrix, which always passes positive-definite
-    construction.
+    Returns ``(l, r)`` with ``l`` the generated lower factor (unit row
+    norms up to rounding) and ``r`` the assembled correlation matrix,
+    which always passes positive-definite construction.
     """
     n = cfg.n
     if rng is None:
@@ -98,7 +97,7 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
         flips = rng.random(n * (n - 1) // 2)
         signs = np.where(flips < cfg.sign_bias, 1.0, -1.0)
         entries[np.tril_indices(n, -1)] *= signs
-    factor = CholeskyFactor(entries, "detratio")
+    factor = CholeskyFactor(entries)
     return factor, CorrelationMatrix(factor.reconstruct())
 
 

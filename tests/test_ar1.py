@@ -3,7 +3,7 @@ import pytest
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from cholcorr.matrix_core import leading_minor_determinants, reference_cholesky
-from cholcorr.parametrizations import semipartial_table
+from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate
 
 
@@ -70,7 +70,7 @@ class TestAr1Cholesky:
         # rho_ij - q_ij collapses to rho^(j-i) |R_i| / |R_{i-1}| on this structure
         n = 8
         r = ar1_matrix(Ar1Spec(n, rho))
-        coeffs = semipartial_table(r).coeffs
+        coeffs = chol_semipartial(r).entries
         minors = leading_minor_determinants(r)
         prev = np.concatenate(([1.0], minors[:-1]))
         for i in range(2, n + 1):

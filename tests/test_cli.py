@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -248,6 +249,18 @@ class TestTest:
         write_csv(src, np.eye(3))
         assert main(["test", str(src)]) == 2
 
+    def test_constant_column_is_named_in_input_order(self, tmp_path, capsys):
+        # a nonzero constant leaves rounding crumbs of variance; the column
+        # is named as given, not where moving the target last put it
+        data = np.random.default_rng(7).standard_normal((50, 10))
+        data[:, 0] = 0.1
+        src = tmp_path / "const.csv"
+        write_csv(src, data)
+        assert main(["test", str(src), "--target", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("column 1 has no sample variance\n")
+
 
 class TestAr1:
     def test_matrix_identity(self, capsys):
@@ -297,9 +310,13 @@ class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("1,0.25\n0.25,1\n")
+        # the child imports the same package as the tests, installed or not
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cholcorr.cli", "decompose", str(src)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1,0"

@@ -30,15 +30,14 @@ class TestSampleMatrix:
             SampleMatrix(data)
         assert err.value.index == 2
 
-    def test_constant_column_fails_at_estimation(self):
-        # a nonzero constant leaves rounding crumbs of variance, so the
-        # container accepts it and the estimator flags it instead
+    def test_constant_column_is_degenerate(self):
+        # a nonzero constant leaves rounding crumbs of variance, which the
+        # container judges against the rounding centering leaves behind
         rng = np.random.default_rng(0)
         data = rng.standard_normal((20, 3))
         data[:, 1] = 4.2
-        x = SampleMatrix(data)
         with pytest.raises(DegenerateColumn) as err:
-            sample_correlation(x)
+            SampleMatrix(data)
         assert err.value.index == 2
 
     def test_rejects_nan(self):
@@ -206,7 +205,10 @@ class TestSequentialTest:
         rng = np.random.default_rng(6)
         x = SampleMatrix(rng.standard_normal((20, 3)))
         d = sequential_test(x, target=3, alpha=0.1).to_dict()
-        assert set(d) == {"alpha", "variable_order", "per_k", "largest_rejected_k"}
+        # the key order is the order of the `test` command's JSON output
+        assert list(d) == ["alpha", "variable_order", "per_k", "largest_rejected_k"]
+        for row in d["per_k"]:
+            assert list(row) == ["k", "r_semi", "t_stat", "df", "critical", "reject"]
         assert [row["k"] for row in d["per_k"]] == [1, 2]
 
     def test_semipartial_estimates_come_from_last_factor_row(self):

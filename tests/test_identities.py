@@ -4,7 +4,7 @@ from helpers import cofactor_det, random_correlation
 
 from cholcorr.identities import (
     ALL_VERIFIERS,
-    DeterminantLadder,
+    TOL_ORD,
     check_order_conditions,
     verify_general_recursion,
     verify_product_sums,
@@ -147,34 +147,36 @@ def pivot_ladders(r):
     """Ladders for columns j = 2..n from factorization pivots: bordered
     minors toward j divided by the previous leading minors."""
     prev = np.concatenate(([1.0], leading_minor_determinants(r)[:-1]))
-    return [DeterminantLadder(j=j, ratios=bordered_minor_column(r, j) / prev[:j])
-            for j in range(2, r.n + 1)]
+    return [bordered_minor_column(r, j) / prev[:j] for j in range(2, r.n + 1)]
 
 
 class TestDeterminantLadders:
     def test_identity_ladders_are_all_ones(self):
-        for ladder in pivot_ladders(CorrelationMatrix(np.eye(5))):
-            np.testing.assert_array_equal(ladder.ratios, np.ones(ladder.j))
+        for j, ladder in enumerate(pivot_ladders(CorrelationMatrix(np.eye(5))), start=2):
+            np.testing.assert_array_equal(ladder, np.ones(j))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_differences_are_nonnegative(self, seed):
         # each difference is a squared factor entry, so it cannot go below 0
         for ladder in pivot_ladders(random_correlation(8, seed)):
-            assert np.all(-np.diff(ladder.ratios) >= -1e-12)
+            assert np.all(-np.diff(ladder) >= -1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_orders_hold_on_valid_input(self, seed):
+        # ratios in (0, 1] that never increase, within TOL_ORD
         for ladder in pivot_ladders(random_correlation(7, seed)):
-            assert ladder.satisfies_order()
+            assert np.all(ladder > TOL_ORD) and np.all(ladder <= 1.0 + TOL_ORD)
+            assert np.all(np.diff(ladder) <= TOL_ORD)
 
 
 class TestCheckOrderConditions:
     def test_identity(self):
         det_ok, ratio_ok, ladders = check_order_conditions(np.eye(5))
         assert det_ok and ratio_ok
-        assert [ladder.j for ladder in ladders] == [2, 3, 4, 5]
+        assert [ladder.shape for ladder in ladders] == [(2,), (3,), (4,), (5,)]
         for ladder in ladders:
-            np.testing.assert_array_equal(ladder.ratios, np.ones(ladder.j))
+            np.testing.assert_array_equal(ladder, np.ones(ladder.size))
+            assert not ladder.flags.writeable
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_matrices_pass(self, seed):

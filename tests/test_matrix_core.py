@@ -115,22 +115,17 @@ class TestContainers:
 
     def test_factor_rejects_nonzero_upper(self):
         with pytest.raises(ValueError):
-            CholeskyFactor([[1.0, 1e-300], [0.5, 1.0]], "reference")
+            CholeskyFactor([[1.0, 1e-300], [0.5, 1.0]])
 
     def test_factor_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError):
-            CholeskyFactor([[1.0, 0.0], [0.5, 0.0]], "reference")
-
-    def test_factor_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            CholeskyFactor(np.eye(2), "magic")
+            CholeskyFactor([[1.0, 0.0], [0.5, 0.0]])
 
 
 class TestReferenceCholesky:
     def test_identity(self):
         out = reference_cholesky(np.eye(3))
         np.testing.assert_array_equal(out.entries, np.eye(3))
-        assert out.method == "reference"
 
     def test_two_by_two(self):
         out = reference_cholesky([[1.0, 0.5], [0.5, 1.0]])

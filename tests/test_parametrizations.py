@@ -16,12 +16,10 @@ from cholcorr.matrix_core import (
     reference_cholesky,
 )
 from cholcorr.parametrizations import (
-    SignPattern,
     chol_covariance,
     chol_detratio,
     chol_semipartial,
     extract_signs,
-    semipartial_table,
 )
 
 
@@ -39,54 +37,47 @@ class TestSemipartialCoefficient:
     def test_first_column_is_plain_correlation(self):
         r = random_correlation(5, seed=8)
         for j in range(2, 6):
-            assert semipartial_table(r).coefficient(1, j) == r.values[0, j - 1]
-        assert semipartial_table(r).coefficient(1, 1) == 1.0
+            assert chol_semipartial(r).entries[j - 1, 0] == r.values[0, j - 1]
+        assert chol_semipartial(r).entries[0, 0] == 1.0
 
     def test_two_given_one_formula(self):
         r = random_correlation(3, seed=15)
         r12, r13, r23 = r.values[0, 1], r.values[0, 2], r.values[1, 2]
         expected = (r23 - r12 * r13) / np.sqrt(1.0 - r12**2)
-        assert abs(semipartial_table(r).coefficient(2, 3) - expected) <= 1e-14
+        assert abs(chol_semipartial(r).entries[2, 1] - expected) <= 1e-14
 
     def test_identity_cases(self):
         r = CorrelationMatrix(np.eye(4))
-        assert semipartial_table(r).coefficient(2, 4) == 0.0
-        assert semipartial_table(r).coefficient(3, 3) == 1.0
+        assert chol_semipartial(r).entries[3, 1] == 0.0
+        assert chol_semipartial(r).entries[2, 2] == 1.0
 
     def test_ar1_closed_form(self):
         r = ar1(3, 0.5)
-        value = semipartial_table(r).coefficient(2, 3)
+        value = chol_semipartial(r).entries[2, 1]
         assert abs(value - 0.5 * np.sqrt(0.75)) <= 1e-14
-        assert abs(value - reference_cholesky(r).entry(3, 2)) <= 1e-14
+        assert abs(value - reference_cholesky(r).entries[2, 1]) <= 1e-14
 
     def test_matches_table(self):
-        # the recursion's table against the defining formula with explicit solves
+        # the recursion's factor against the defining formula with explicit solves
         r = random_correlation(6, seed=31)
-        table = semipartial_table(r)
+        coeffs = chol_semipartial(r).entries
         a = r.values
         for i in range(1, 7):
             w = np.linalg.solve(a[: i - 1, : i - 1], a[: i - 1, i - 1]) if i > 1 else np.zeros(0)
             root = np.sqrt(1.0 - a[: i - 1, i - 1] @ w)
             for j in range(i, 7):
                 expected = (a[i - 1, j - 1] - a[: i - 1, j - 1] @ w) / root
-                assert abs(table.coefficient(i, j) - expected) <= 1e-13
-
-    def test_index_errors(self):
-        table = semipartial_table(random_correlation(3, seed=0))
-        with pytest.raises(IndexError):
-            table.coefficient(3, 2)
-        with pytest.raises(IndexError):
-            table.coefficient(0, 1)
+                assert abs(coeffs[j - 1, i - 1] - expected) <= 1e-13
 
 
 class TestSemipartialTable:
     @pytest.mark.parametrize("seed", range(5))
     def test_invariants(self, seed):
-        table = semipartial_table(random_correlation(7, seed))
-        diag = np.diag(table.coeffs)
-        assert table.coeffs[0, 0] == 1.0
+        coeffs = chol_semipartial(random_correlation(7, seed)).entries
+        diag = np.diag(coeffs)
+        assert coeffs[0, 0] == 1.0
         assert np.all(diag > 0) and np.all(diag <= 1.0)
-        low = table.coeffs[np.tril_indices(7, -1)]
+        low = coeffs[np.tril_indices(7, -1)]
         assert np.max(np.abs(low)) < 1.0
 
 
@@ -131,23 +122,22 @@ class TestCholSemipartial:
         r = random_correlation(9, seed=27)
         out = chol_semipartial(r)
         assert np.max(np.abs(out.reconstruct() - r.values)) <= 1e-9
-        assert out.method == "semipartial"
 
 
 class TestExtractSigns:
     def test_identity_factor_all_positive(self):
         signs = extract_signs(reference_cholesky(np.eye(4)))
-        low = signs.signs[np.tril_indices(4, -1)]
+        low = signs[np.tril_indices(4, -1)]
         assert np.all(low == 1)
 
     def test_negative_correlation(self):
         factor = reference_cholesky([[1.0, -0.3], [-0.3, 1.0]])
-        assert extract_signs(factor).sign(1, 2) == -1
+        assert extract_signs(factor)[1, 0] == -1
 
     def test_roundtrip_on_random_factor(self):
         factor = chol_semipartial(random_correlation(6, seed=5))
         signs = extract_signs(factor)
-        rebuilt = signs.signs * np.abs(factor.entries) + np.diag(np.diag(factor.entries))
+        rebuilt = signs * np.abs(factor.entries) + np.diag(np.diag(factor.entries))
         np.testing.assert_array_equal(rebuilt, factor.entries)
 
     @settings(max_examples=25, deadline=None)
@@ -155,26 +145,26 @@ class TestExtractSigns:
     def test_roundtrip_property(self, seed, n):
         factor = chol_semipartial(random_correlation(n, seed))
         signs = extract_signs(factor)
-        rebuilt = signs.signs * np.abs(factor.entries) + np.diag(np.diag(factor.entries))
+        rebuilt = signs * np.abs(factor.entries) + np.diag(np.diag(factor.entries))
         np.testing.assert_array_equal(rebuilt, factor.entries)
 
     def test_sign_pattern_validation(self):
         with pytest.raises(ValueError):
-            SignPattern(n=3, signs=np.triu(np.ones((3, 3), dtype=int)))
+            chol_detratio(random_correlation(3, seed=0), np.triu(np.ones((3, 3), dtype=int)))
         with pytest.raises(ValueError):
-            SignPattern(n=2, signs=np.array([[0, 0], [2, 0]]))
+            chol_detratio(random_correlation(2, seed=0), np.array([[0, 0], [2, 0]]))
 
     def test_signs_are_frozen_integers(self):
         signs = extract_signs(chol_semipartial(random_correlation(4, seed=2)))
-        assert signs.signs.dtype.kind == "i"
+        assert signs.dtype.kind == "i"
         with pytest.raises(ValueError):
-            signs.signs[1, 0] = -signs.signs[1, 0]
+            signs[1, 0] = -signs[1, 0]
 
 
 class TestCholDetratio:
     def test_identity_all_positive_signs(self):
         r = CorrelationMatrix(np.eye(4))
-        signs = SignPattern(n=4, signs=np.tril(np.ones((4, 4), dtype=int), -1))
+        signs = np.tril(np.ones((4, 4), dtype=int), -1)
         np.testing.assert_array_equal(chol_detratio(r, signs).entries, np.eye(4))
 
     def test_ar1_closed_form(self):
@@ -194,12 +184,11 @@ class TestCholDetratio:
         semi = chol_semipartial(r)
         out = chol_detratio(r, extract_signs(semi))
         assert np.max(np.abs(out.entries - semi.entries)) <= 1e-10
-        assert out.method == "detratio"
 
     def test_diagonal_does_not_depend_on_signs(self):
         r = random_correlation(5, seed=19)
         semi = chol_semipartial(r)
-        flipped = SignPattern(n=5, signs=-extract_signs(semi).signs)
+        flipped = -extract_signs(semi)
         a = chol_detratio(r, extract_signs(semi)).entries
         b = chol_detratio(r, flipped).entries
         np.testing.assert_array_equal(np.diag(a), np.diag(b))
