@@ -2,8 +2,8 @@
 make the two factor constructions interchangeable.
 
 Each verifier computes both sides of an identity through deliberately
-different code paths (explicit blockwise inverses against the
-semi-partial recursion, LU determinants against pivot products) and reports the worst
+different code paths (explicit blockwise inverses or Schur-elimination
+ladders against the semi-partial recursion) and reports the worst
 absolute residual with its location, so a shared bug cannot cancel.
 
 ``check_order_conditions`` is the odd one out: it does not assume
@@ -20,6 +20,7 @@ import numpy as np
 
 from .matrix_core import (
     CorrelationMatrix,
+    _schur_ladders,
     _symmetrized,
     _unit_diagonal,
     banachiewicz_inverse,
@@ -128,31 +129,24 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
         |B_i^j|/|R_{i-1}| - |B_{i+1}^j|/|R_i|
             = (rho_ij - q_ij)^2 |R_{i-1}| / |R_i|,
 
-    for j >= i+1 >= 3. Left side via LU determinants of principal
-    submatrices, right side via the semi-partial factor and pivot-product
-    minors.
+    for j >= i+1 >= 3. Left side from the ladders of one right-looking
+    Schur elimination, right side from the left-looking semi-partial
+    recursion and the reference's pivot-product minors.
     """
     n = r.n
     if n < 3:
         raise ValueError("need n >= 3")
-    a = r.values
-    lead_lu = np.array([np.linalg.det(a[:k, :k]) for k in range(1, n + 1)])
-    prev_lu = np.concatenate(([1.0], lead_lu[:-1]))
+    d = _schur_ladders(r.values)
     minors = leading_minor_determinants(r)
     prev = np.concatenate(([1.0], minors[:-1]))
     coeffs = chol_semipartial(r).entries
-    worst, where = -1.0, (0, 0, 0)
-    for i in range(2, n):
-        for j in range(i + 1, n + 1):
-            bi = _principal_det(a, i, j)
-            bnext = _principal_det(a, i + 1, j)
-            lhs = bi / prev_lu[i - 1] - bnext / lead_lu[i - 1]
-            num = coeffs[j - 1, i - 1] * coeffs[i - 1, i - 1]
-            rhs = num * num * prev[i - 1] / minors[i - 1]
-            res = abs(lhs - rhs)
-            if res > worst:
-                worst, where = float(res), (i, j, 0)
-    return IdentityReport("ratio_differences", worst, where)
+    num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
+    rhs = num[:-1] ** 2 * (prev / minors)[:-1, None]
+    keep = np.triu(np.ones((n - 1, n), dtype=bool), 1)
+    keep[0] = False  # i = 1 is excluded
+    res = np.where(keep, np.abs(d[:-1] - d[1:] - rhs), -1.0)  # row i-1, column j-1
+    i, j = divmod(int(np.argmax(res)), n)
+    return IdentityReport("ratio_differences", float(res[i, j]), (i + 1, j + 1, 0))
 
 
 def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
@@ -197,12 +191,6 @@ ALL_VERIFIERS = (
 )
 
 
-def _principal_det(a: np.ndarray, i: int, j: int) -> float:
-    """LU determinant of the principal submatrix on {1..i-1, j} (1-based)."""
-    idx = np.r_[np.arange(i - 1), j - 1]
-    return float(np.linalg.det(a[np.ix_(idx, idx)]))
-
-
 def check_order_conditions(m):
     """Evaluate the two determinant orderings on a symmetric unit-diagonal
     matrix without assuming positive-definiteness.
@@ -219,32 +207,22 @@ def check_order_conditions(m):
     two flags are both true exactly when the matrix is positive-definite,
     up to the tolerance band around zero.
 
-    All determinants are computed by LU so the diagnostic works on
-    indefinite input. The input passes the containers' finite, symmetry
-    and unit-diagonal checks (``TOL_SYM``) or raises ``ValueError``.
+    Ladders and leading minors (running pivot products) come from one
+    Schur elimination without pivoting, so the diagnostic works on
+    indefinite input; an exactly zero pivot gives inf or nan, failing both
+    flags. The input passes the containers' finite, symmetry and
+    unit-diagonal checks (``TOL_SYM``) or raises ``ValueError``.
     """
-    a = _unit_diagonal(_symmetrized(m))
-    n = a.shape[0]
-
-    leading = np.array([np.linalg.det(a[:k, :k]) for k in range(1, n + 1)])
-    det_ok = bool(
-        np.all(leading > TOL_ORD)
-        and np.all(np.diff(leading) <= TOL_ORD)
-        and leading[0] <= 1.0 + TOL_ORD
-    )
-
-    prev = np.concatenate(([1.0], leading[:-1]))
-    ladders = []
-    ratio_ok = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(2, n + 1):
-            bordered = np.array([_principal_det(a, i, j) for i in range(1, j + 1)])
-            ladder = bordered / prev[:j]
-            ladder.flags.writeable = False
-            ladders.append(ladder)
-            if not (np.all(np.isfinite(ladder))
-                    and np.all(ladder > TOL_ORD)
-                    and np.all(ladder <= 1.0 + TOL_ORD)
-                    and np.all(np.diff(ladder) <= TOL_ORD)):
-                ratio_ok = False
-    return det_ok, ratio_ok, ladders
+    with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails every comparison
+        d = _schur_ladders(_unit_diagonal(_symmetrized(m)))
+        leading = np.cumprod(d.diagonal())
+        det_ok = bool(np.all(leading > TOL_ORD) and np.all(np.diff(leading) <= TOL_ORD))
+        upper = np.triu(np.ones(d.shape, dtype=bool))
+        ratios = d[upper]
+        ratio_ok = bool(
+            np.all(ratios > TOL_ORD)
+            and np.all(ratios <= 1.0 + TOL_ORD)
+            and np.all(np.diff(d, axis=0)[upper[1:]] <= TOL_ORD)
+        )
+    d.flags.writeable = False
+    return det_ok, ratio_ok, [d[:j, j - 1] for j in range(2, d.shape[0] + 1)]

@@ -14,7 +14,8 @@ scaled matrix D^{-1/2} A D^{-1/2}, so the decision does not depend on the
 units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
 identity directly; the recursion itself is exercised by the
-``identities`` module as a cross-check.
+``identities`` module as a cross-check. Bordered minors come from one
+Schur elimination (``_schur_ladders``) that shares no code with LAPACK.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
@@ -236,25 +237,42 @@ def leading_minor_determinants(m) -> np.ndarray:
     return np.cumprod(_factor_of(m)[1])
 
 
+def _schur_ladders(a) -> np.ndarray:
+    """Upper-triangular (n, n) ``d``: ``d[i, j]`` (0-based, j >= i) is
+    diagonal entry j of the Schur complement left after eliminating 0..i-1,
+    i.e. the ratio |B_{i+1}^{j+1}| / |R_i|, and ``d[i, i]`` is pivot i.
+
+    One right-looking symmetric elimination, O(n^3), with no pivoting, no
+    square root and no definiteness assumed (Golub & Van Loan, *Matrix
+    Computations*, 4.2); an exactly zero pivot leaves inf or nan below it.
+    """
+    s = np.array(a, dtype=float)
+    n = s.shape[0]
+    d = np.zeros((n, n))
+    for i in range(n):
+        d[i, i:] = s.diagonal()[i:]
+        col = s[i + 1:, i]
+        s[i + 1:, i + 1:] -= np.outer(col, col / s[i, i])
+    return d
+
+
 def bordered_minor_column(m, j: int) -> np.ndarray:
-    """All bordered minors toward column j in one factorization.
+    """All bordered minors toward column j.
 
     Element i (1-based, i = 1..j) is the determinant of the principal
     submatrix on rows and columns {1, ..., i-1, j}. For a correlation
     matrix element 1 is exactly 1; element j is the leading j x j minor.
 
-    The whole column is obtained from a single ``dpotrf`` of the matrix
-    reordered so that its leading index sets are exactly the bordered
-    ones.
+    Column j of ``_schur_ladders`` on the leading j-block times its running
+    pivot products, so indefinite input gets its determinants too; after
+    an exactly zero leading minor the elements are nan.
     """
     a = as_array(m)
     n = a.shape[0]
     if not 1 <= j <= n:
         raise IndexError(f"column index {j} outside 1..{n}")
-    order = np.arange(-1, j - 1)  # j, then 1..j-1, within the leading j-block
-    sub = a[:j, :j][order][:, order]
-    _, pivots = _cholesky_pivots(sub, TOL_PD)
-    return np.cumprod(pivots)
+    d = _schur_ladders(a[:j, :j])
+    return d[:, j - 1] * np.concatenate(([1.0], np.cumprod(d.diagonal()[:-1])))
 
 
 def banachiewicz_inverse(r_prev_inv, rho, c: float) -> np.ndarray:

@@ -17,11 +17,13 @@ with ``B_i^j`` the leading (i-1)-block bordered by column j's prefix and
 only). Both routes must agree with the reference factorization entrywise;
 the test suite holds them to ``TOL_EQ``.
 
-The quadratic forms q_ij are never formed by inversion or by solves
-against the reference factor: they grow by the paper's rank-one
-recursion Q_{i+1} = Q_i + c_i c_i^T, so the semi-partial route shares no
-code with the reference it is checked against. Explicit blockwise
-inverses live in the ``identities`` verifiers where they are the point.
+With the reference they compute the same quantities by different code,
+not different mathematics, and share none of its code: q_ij grows by the
+paper's left-looking rank-one recursion Q_{i+1} = Q_i + c_i c_i^T, and
+each ratio |B_i^j| / |R_{i-1}| is diagonal entry j of the Schur complement
+after eliminating 1..i-1, so one right-looking elimination
+(``matrix_core._schur_ladders``) gives every row's ladder. Explicit
+blockwise inverses live in the ``identities`` verifiers.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    bordered_minor_column,
-    leading_minor_determinants,
+    _schur_ladders,
 )
 
 
@@ -84,10 +85,12 @@ def chol_detratio(r: CorrelationMatrix, signs: np.ndarray) -> CholeskyFactor:
     and signs supplied externally.
 
     For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at 1 and
-    ending at |R_j|/|R_{j-1}|) come from a single reordered factorization;
+    ending at |R_j|/|R_{j-1}|) come from one Schur elimination, O(n^3);
     successive differences are the squared entries. Differences below
-    -TOL_PD raise ``NegativeRadicand``; tiny negative values produced by
-    rounding are clamped to zero. The diagonal does not depend on signs.
+    -TOL_PD raise ``NegativeRadicand`` at the first such row; tiny
+    negative values produced by rounding are clamped to zero. The diagonal
+    does not depend on signs; ``decompose`` takes them from the semi-partial
+    factor, so the two routes are not independent in sign.
     """
     return _ladder_factor(r, signs)
 
@@ -116,20 +119,13 @@ def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
     below = np.tril(np.ones((n, n), dtype=bool), -1)
     if np.any(signs[~below] != 0) or not np.all(np.abs(signs[below]) == 1):
         raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
-    diag = np.diag(m.values)
-    minors = leading_minor_determinants(m)
-    prev = np.concatenate(([1.0], minors[:-1]))
-    entries = np.zeros((n, n))
-    entries[0, 0] = np.sqrt(diag[0])
-    scale = float(np.max(diag))
-    for j in range(2, n + 1):
-        ladder = bordered_minor_column(m, j) / prev[:j]
-        diffs = ladder[:-1] - ladder[1:]
-        low = np.min(diffs) if diffs.size else 0.0
-        if low < -TOL_PD * scale:
-            i_bad = int(np.argmin(diffs)) + 1
-            raise NegativeRadicand(i_bad, j, float(low))
-        np.clip(diffs, 0.0, None, out=diffs)
-        entries[j - 1, : j - 1] = signs[j - 1, : j - 1] * np.sqrt(diffs)
-        entries[j - 1, j - 1] = np.sqrt(ladder[-1])
+    d = _schur_ladders(m.values)
+    sq = np.where(below[:, :-1], (d[:-1] - d[1:]).T, 0.0)  # sq[j, i] = l_ji^2
+    low = np.min(sq, axis=1, initial=0.0)
+    bad = np.flatnonzero(low < -TOL_PD * float(np.max(d[0])))
+    if bad.size:
+        j = int(bad[0])
+        raise NegativeRadicand(int(np.argmin(sq[j])) + 1, j + 1, float(low[j]))
+    entries = np.diag(np.sqrt(d.diagonal()))
+    entries[:, :-1] += signs[:, :-1] * np.sqrt(np.clip(sq, 0.0, None))
     return CholeskyFactor(entries)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import cofactor_det, random_correlation
@@ -169,7 +171,56 @@ class TestDeterminantLadders:
             assert np.all(np.diff(ladder) <= TOL_ORD)
 
 
+def lu_bordered(a, i, j):
+    """LU determinant of the principal submatrix on {1..i-1, j} (1-based)."""
+    idx = list(range(i - 1)) + [j - 1]
+    return float(np.linalg.det(a[np.ix_(idx, idx)]))
+
+
+def indefinite_input(kind, n, param):
+    """Symmetric unit-diagonal matrices the generator never produces:
+    uniform noise (seeded by ``param``), or equicorrelation at
+    -1/(n-1) + ``param``, just inside or just outside the definite set."""
+    if kind == "noise":
+        raw = np.random.default_rng(param).uniform(-1.0, 1.0, size=(n, n))
+        a = 0.5 * (raw + raw.T)
+    else:
+        a = np.full((n, n), -1.0 / (n - 1) + param)
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
 class TestCheckOrderConditions:
+    @pytest.mark.parametrize(
+        "kind,n,param",
+        [("noise", n, seed) for n in (8, 25) for seed in range(3)]
+        + [("equicorrelation", n, off) for n in (8, 25) for off in (-1e-3, 1e-3)],
+    )
+    def test_ladders_match_lu_determinants(self, kind, n, param):
+        a = indefinite_input(kind, n, param)
+        _, _, ladders = check_order_conditions(a)
+        for j in range(2, n + 1):
+            col = bordered_minor_column(a, j)
+            for i in range(1, j + 1):
+                det = lu_bordered(a, i, j)
+                assert abs(col[i - 1] - det) <= 1e-12 * max(1.0, abs(det))
+                ratio = det / np.linalg.det(a[: i - 1, : i - 1])  # the empty block's det is 1
+                assert abs(ladders[j - 2][i - 1] - ratio) <= 1e-12 * max(1.0, abs(ratio))
+
+    def test_bordered_minors_of_known_indefinite_matrix(self):
+        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        col = bordered_minor_column(bad, 3)
+        np.testing.assert_allclose(col, [1.0, 0.19, -2.888], rtol=0.0, atol=1e-12)
+        for i in range(1, 4):
+            assert abs(col[i - 1] - lu_bordered(bad, i, 3)) <= 1e-12
+
+    def test_exact_zero_pivot_fails_without_warning(self):
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det_ok, ratio_ok, _ = check_order_conditions(a)
+        assert (det_ok, ratio_ok) == (False, False)
+
     def test_identity(self):
         det_ok, ratio_ok, ladders = check_order_conditions(np.eye(5))
         assert det_ok and ratio_ok

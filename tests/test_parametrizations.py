@@ -205,23 +205,70 @@ class TestCholDetratio:
         with pytest.raises(ValueError):
             chol_detratio(r, signs)
 
+    def test_independent_of_the_reference(self, monkeypatch):
+        r = random_correlation(12, seed=5)
+        sig = np.random.default_rng(5).uniform(0.5, 2.0, size=12)
+        s = CovarianceMatrix(r.values * np.outer(sig, sig))
+        signs = extract_signs(chol_semipartial(r))
+        expected = np.linalg.cholesky(r.values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ratio route used the reference factorization")
+
+        # the containers are built; from here on the oracle must not run
+        monkeypatch.setattr(matrix_core, "_cholesky_pivots", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+        assert np.max(np.abs(chol_detratio(r, signs).entries - expected)) <= TOL_EQ
+        scaled = sig[:, None] * expected
+        assert np.max(np.abs(chol_covariance(s, signs).entries - scaled)) <= TOL_EQ * np.max(sig)
+
     def test_negative_radicand_guard(self, monkeypatch):
         r = random_correlation(4, seed=6)
         signs = extract_signs(chol_semipartial(r))
         import cholcorr.parametrizations as mod
 
-        original = mod.bordered_minor_column
+        original = mod._schur_ladders
 
-        def corrupted(m, j, **kw):
-            col = np.array(original(m, j, **kw))
-            if j == 3:
-                col[1] *= 0.5  # makes a ratio jump upward mid-ladder
-            return col
+        def corrupted(a):
+            d = np.array(original(a))
+            d[1, 2] *= 0.5  # makes the ratio ladder of column 3 jump upward mid-ladder
+            return d
 
-        monkeypatch.setattr(mod, "bordered_minor_column", corrupted)
+        monkeypatch.setattr(mod, "_schur_ladders", corrupted)
         with pytest.raises(NegativeRadicand) as err:
             chol_detratio(r, signs)
         assert err.value.j == 3
+
+
+def kappa_correlation(n, kappa, seed):
+    """A random orthogonal matrix times a log-spaced spectrum from 1 down
+    to 1/kappa, rescaled to unit diagonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    a = (q * np.logspace(0.0, -np.log10(kappa), n)) @ q.T
+    d = 1.0 / np.sqrt(np.diag(a))
+    return CorrelationMatrix(a * np.outer(d, d))
+
+
+# Largest entrywise error against the reference over seeds 0..19 of the
+# earlier ratio construction (one reordered dpotrf per row, ratios divided
+# by the reference's leading minors), rounded up to three digits.
+EARLIER_WORST = {
+    (12, 1e4): 1.91e-12, (12, 1e6): 1.34e-10, (12, 1e8): 4.41e-11,
+    (12, 1e10): 7.40e-10, (12, 1e12): 2.06e-9,
+    (64, 1e4): 2.73e-11, (64, 1e6): 7.18e-11, (64, 1e8): 6.40e-9,
+    (64, 1e10): 7.43e-9, (64, 1e12): 4.14e-8,
+}
+
+
+class TestDetratioAccuracy:
+    @pytest.mark.parametrize("n,kappa", sorted(EARLIER_WORST))
+    def test_kappa_sweep_no_worse_than_before(self, n, kappa):
+        worst = 0.0
+        for seed in range(20):
+            r = kappa_correlation(n, kappa, seed)
+            det = chol_detratio(r, extract_signs(chol_semipartial(r))).entries
+            worst = max(worst, float(np.max(np.abs(det - reference_cholesky(r).entries))))
+        assert worst <= EARLIER_WORST[n, kappa]
 
 
 class TestCholCovariance:
