@@ -49,16 +49,24 @@ class UsageError(Exception):
 
 
 def format_value(v: float) -> str:
-    """Shortest decimal string that parses back to the same float."""
-    return np.format_float_positional(float(v), unique=True, trim="-")
+    """Shortest decimal string that parses back to the same float, never in
+    exponent form.
+
+    ``repr`` gives the shortest round-trip digits; numpy's positional
+    formatter takes over only where ``repr`` writes an exponent, inf or nan.
+    """
+    s = repr(float(v))
+    if "e" in s or "n" in s:
+        return np.format_float_positional(float(v), unique=True, trim="-")
+    return s[:-2] if s.endswith(".0") else s
 
 
 def render_table(a: np.ndarray, fmt: str) -> str:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if fmt == "csv":
-        lines = [",".join(format_value(v) for v in row) for row in a]
+        lines = [",".join(map(format_value, row)) for row in a.tolist()]
         return "\n".join(lines) + "\n"
-    obj = {"n": a.shape[1], "rows": [[float(v) for v in row] for row in a]}
+    obj = {"n": a.shape[1], "rows": a.tolist()}
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateColumn, InvalidSemiPartial, NearSingular
 from .matrix_core import CorrelationMatrix
@@ -136,8 +135,11 @@ def t_quantile(prob: float, df: int) -> float:
 
     Inverts the regularized incomplete beta representation of the tail,
     so the returned quantile satisfies |CDF(q) - prob| <= 1e-10 across
-    the supported range.
+    the supported range. ``scipy.special`` is imported on the first call,
+    so only the ``test`` command pays for loading it.
     """
+    from scipy import special
+
     if not 0.0 < prob < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {prob}")
     if df < 1:

@@ -1,5 +1,10 @@
 """Dense symmetric-matrix containers and the LAPACK Cholesky factorization
-(``dpotrf``) that the rest of the library treats as its reference oracle.
+(``potrf``) that the rest of the library treats as its reference oracle.
+
+Validation runs ``potrf`` through ``numpy.linalg.cholesky``. Only a
+rejected matrix loads ``scipy.linalg``, whose ``dpotrf`` and triangular
+solve locate the failing pivot and its Schur complement, so importing the
+library does not import scipy.
 
 Indexing convention
 -------------------
@@ -29,7 +34,6 @@ function.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 
 from .errors import NotPositiveDefinite, SchurNonPositive
 
@@ -181,15 +185,27 @@ class CholeskyFactor:
 
 def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     """Lower factor and pivot sequence of a symmetric matrix (lower
-    triangle read) from one LAPACK ``dpotrf``.
+    triangle read) from LAPACK ``potrf``.
 
     Pivot i is the Schur complement ``a_ii - sum_k l_ik^2`` (the squared
-    diagonal entry). Raises ``NotPositiveDefinite`` at the first 1-based
-    index whose pivot fails to exceed ``tol_pd * a_ii``, or at the index
-    where ``dpotrf`` stops, whichever comes first, with the Schur
+    diagonal entry). The factor comes from ``numpy.linalg.cholesky`` and
+    is kept when every pivot exceeds ``tol_pd * a_ii``. Otherwise scipy's
+    ``dpotrf`` runs to locate the rejection: raises ``NotPositiveDefinite``
+    at the first 1-based index whose pivot fails that test, or at the
+    index where ``dpotrf`` stops, whichever comes first, with the Schur
     complement there recomputed from the factor of the leading block
     before it.
     """
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = lower.diagonal() ** 2
+        if np.all(pivots > tol_pd * a.diagonal()):
+            return lower, pivots
+    from scipy.linalg import lapack, solve_triangular
+
     lower, info = lapack.dpotrf(a, lower=1, clean=1)
     stop = info if info > 0 else a.shape[0] + 1  # 1-based index dpotrf failed at
     pivots = lower.diagonal()[: stop - 1] ** 2
@@ -210,7 +226,7 @@ def _factor_of(m):
 
 
 def reference_cholesky(m) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix with LAPACK ``dpotrf``.
+    """Factor a symmetric positive-definite matrix with LAPACK ``potrf``.
     This is the oracle every closed-form construction in the library is
     compared against; its backward stability is the classic Cholesky
     result (Higham, *Accuracy and Stability of Numerical Algorithms*,

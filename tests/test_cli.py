@@ -24,6 +24,22 @@ def write_csv(path, a):
     path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n")
 
 
+def per_element_json(a):
+    """The JSON table as written by converting each element with float()."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return json.dumps({"n": a.shape[1], "rows": [[float(v) for v in row] for row in a]},
+                      indent=2) + "\n"
+
+
+def child_env():
+    """Environment in which a child interpreter imports the same package as
+    the tests, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestFormatting:
     def test_roundtrip_lossless(self):
         values = [1.0, 0.0, 0.5, np.sqrt(0.75), -1.0 / 3.0, 1e-17, -0.0]
@@ -33,6 +49,26 @@ class TestFormatting:
     def test_integers_print_bare(self):
         assert format_value(1.0) == "1"
         assert format_value(0.0) == "0"
+
+    def test_matches_numpy_positional_form(self):
+        edge = [0.0, -0.0, 5e-324, -2.5e-310, 1e-5, 1e-4, 1e15, 1e16, 2.0**53 + 2,
+                1.7976931348623157e308, -1.0 / 3.0, np.float64(0.1), np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(11)
+        size = 100_000
+        sweep = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
+        for v in edge + sweep.tolist():
+            assert format_value(v) == np.format_float_positional(float(v), unique=True, trim="-")
+
+    def test_json_matches_per_element_floats(self, tmp_path, capsys):
+        assert main(["ar1", "--n", "6", "--rho", "-0.7", "--emit", "factor",
+                     "--format", "json"]) == 0
+        expected = per_element_json(ar1_cholesky(Ar1Spec(n=6, rho=-0.7)).entries)
+        assert capsys.readouterr().out == expected
+        outdir = tmp_path / "j"
+        assert main(["generate", "--n", "7", "--count", "2", "--seed", "5",
+                     "--format", "json", "--out", str(outdir)]) == 0
+        for k, r in enumerate(generate_batch(GeneratorConfig(n=7, seed=5), 2)):
+            assert (outdir / f"corr_{k:04d}.json").read_text() == per_element_json(r.values)
 
 
 class TestDecompose:
@@ -310,13 +346,51 @@ class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("1,0.25\n0.25,1\n")
-        # the child imports the same package as the tests, installed or not
-        package_root = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cholcorr.cli", "decompose", str(src)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1,0"
+
+    def test_scipy_loaded_only_to_reject_or_test(self, tmp_path):
+        good, bad, sample = tmp_path / "r.csv", tmp_path / "bad.csv", tmp_path / "x.csv"
+        write_csv(good, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
+        bad.write_text("1,0.9,0.9\n0.9,1,0.1\n0.9,0.1,1\n")
+        write_csv(sample, np.random.default_rng(8).standard_normal((50, 3)))
+        script = """
+import contextlib, io, json, sys
+from cholcorr.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+good, bad, sample, outdir = sys.argv[1:]
+result = {"import": scipy_modules()}
+result["codes"] = [run("generate", "--n", "5", "--count", "2", "--out", outdir)[0],
+                   run("decompose", good, "--check")[0],
+                   run("verify", good)[0]]
+result["accept"] = scipy_modules()
+result["reject"] = run("decompose", bad)[0]
+result["test"] = run("test", sample)
+print(json.dumps(result))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(good), str(bad), str(sample), str(tmp_path / "g")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["import"] == [] and result["accept"] == []
+        assert result["codes"] == [0, 0, 0]
+        assert result["reject"] == 3
+        assert "error: matrix is not positive-definite: pivot 3 " in proc.stderr
+        code, report = result["test"]
+        assert code == 0
+        assert [row["k"] for row in json.loads(report)["per_k"]] == [1, 2]

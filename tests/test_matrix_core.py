@@ -164,6 +164,30 @@ class TestReferenceCholesky:
             CorrelationMatrix(a)
         assert err.value.pivot_index == 2
 
+    @pytest.mark.parametrize("kind,n", [("generated", 25), ("generated", 64), ("gram", 200)])
+    def test_accepted_factor_matches_dpotrf(self, kind, n):
+        if kind == "generated":
+            a = random_correlation(n, seed=n).values
+        else:
+            g = np.random.default_rng(n).standard_normal((n, 2 * n))
+            g = g @ g.T
+            d = 1.0 / np.sqrt(np.diag(g))
+            a = CorrelationMatrix(g * np.outer(d, d)).values
+        lower, pivots = matrix_core._cholesky_pivots(a, TOL_PD)
+        expected, info = lapack.dpotrf(a, lower=1, clean=1)
+        assert info == 0
+        assert np.max(np.abs(lower - expected)) <= 1e-14 * np.max(np.abs(expected))
+        np.testing.assert_array_equal(pivots, lower.diagonal() ** 2)
+
+    def test_pivot_accepted_by_potrf_is_still_reported(self):
+        a = np.eye(6)
+        a[2:4, 2:4] = tiny_pivot_block(0.5 * TOL_PD)
+        np.linalg.cholesky(a)  # potrf accepts pivot 4
+        with pytest.raises(NotPositiveDefinite) as err:
+            matrix_core._cholesky_pivots(a, TOL_PD)
+        assert err.value.pivot_index == 4
+        assert 0.0 < err.value.pivot_value <= TOL_PD
+
     @pytest.mark.parametrize("n,k", [(3, 3), (200, 142)])
     def test_failing_pivot_value_is_exact(self, n, k):
         # equicorrelation: pivot k is (1 - rho)(1 + (k-1) rho) / (1 + (k-2) rho)

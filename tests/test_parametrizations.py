@@ -107,6 +107,7 @@ class TestCholSemipartial:
             for name in ("_cholesky_pivots", "solve_triangular"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         assert np.max(np.abs(chol_semipartial(r).entries - expected)) <= TOL_EQ
 
     @pytest.mark.parametrize("n", [64, 200])
@@ -218,6 +219,7 @@ class TestCholDetratio:
         # the containers are built; from here on the oracle must not run
         monkeypatch.setattr(matrix_core, "_cholesky_pivots", refuse)
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         assert np.max(np.abs(chol_detratio(r, signs).entries - expected)) <= TOL_EQ
         scaled = sig[:, None] * expected
         assert np.max(np.abs(chol_covariance(s, signs).entries - scaled)) <= TOL_EQ * np.max(sig)
