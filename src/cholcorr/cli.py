@@ -20,6 +20,7 @@ written alongside them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -289,7 +290,11 @@ def cmd_ar1(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs far
+    more than a parse, and ``parse_args`` returns a fresh namespace each
+    call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="cholcorr",
         description="Closed-form Cholesky factors of correlation matrices, "

@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import t_quantile_betaincinv
 
 import cholcorr.cli as cli
+import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, main
 from cholcorr.randcorr import GeneratorConfig, generate_batch
@@ -297,6 +299,32 @@ class TestTest:
         assert captured.out == ""
         assert captured.err.endswith("column 1 has no sample variance\n")
 
+    @pytest.mark.parametrize("shape", [(2000, 10), (12, 4)])
+    def test_report_matches_betaincinv_quantile(self, tmp_path, capsys, monkeypatch, shape):
+        # the report printed with the scipy quantile swapped in: every line
+        # but the critical values is byte-identical, and those agree to 1e-13
+        rng = np.random.default_rng([shape[0], 3])
+        data = rng.standard_normal(shape)
+        data[:, -1] += 0.3 * data[:, 1]
+        src = tmp_path / "x.csv"
+        write_csv(src, data)
+        assert main(["test", str(src)]) == 0
+        ours = capsys.readouterr().out
+        monkeypatch.setattr(dependence_test, "t_quantile", t_quantile_betaincinv)
+        assert main(["test", str(src)]) == 0
+        theirs = capsys.readouterr().out
+
+        def other_lines(text):
+            return [line for line in text.splitlines() if '"critical"' not in line]
+
+        def critical(text):
+            return [row["critical"] for row in json.loads(text)["per_k"]]
+
+        assert other_lines(ours) == other_lines(theirs)
+        assert len(critical(ours)) == shape[1] - 1
+        for got, want in zip(critical(ours), critical(theirs)):
+            assert abs(got - want) <= 1e-13 * want
+
 
 class TestAr1:
     def test_matrix_identity(self, capsys):
@@ -342,6 +370,35 @@ class TestRoundTrip:
         assert worst <= 1e-9
 
 
+class TestRepeatedMain:
+    """``main`` reuses one parser per process; back-to-back calls must
+    behave as fresh ones."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        good = tmp_path / "r.csv"
+        write_csv(good, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
+        rng = np.random.default_rng(12)
+        sample = tmp_path / "x.csv"
+        write_csv(sample, rng.standard_normal((40, 3)))
+        sequence = [
+            ["decompose", str(good), "--check", "--tol", "1e-30"],
+            ["decompose", str(good), "--check"],
+            ["test", str(sample), "--target", "1"],
+            ["test", str(sample)],
+        ]
+        back_to_back = [self.run(capsys, argv) for argv in sequence]
+        assert [code for code, _, _ in back_to_back] == [1, 0, 0, 0]
+        for argv, got in zip(sequence, back_to_back):
+            cli.build_parser.cache_clear()
+            assert self.run(capsys, argv) == got, argv
+        assert json.loads(back_to_back[3][1])["variable_order"] == [1, 2, 3]
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         src = tmp_path / "r.csv"
@@ -353,7 +410,7 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1,0"
 
-    def test_scipy_loaded_only_to_reject_or_test(self, tmp_path):
+    def test_scipy_loaded_only_to_reject(self, tmp_path):
         good, bad, sample = tmp_path / "r.csv", tmp_path / "bad.csv", tmp_path / "x.csv"
         write_csv(good, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
         bad.write_text("1,0.9,0.9\n0.9,1,0.1\n0.9,0.1,1\n")
@@ -376,9 +433,10 @@ result = {"import": scipy_modules()}
 result["codes"] = [run("generate", "--n", "5", "--count", "2", "--out", outdir)[0],
                    run("decompose", good, "--check")[0],
                    run("verify", good)[0]]
+result["test"] = run("test", sample)
 result["accept"] = scipy_modules()
 result["reject"] = run("decompose", bad)[0]
-result["test"] = run("test", sample)
+result["rejected"] = scipy_modules()
 print(json.dumps(result))
 """
         proc = subprocess.run(
@@ -391,6 +449,7 @@ print(json.dumps(result))
         assert result["codes"] == [0, 0, 0]
         assert result["reject"] == 3
         assert "error: matrix is not positive-definite: pivot 3 " in proc.stderr
+        assert "scipy.linalg" in result["rejected"]
         code, report = result["test"]
         assert code == 0
         assert [row["k"] for row in json.loads(report)["per_k"]] == [1, 2]

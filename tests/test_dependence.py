@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from helpers import gram_schmidt_columns, t_cdf_quadrature
+from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,11 +125,40 @@ class TestTQuantile:
             for p in (0.6, 0.9, 0.99):
                 assert abs(t_quantile(p, df) + t_quantile(1.0 - p, df)) <= 1e-12
 
-    @pytest.mark.parametrize("df", [1, 2, 5, 30])
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 200, 1999, 100000])
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.6, 0.9, 0.975, 0.999])
     def test_cdf_roundtrip_against_quadrature(self, df, p):
         q = t_quantile(p, df)
         assert abs(t_cdf_quadrature(q, df) - p) <= 1e-10
+
+    ACCURACY_DF = [1, 2, 3, 5, 10, 30, 200, 1999, 10**4]
+    ACCURACY_PROB = [1e-12, 1e-8, 1e-3, 0.025, 0.3, 0.49, 0.51, 0.7, 0.975,
+                     1 - 1e-8, 1 - 1e-12]
+
+    @pytest.mark.parametrize("df", ACCURACY_DF)
+    def test_matches_betaincinv_oracle(self, df):
+        # log B(df/2, 1/2) taken as a difference of lgamma values misses
+        # this bound at df = 1999 and 10^4
+        for p in self.ACCURACY_PROB:
+            q = t_quantile(p, df)
+            assert abs(q - t_quantile_betaincinv(p, df)) <= 1e-13 * abs(q), p
+
+    @pytest.mark.parametrize("df", ACCURACY_DF)
+    def test_exact_odd_symmetry(self, df):
+        # pairs are formed from the side above 1/2, where 1 - p is exact
+        for p in self.ACCURACY_PROB:
+            upper = max(p, 1.0 - p)
+            assert t_quantile(upper, df) == -t_quantile(1.0 - upper, df)
+
+    def test_large_df_is_bounded(self):
+        t_quantile(0.975, 10)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            q = t_quantile(0.975, 10**6)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) <= 0.010
+        assert abs(q - t_quantile_betaincinv(0.975, 10**6)) <= 1e-10 * q
 
     def test_domain(self):
         with pytest.raises(ValueError):
