@@ -146,9 +146,6 @@ def _factor(m, covariance: bool, method: str, built: dict) -> CholeskyFactor:
     if method not in built:
         if method == "reference":
             factor = reference_cholesky(m)
-        elif method == "semipartial" and covariance:
-            scaled = m.sigmas[:, None] * chol_semipartial(m.correlation()).entries
-            factor = CholeskyFactor(scaled)
         elif method == "semipartial":
             factor = chol_semipartial(m)
         else:
@@ -364,10 +361,7 @@ def main(argv=None) -> int:
     except (NotPositiveDefinite, SchurNonPositive, NegativeRadicand, NearSingular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

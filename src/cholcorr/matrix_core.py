@@ -145,11 +145,6 @@ class CovarianceMatrix(_FactoredMatrix):
     def sigmas(self) -> np.ndarray:
         return self._sigmas
 
-    def correlation(self) -> CorrelationMatrix:
-        """The correlation matrix obtained by normalizing out the sigmas."""
-        d = 1.0 / self._sigmas
-        return CorrelationMatrix(self._values * np.outer(d, d))
-
 
 class CholeskyFactor:
     """Lower-triangular factor with strictly positive diagonal."""

@@ -1,5 +1,5 @@
-"""Two closed-form routes to the Cholesky factor of a correlation matrix,
-plus the covariance extension.
+"""Two closed-form routes to the Cholesky factor of a correlation matrix;
+both run unchanged on a covariance matrix, row j scaled by sigma_j.
 
 The first route fills entry (j, i) with the semi-partial correlation
 between variables i and j given 1..i-1,
@@ -40,29 +40,32 @@ from .matrix_core import (
 )
 
 
-def chol_semipartial(r: CorrelationMatrix) -> CholeskyFactor:
+def chol_semipartial(r: CorrelationMatrix | CovarianceMatrix) -> CholeskyFactor:
     """Cholesky factor whose entry (j, i) is the semi-partial correlation
     of variables i and j given 1..i-1; its diagonal entry (i, i) is the
-    residual standard deviation sqrt(1 - q_ii).
+    residual standard deviation sqrt(1 - q_ii). On a covariance matrix
+    entry (j, i) is sigma_j times that semi-partial correlation.
 
     Runs the recursion on the bordered quadratic forms: with Q_1 = 0 and
     q_ij the entries of Q_i, column i of the factor is
 
-        c_ji = (rho_ij - q_ij) / sqrt(1 - q_ii)   (j > i),
+        c_ji = (a_ij - q_ij) / sqrt(a_ii - q_ii)   (j > i),
 
-    its diagonal entry is sqrt(1 - q_ii), and Q_{i+1} = Q_i + c_i c_i^T.
+    its diagonal entry is sqrt(a_ii - q_ii), and Q_{i+1} = Q_i + c_i c_i^T.
     Q_i is kept as the sum of the columns already written, so step i
     needs only its column i, one product of the first i-1 columns with
     row i: O(n^2) per step and O(n^3) in all. Neither the reference
-    factorization nor a triangular solve is involved.
+    factorization nor a triangular solve is involved. A pivot a_ii - q_ii
+    at or below ``TOL_PD * a_ii`` raises ``NotPositiveDefinite``, the
+    reference's unit-free test.
     """
     a = r.values
     n = r.n
     coeffs = np.zeros((n, n))
     for i in range(n):
         q = coeffs[i:, :i] @ coeffs[i, :i]  # q_ji for j = i..n
-        schur = 1.0 - q[0]
-        if not schur > TOL_PD:
+        schur = a[i, i] - q[0]
+        if not schur > TOL_PD * a[i, i]:
             raise NotPositiveDefinite(i + 1, schur)
         root = np.sqrt(schur)
         coeffs[i, i] = root
@@ -101,9 +104,9 @@ def chol_covariance(s: CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
     Same ladder construction as ``chol_detratio`` with the bordered minors
     taken on the covariance itself, so the first ratio of row j starts at
     sigma_j^2 instead of 1 and the negative-radicand threshold scales with
-    the largest variance. Signs are supplied externally, e.g. from the
-    semi-partial factor of ``s.correlation()``. Row j equals sigma_j times
-    row j of the correlation factor.
+    the largest variance. Signs are supplied externally, e.g. from
+    ``extract_signs(chol_semipartial(s))``. Row j equals sigma_j times row
+    j of the correlation factor.
     """
     return _ladder_factor(s, signs)
 

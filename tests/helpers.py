@@ -11,12 +11,22 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 
+from cholcorr.matrix_core import CorrelationMatrix
 from cholcorr.randcorr import GeneratorConfig, generate
 
 
 def random_correlation(n, seed):
     """A valid correlation matrix from the library's own generator."""
     return generate(GeneratorConfig(n=n, seed=seed))[1]
+
+
+def kappa_correlation(n, kappa, seed):
+    """A random orthogonal matrix times a log-spaced spectrum from 1 down
+    to 1/kappa, rescaled to unit diagonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    a = (q * np.logspace(0.0, -np.log10(kappa), n)) @ q.T
+    d = 1.0 / np.sqrt(np.diag(a))
+    return CorrelationMatrix(a * np.outer(d, d))
 
 
 def cofactor_det(a):

@@ -133,6 +133,17 @@ class TestDecompose:
         ell = read_csv(out)
         np.testing.assert_allclose(ell @ ell.T, r.values * np.outer(sig, sig), atol=1e-9)
 
+    def test_covariance_near_singular_edge_accepted_by_every_method(self, tmp_path, capsys):
+        # its correlation matrix has pivot 2 at 9.998669e-13, just below TOL_PD, while
+        # the covariance's own pivot 2 passes TOL_PD * a_22, as the container found
+        src = tmp_path / "edge.csv"
+        src.write_text("11.853393686036796,1.75153914402088\n1.75153914402088,0.2588194954373628\n")
+        outputs = set()
+        for method in ("reference", "semipartial", "detratio"):
+            assert main(["decompose", str(src), "--covariance", "--check", "--method", method]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert outputs == {"3.442875787192561,0\n0.5087430544362291,0.0000005087715579622698\n"}
+
     @pytest.mark.parametrize("covariance", [False, True])
     @pytest.mark.parametrize("method", ["reference", "semipartial", "detratio"])
     def test_check_builds_each_route_once(self, tmp_path, monkeypatch, covariance, method):

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from helpers import cofactor_det, random_correlation
+from helpers import cofactor_det, kappa_correlation, random_correlation
 
+from cholcorr.errors import SchurNonPositive
 from cholcorr.identities import (
     ALL_VERIFIERS,
     TOL_ORD,
@@ -143,6 +145,44 @@ class TestAllVerifiersSweep:
         for _, fn, min_n in ALL_VERIFIERS:
             if n >= min_n:
                 assert fn(r).max_residual <= 1e-9
+
+
+CHAIN_VERIFIERS = (verify_product_sums, verify_recursion, verify_general_recursion)
+
+
+class TestKappaSweep:
+    # seeds whose accepted matrix makes the chain's Schur complement round to <= TOL_PD
+    CHAIN_LIMIT = {(64, 1e10): {5, 7, 15, 16, 17}}
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
+    def test_residuals_within_n_kappa_eps(self, n, kappa):
+        bound = n * kappa * np.finfo(float).eps
+        raised = {fn: set() for fn in CHAIN_VERIFIERS}
+        for seed in range(20):
+            r = kappa_correlation(n, kappa, seed)
+            assert verify_ratio_differences(r).max_residual <= bound
+            for fn in CHAIN_VERIFIERS:
+                try:
+                    assert fn(r).max_residual <= bound
+                except SchurNonPositive:
+                    raised[fn].add(seed)
+        for seeds in raised.values():
+            assert seeds == self.CHAIN_LIMIT.get((n, kappa), set())
+
+
+class TestStreamedChain:
+    @pytest.mark.parametrize("fn", CHAIN_VERIFIERS)
+    def test_peak_memory_below_2mb_at_n120(self, fn):
+        # a list of every leading-block inverse would hold n^3 / 3 floats, about 4.6 MB
+        r = random_correlation(120, seed=3)
+        tracemalloc.start()
+        try:
+            fn(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def pivot_ladders(r):

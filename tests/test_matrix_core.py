@@ -82,7 +82,7 @@ class TestContainers:
         # pivot 1e-12 is at TOL_PD in absolute terms but 1 relative to its diagonal
         s = CovarianceMatrix(np.diag([1e-12, 1.0]))
         np.testing.assert_allclose(s.sigmas, [1e-6, 1.0])
-        np.testing.assert_array_equal(s.correlation().values, np.eye(2))
+        np.testing.assert_array_equal(s.values / np.outer(s.sigmas, s.sigmas), np.eye(2))
         np.testing.assert_allclose(reference_cholesky(s).entries, np.diag([1e-6, 1.0]))
 
     def test_covariance_rejection_reports_raw_pivot(self):
@@ -111,7 +111,7 @@ class TestContainers:
         r = random_correlation(4, seed=11)
         sig = np.array([0.5, 1.0, 1.5, 2.0])
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
-        np.testing.assert_allclose(s.correlation().values, r.values, atol=1e-14)
+        np.testing.assert_allclose(s.values / np.outer(s.sigmas, s.sigmas), r.values, atol=1e-14)
 
     def test_factor_rejects_nonzero_upper(self):
         with pytest.raises(ValueError):

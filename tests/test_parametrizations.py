@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import random_correlation
+from helpers import kappa_correlation, random_correlation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +29,8 @@ def ar1(n, rho):
 
 def covariance_factor(s):
     """``chol_covariance`` with the signs of the semi-partial factor of the
-    underlying correlation matrix, as ``decompose --covariance`` uses it."""
-    return chol_covariance(s, extract_signs(chol_semipartial(s.correlation())))
+    covariance matrix, as ``decompose --covariance`` uses it."""
+    return chol_covariance(s, extract_signs(chol_semipartial(s)))
 
 
 class TestSemipartialCoefficient:
@@ -123,6 +123,19 @@ class TestCholSemipartial:
         r = random_correlation(9, seed=27)
         out = chol_semipartial(r)
         assert np.max(np.abs(out.reconstruct() - r.values)) <= 1e-9
+
+    def test_covariance_rows_scale_like_sigmas(self):
+        # entry (j, i) is sigma_j times the semi-partial correlation
+        r = random_correlation(8, seed=21)
+        sig = np.random.default_rng(21).uniform(0.1, 10.0, size=8)
+        s = CovarianceMatrix(r.values * np.outer(sig, sig))
+        scaled = sig[:, None] * chol_semipartial(r).entries
+        assert np.max(np.abs(chol_semipartial(s).entries - scaled)) <= 1e-13 * np.max(sig)
+
+    def test_covariance_pivot_test_is_unit_free(self):
+        # pivot 1e-12 is at TOL_PD in absolute terms but 1 relative to its diagonal
+        s = CovarianceMatrix(np.diag([1e-12, 1.0]))
+        np.testing.assert_array_equal(chol_semipartial(s).entries, np.diag([1e-6, 1.0]))
 
 
 class TestExtractSigns:
@@ -240,15 +253,6 @@ class TestCholDetratio:
         with pytest.raises(NegativeRadicand) as err:
             chol_detratio(r, signs)
         assert err.value.j == 3
-
-
-def kappa_correlation(n, kappa, seed):
-    """A random orthogonal matrix times a log-spaced spectrum from 1 down
-    to 1/kappa, rescaled to unit diagonal."""
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    a = (q * np.logspace(0.0, -np.log10(kappa), n)) @ q.T
-    d = 1.0 / np.sqrt(np.diag(a))
-    return CorrelationMatrix(a * np.outer(d, d))
 
 
 # Largest entrywise error against the reference over seeds 0..19 of the
