@@ -200,9 +200,12 @@ def check_order_conditions(m):
 
     Returns ``(det_order_ok, ratio_order_ok, ladders)`` where the first
     flag asserts that the leading-minor sequence stays positive and
-    non-increasing (within ``TOL_ORD``), the second asserts that every
-    per-column ladder of bordered-minor ratios lies in (0, 1] and never
-    increases (within ``TOL_ORD``), and ``ladders`` lists the ladders of
+    non-increasing, judged on the ratios of successive minors (the Schur
+    pivots), each in (``TOL_ORD``, 1 + ``TOL_ORD``]: the minors themselves
+    shrink geometrically with n, so an absolute floor on them would fail
+    well-conditioned input. The second asserts that every per-column
+    ladder of bordered-minor ratios lies in (0, 1] and never increases
+    (within ``TOL_ORD``), and ``ladders`` lists the ladders of
     columns j = 2..n as plain arrays: ``ladders[j-2]`` is a read-only
     array of length j whose element i-1 is |B_i^j| / |R_{i-1}|, starting
     at 1 and ending at |R_j| / |R_{j-1}|. For a positive-definite matrix
@@ -210,16 +213,16 @@ def check_order_conditions(m):
     two flags are both true exactly when the matrix is positive-definite,
     up to the tolerance band around zero.
 
-    Ladders and leading minors (running pivot products) come from one
-    Schur elimination without pivoting, so the diagnostic works on
-    indefinite input; an exactly zero pivot gives inf or nan, failing both
-    flags. The input passes the containers' finite, symmetry and
-    unit-diagonal checks (``TOL_SYM``) or raises ``ValueError``.
+    Ladders and pivots come from one Schur elimination without pivoting,
+    so the diagnostic works on indefinite input; an exactly zero pivot
+    gives inf or nan, failing both flags. The input passes the containers'
+    finite, symmetry and unit-diagonal checks (``TOL_SYM``) or raises
+    ``ValueError``.
     """
     with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails every comparison
         d = _schur_ladders(_unit_diagonal(_symmetrized(m)))
-        leading = np.cumprod(d.diagonal())
-        det_ok = bool(np.all(leading > TOL_ORD) and np.all(np.diff(leading) <= TOL_ORD))
+        pivots = d.diagonal()
+        det_ok = bool(np.all(pivots > TOL_ORD) and np.all(pivots <= 1.0 + TOL_ORD))
         upper = np.triu(np.ones(d.shape, dtype=bool))
         ratios = d[upper]
         ratio_ok = bool(

@@ -20,14 +20,16 @@ smallest uniform drawn in step 1.
 
 Determinism contract
 --------------------
-Streams are numpy PCG64 generators keyed by ``SeedSequence``. The draw
-order is fixed: step 1 draws ``n-1`` uniforms in one call, step 2 draws
-``j-2`` uniforms per row for j = 3..n in increasing j, step 3 draws
-``n(n-1)/2`` uniforms in one call (row-major over strictly-lower
-positions). Uniforms on (a, b] are realized as ``b - (b - a) * u`` with
-``u = rng.random()`` on [0, 1). Batch element k uses the substream
-``SeedSequence(seed, spawn_key=(k,))``, so it does not depend on the
-batch size.
+Streams are numpy PCG64 generators keyed by ``SeedSequence``. A matrix
+takes its ``n(n-1)`` uniforms in one ``rng.random`` call, in a fixed
+order: ``n-1`` for step 1, then ``j-2`` per row for j = 3..n in
+increasing j, then ``n(n-1)/2`` for step 3 (row-major over
+strictly-lower positions). On one PCG64 stream consecutive ``random``
+calls equal one call of their total length, so this is the same stream
+and order as one call per step and row. Uniforms on (a, b] are realized
+as ``b - (b - a) * u`` with ``u`` on [0, 1). Batch element k uses the
+substream ``SeedSequence(seed, spawn_key=(k,))``, so it does not depend
+on the batch size.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ def stream(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _uniforms_open_closed(rng: np.random.Generator, count: int, low: float = 0.0) -> np.ndarray:
-    """``count`` uniforms on (low, 1], via 1 - (1 - low) * u with u on [0, 1)."""
-    return 1.0 - (1.0 - low) * rng.random(count)
-
-
 def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     """One random factor and its correlation matrix.
 
@@ -86,17 +83,24 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     entries = np.zeros((n, n))
     entries[0, 0] = 1.0
     if n > 1:
-        draws = np.sort(_uniforms_open_closed(rng, n - 1))[::-1]
+        u = rng.random(n * (n - 1))
+        half = n * (n - 1) // 2
+        draws = np.sort(1.0 - u[: n - 1])[::-1]
         targets = np.concatenate(([1.0], draws))  # D_1 = 1, D_j = U_(j)
-        for j in range(2, n + 1):
-            ljj_sq = targets[j - 1] / targets[j - 2]
-            inner = np.sort(_uniforms_open_closed(rng, j - 2, low=ljj_sq))[::-1]
-            ladder = np.concatenate(([1.0], inner, [ljj_sq]))
-            entries[j - 1, : j - 1] = np.sqrt(ladder[:-1] - ladder[1:])
-            entries[j - 1, j - 1] = np.sqrt(ljj_sq)
-        flips = rng.random(n * (n - 1) // 2)
-        signs = np.where(flips < cfg.sign_bias, 1.0, -1.0)
-        entries[np.tril_indices(n, -1)] *= signs
+        ljj_sq = targets[1:, None] / targets[:-1, None]  # row j-2 is l_jj^2
+        # row j-2 holds the j-2 interior draws of row j, padded with -1 so
+        # that the descending sort leaves the pads behind them; the pads turn
+        # into l_jj^2 only after the sort, as a draw can round a hair below it
+        lower = np.tri(n - 1, k=-1, dtype=bool)
+        inner = np.zeros((n - 1, n - 1))
+        inner[lower] = u[n - 1 : half]
+        inner = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, -1.0)
+        inner.sort(axis=1)
+        ladders = np.ones((n - 1, n))
+        ladders[:, 1:] = np.where(lower, inner[:, ::-1], ljj_sq)
+        entries[1:, :-1] = np.sqrt(ladders[:, :-1] - ladders[:, 1:])
+        entries[1:, 1:][np.diag_indices(n - 1)] = np.sqrt(ljj_sq[:, 0])
+        entries[np.tri(n, k=-1, dtype=bool)] *= np.where(u[half:] < cfg.sign_bias, 1.0, -1.0)
     factor = CholeskyFactor(entries)
     return factor, CorrelationMatrix(factor.reconstruct())
 

@@ -6,12 +6,14 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import t_quantile_betaincinv
+from helpers import kappa_correlation, t_quantile_betaincinv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
-from cholcorr.cli import format_value, main
+from cholcorr.cli import UsageError, format_value, load_table, main, render_table
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
 
@@ -71,6 +73,84 @@ class TestFormatting:
                      "--format", "json", "--out", str(outdir)]) == 0
         for k, r in enumerate(generate_batch(GeneratorConfig(n=7, seed=5), 2)):
             assert (outdir / f"corr_{k:04d}.json").read_text() == per_element_json(r.values)
+
+
+def per_value_csv(a):
+    """The CSV table as written by formatting every cell on its own."""
+    rows = np.atleast_2d(np.asarray(a, dtype=float)).tolist()
+    return "\n".join(",".join(map(format_value, row)) for row in rows) + "\n"
+
+
+def neighbours(*values):
+    return [w for v in values for w in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+HOSTILE = neighbours(0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-4, -1e-4, 1e16, -1e16, 1.0) + [
+    -5e-324, 1e-5, 0.1, 2.0**53 + 2, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+cells = st.one_of(st.sampled_from(HOSTILE), st.integers(-9, 9).map(float), st.floats(width=64))
+
+
+@st.composite
+def tables(draw):
+    kinds = ["symmetric", "lower", "upper", "random", "transposed", "1-D", "1x1"]
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 7))
+    m = n if kind in ("symmetric", "lower", "upper") else draw(st.integers(1, 7))
+    a = np.array(draw(st.lists(cells, min_size=n * m, max_size=n * m))).reshape(n, m)
+    lower = np.tri(n, m, dtype=bool)
+    if kind == "symmetric":
+        return np.where(lower, a, a.T)
+    if kind in ("lower", "upper"):
+        pad = draw(st.sampled_from([0.0, -0.0]))
+        return np.where(lower if kind == "lower" else lower.T, a, pad)
+    return {"random": a, "transposed": a.T, "1-D": a[0], "1x1": a[:1, :1]}[kind]
+
+
+class TestRenderTable:
+    @settings(max_examples=300, deadline=None)
+    @given(a=tables())
+    def test_csv_matches_per_value_formatting(self, a):
+        assert render_table(a, "csv") == per_value_csv(a)
+
+    def test_signed_zeros_stay_apart(self):
+        assert render_table(np.array([[0.0, -0.0], [-0.0, 0.0]]), "csv") == "0,-0\n-0,0\n"
+
+
+class TestLoadTable:
+    """CSV parsing keeps the syntax and the messages of a per-cell ``float()``
+    loop, first bad cell included."""
+
+    FAILURES = {
+        "1,0.5\n0.5,x\n": "cannot parse as csv: could not convert string to float: 'x'",
+        "1,0.5,\n0.5,1,\n": "cannot parse as csv: could not convert string to float: ''",
+        "1,,2\n3,4,5\n": "cannot parse as csv: could not convert string to float: ''",
+        "1,0.5\n0.5\nx,1\n": "cannot parse as csv: could not convert string to float: 'x'",
+        "1,0.5\n0.5,1,2\n": "rows have inconsistent lengths",
+        "": "rows have inconsistent lengths",
+        "\n  \n\t\n": "rows have inconsistent lengths",
+        "1,inf\ninf,1\n": "values must be finite",
+    }
+
+    @pytest.mark.parametrize("text", list(FAILURES))
+    def test_failure_messages(self, tmp_path, text):
+        src = tmp_path / "m.csv"
+        src.write_text(text)
+        with pytest.raises(UsageError) as err:
+            load_table(str(src), None)
+        assert str(err.value) == f"{src}: {self.FAILURES[text]}"
+
+    @pytest.mark.parametrize("text", [
+        "\n1,0.5\n\n   \n0.5,1\n\n",
+        "1,0.5\r\n0.5,1\r\n",
+        " 1 , 0.5\n0.5,\t1 \n",
+        "1_0,0.5e-0\n+.5,1.\n",
+    ])
+    def test_accepted_syntax(self, tmp_path, text):
+        src = tmp_path / "m.csv"
+        src.write_bytes(text.encode())
+        lines = [line for line in text.splitlines() if line.strip()]
+        expected = [[float(v) for v in line.split(",")] for line in lines]
+        assert load_table(str(src), None).tolist() == expected
 
 
 class TestDecompose:
@@ -234,7 +314,76 @@ class TestGenerate:
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(tmp_path / "x")]) == 2
 
 
+def stdout_digest(capsys, argv):
+    """sha256 of what ``main(argv)`` writes to stdout; the command must succeed."""
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Output bytes pinned by sha256 on each kind of table the renderer
+    writes: symmetric (``generate``), triangular with many zeros
+    (``decompose``) and with no repeated value (``ar1`` samples)."""
+
+    GENERATE = {
+        (1, "csv"): "406b56cb84cb1d73807fef0915cc9f5d6710fd82f78b507c3e5fc616e378b0f4",
+        (1, "json"): "f17de400020cf4a45a3c117f9e9187a27faeeb8f00882d925294fd63e22b2794",
+        (2, "csv"): "56f2872b3436907336c7d59182c07414b18d8e4da23389611f1a0f67f70c23d4",
+        (2, "json"): "2e6708f652ace259b8eaa79d8cdc533a313e4c873583aac10b73d36f16cd5d2a",
+        (3, "csv"): "f987c6420bc7b2964d6b4167b3a06306aae6da27c6755a6962596c7b25070cb3",
+        (3, "json"): "91262fc97abf2eb2f21d941cf0331d58ee8583041dbf85c27b342f2eb1213f05",
+        (64, "csv"): "5b604c89477f74dc82de62dc2a3b10b759fbf3ee77aaac52a6b183aca0aca434",
+        (64, "json"): "5099ee9c1a07ee1350335c66d273ac4412552bd3a4f5443c7092f143c5f42eaa",
+    }
+
+    DECOMPOSE = {
+        ("reference", False): "d7d06c29479d50b89f8e6a8e647b02f151e132e0a37c5ac9c90d1ad04421ff78",
+        ("semipartial", False): "bb7e7eb62283a6b5887b531c148881f9f01fdc6c9eaa13fe8284c3ae7468397f",
+        ("detratio", False): "71e510e520fdd9079410133156f8a009198f99ec37ff62a9a3d01728b08bc9e0",
+        ("reference", True): "4a7be0a1c80621bb20708e16b9ec67524cbbb5d03ed263bc0c13fe4915380276",
+        ("semipartial", True): "939fde6b104e3b92984d4461870e76026d362613a94d15ee2f3e6b4132b344d2",
+        ("detratio", True): "27b513f334784957420eb034cc08ff5e78e9483227c2eb54e29f51ac5ffc8fe4",
+    }
+
+    AR1_SAMPLES = "72250ef5ec0380139f0638856fbdc80487739a45d5d74e9c6475a40f849ca081"
+
+    @pytest.mark.parametrize("n, fmt", sorted(GENERATE))
+    def test_generate_over_sign_bias(self, tmp_path, n, fmt):
+        digest = hashlib.sha256()
+        for bias in ("0", "0.3", "1"):
+            outdir = tmp_path / bias
+            assert main(["generate", "--n", str(n), "--count", "3", "--seed", "17",
+                         "--sign-bias", bias, "--format", fmt, "--out", str(outdir)]) == 0
+            for k in range(3):
+                digest.update((outdir / f"corr_{k:04d}.{fmt}").read_bytes())
+        assert digest.hexdigest() == self.GENERATE[n, fmt]
+
+    @pytest.mark.parametrize("method, covariance", sorted(DECOMPOSE))
+    def test_decompose_n64(self, tmp_path, capsys, method, covariance):
+        r = generate_batch(GeneratorConfig(n=64, seed=2024), 1)[0]
+        sig = np.random.default_rng(2024).uniform(0.1, 10.0, 64) if covariance else np.ones(64)
+        src = tmp_path / "m.csv"
+        write_csv(src, r.values * np.outer(sig, sig))
+        argv = ["decompose", str(src), "--method", method] + ["--covariance"] * covariance
+        assert stdout_digest(capsys, argv) == self.DECOMPOSE[method, covariance]
+
+    def test_ar1_samples(self, capsys):
+        argv = ["ar1", "--n", "12", "--rho", "-0.6", "--emit", "samples",
+                "--count", "400", "--seed", "5"]
+        assert stdout_digest(capsys, argv) == self.AR1_SAMPLES
+
+
 class TestVerify:
+    @pytest.mark.parametrize("n, kappa", [(64, 1e2), (12, 1e4)])
+    def test_kappa_family_passes(self, tmp_path, capsys, n, kappa):
+        # their determinants lie far below TOL_ORD; the orderings are judged on
+        # the ratios of successive leading minors
+        for seed in range(3):
+            src = tmp_path / f"k{seed}.csv"
+            write_csv(src, kappa_correlation(n, kappa, seed).values)
+            assert main(["verify", str(src)]) == 0
+            assert "det-order: ok\nratio-order: ok\n" in capsys.readouterr().out
+
     def test_identity_passes_with_zero_residuals(self, tmp_path, capsys):
         src = tmp_path / "i.csv"
         write_csv(src, np.eye(4))
@@ -243,6 +392,16 @@ class TestVerify:
         assert "det-order: ok" in out
         assert "ratio-order: ok" in out
         assert out.count("residual=0\n") == 4
+
+    def test_chain_rounding_on_accepted_input_fails_the_check(self, tmp_path, capsys):
+        # n = 64, kappa = 1e10, seed 5: the chain's Schur complement rounds below
+        # TOL_PD although the container accepts the matrix, so exit 1, not 3
+        src = tmp_path / "k.csv"
+        write_csv(src, kappa_correlation(64, 1e10, 5).values)
+        assert main(["verify", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert "det-order: ok\nratio-order: ok\nproduct_sums: not evaluated\n" in captured.out
+        assert "failed: product_sums (Schur complement" in captured.err
 
     def test_non_positive_definite_names_ordering(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

@@ -281,6 +281,26 @@ class TestCheckOrderConditions:
         det_ok, ratio_ok, _ = check_order_conditions(bad)
         assert not (det_ok and ratio_ok)
 
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_kappa_family_keeps_both_orderings(self, n, kappa):
+        # from n = 12, kappa = 1e4 (about 3e-13) the determinant lies far below
+        # TOL_ORD, while each ratio of successive leading minors stays above it
+        for seed in range(5):
+            det_ok, ratio_ok, _ = check_order_conditions(kappa_correlation(n, kappa, seed).values)
+            assert det_ok and ratio_ok
+
+    @pytest.mark.parametrize(
+        "kind,n,param",
+        [("noise", n, seed) for n in (8, 25) for seed in range(3)]
+        + [("equicorrelation", n, -1e-3) for n in (8, 25)],
+    )
+    def test_indefinite_input_violates_both_orderings(self, kind, n, param):
+        a = indefinite_input(kind, n, param)
+        assert np.linalg.eigvalsh(a)[0] < 0.0
+        det_ok, ratio_ok, _ = check_order_conditions(a)
+        assert (det_ok, ratio_ok) == (False, False)
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
             check_order_conditions(np.array([[1.0, 0.2], [0.5, 1.0]]))

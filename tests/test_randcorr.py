@@ -74,6 +74,35 @@ class TestGenerate:
             assert det_ok and ratio_ok
 
 
+def stepwise_factor(n, seed, sign_bias):
+    """The factor built row by row, with one draw call per step and row in
+    the order the determinism contract fixes."""
+    rng = stream(seed)
+    entries = np.eye(n)
+    if n > 1:
+        targets = np.concatenate(([1.0], np.sort(1.0 - rng.random(n - 1))[::-1]))
+        for j in range(2, n + 1):
+            ljj_sq = targets[j - 1] / targets[j - 2]
+            inner = np.sort(1.0 - (1.0 - ljj_sq) * rng.random(j - 2))[::-1]
+            ladder = np.concatenate(([1.0], inner, [ljj_sq]))
+            entries[j - 1, : j - 1] = np.sqrt(ladder[:-1] - ladder[1:])
+            entries[j - 1, j - 1] = np.sqrt(ljj_sq)
+        entries[np.tril_indices(n, -1)] *= np.where(rng.random(n * (n - 1) // 2) < sign_bias, 1, -1)
+    return entries, rng
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 25, 64])
+    @pytest.mark.parametrize("sign_bias", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_stepwise_draws_bit_for_bit(self, n, sign_bias):
+        for seed in range(5):
+            rng = stream(seed)
+            factor, _ = generate(GeneratorConfig(n=n, seed=seed, sign_bias=sign_bias), rng=rng)
+            expected, after = stepwise_factor(n, seed, sign_bias)
+            assert factor.entries.tobytes() == expected.tobytes()
+            assert rng.random() == after.random()  # n(n-1) uniforms taken, no more
+
+
 class TestGenerateBatch:
     def test_single_element_equals_substream_zero(self):
         cfg = GeneratorConfig(n=4, seed=7)
