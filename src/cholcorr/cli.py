@@ -152,7 +152,9 @@ def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) 
 def _factor(m, method: str, built: dict) -> CholeskyFactor:
     """The factor of ``m`` by route ``method``, kept in ``built`` so that no
     route is built twice; detratio takes its signs from the semi-partial
-    factor, and runs as ``chol_covariance`` on a ``CovarianceMatrix``."""
+    factor, and runs as ``chol_covariance`` on a covariance container (the
+    one with ``sigmas``: a tracer may rebind the class names to plain
+    functions, so ``isinstance`` against them is not used)."""
     if method not in built:
         if method == "reference":
             factor = reference_cholesky(m)
@@ -160,7 +162,7 @@ def _factor(m, method: str, built: dict) -> CholeskyFactor:
             factor = chol_semipartial(m)
         else:
             signs = extract_signs(_factor(m, "semipartial", built))
-            route = chol_covariance if isinstance(m, CovarianceMatrix) else chol_detratio
+            route = chol_covariance if hasattr(m, "sigmas") else chol_detratio
             factor = route(m, signs)
         built[method] = factor
     return built[method]

@@ -251,6 +251,40 @@ class TestDecompose:
         expected = np.linalg.cholesky(r.values * np.outer(sig, sig))
         np.testing.assert_allclose(read_csv(out), expected, atol=1e-9)
 
+    @pytest.mark.parametrize("covariance", [False, True])
+    def test_check_with_container_names_bound_to_plain_functions(
+            self, tmp_path, monkeypatch, covariance):
+        # a tracer rebinds each public class name, in every cholcorr module
+        # that binds it, to a plain wrapper function; the command must not
+        # rely on those names being classes
+        import cholcorr.matrix_core as matrix_core
+        r = generate_batch(GeneratorConfig(n=6, seed=3), 1)[0]
+        sig = np.linspace(0.5, 3.0, 6) if covariance else np.ones(6)
+        src = tmp_path / "m.csv"
+        write_csv(src, r.values * np.outer(sig, sig))
+        routes = {"chol_detratio": 0, "chol_covariance": 0}
+
+        def plain(fn, name=None):
+            def wrapped(*args, **kwargs):
+                if name:
+                    routes[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        wrappers = {id(matrix_core.CorrelationMatrix): plain(matrix_core.CorrelationMatrix),
+                    id(matrix_core.CovarianceMatrix): plain(matrix_core.CovarianceMatrix)}
+        for name in routes:
+            wrappers[id(getattr(cli, name))] = plain(getattr(cli, name), name)
+        for modname, module in list(sys.modules.items()):
+            if module is None or not (modname == "cholcorr" or modname.startswith("cholcorr.")):
+                continue
+            for key, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, key, wrappers[id(value)])
+        argv = ["decompose", str(src), "--method", "detratio", "--check"]
+        assert main(argv + (["--covariance"] if covariance else [])) == 0
+        assert routes == {"chol_detratio": int(not covariance), "chol_covariance": int(covariance)}
+
     def test_json_output(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("1,0.5\n0.5,1\n")
