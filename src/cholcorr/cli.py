@@ -125,12 +125,14 @@ def load_square(path: str, fmt: str | None) -> np.ndarray:
     return a
 
 
-def write_output(a: np.ndarray, out: str | None, fmt: str) -> None:
-    text = render_table(a, fmt)
+def write_output(text: str, out: str | None, command: str, options: dict) -> None:
+    """``text`` to stdout, or to the file ``out`` with the manifest of
+    ``command`` and its ``options`` beside it, at ``<out>.manifest.json``."""
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+        write_manifest(Path(out + ".manifest.json"), command, options, [out])
 
 
 def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) -> None:
@@ -174,15 +176,9 @@ def cmd_decompose(args) -> int:
     built = {}
     factor = _factor(m, args.method, built)
     fmt = infer_format(args.out, args.format)
-    write_output(factor.entries, args.out, fmt)
-    if args.out:
-        write_manifest(
-            Path(args.out + ".manifest.json"),
-            "decompose",
-            {"input": args.input, "method": args.method, "covariance": args.covariance,
-             "check": args.check, "format": fmt, "tol": args.tol},
-            [args.out],
-        )
+    write_output(render_table(factor.entries, fmt), args.out, "decompose",
+                 {"input": args.input, "method": args.method, "covariance": args.covariance,
+                  "check": args.check, "format": fmt, "tol": args.tol})
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
         methods = ("reference", "semipartial", "detratio")
@@ -269,17 +265,8 @@ def cmd_test(args) -> int:
         raise UsageError(f"{args.data}: {exc}") from exc
     target = args.target if args.target is not None else x.p
     report = sequential_test(x, target, args.alpha)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
-        write_manifest(
-            Path(args.out + ".manifest.json"),
-            "test",
-            {"data": args.data, "target": target, "alpha": args.alpha},
-            [args.out],
-        )
+    write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out, "test",
+                 {"data": args.data, "target": target, "alpha": args.alpha})
     return 0
 
 
@@ -294,15 +281,9 @@ def cmd_ar1(args) -> int:
             raise UsageError("--count must be at least 1")
         payload = sample_mvn(ar1_cholesky(spec), args.count, args.seed)
     fmt = infer_format(args.out, args.format)
-    write_output(payload, args.out, fmt)
-    if args.out:
-        write_manifest(
-            Path(args.out + ".manifest.json"),
-            "ar1",
-            {"n": args.n, "rho": args.rho, "emit": args.emit,
-             "count": args.count, "seed": args.seed, "format": fmt},
-            [args.out],
-        )
+    write_output(render_table(payload, fmt), args.out, "ar1",
+                 {"n": args.n, "rho": args.rho, "emit": args.emit,
+                  "count": args.count, "seed": args.seed, "format": fmt})
     return 0
 
 

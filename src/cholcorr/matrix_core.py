@@ -1,10 +1,9 @@
 """Dense symmetric-matrix containers and the LAPACK Cholesky factorization
 (``potrf``) that the rest of the library treats as its reference oracle.
 
-Validation runs ``potrf`` through ``numpy.linalg.cholesky``. Only a
-rejected matrix loads ``scipy.linalg``, whose ``dpotrf`` and triangular
-solve locate the failing pivot and its Schur complement, so importing the
-library does not import scipy.
+Validation runs ``potrf`` through ``numpy.linalg.cholesky``. A rejected
+matrix is located from ``potrf``'s pivots, or from the Schur ladders
+(below) when ``potrf`` stops, so numpy is the only dependency.
 
 Indexing convention
 -------------------
@@ -184,32 +183,29 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
 
     Pivot i is the Schur complement ``a_ii - sum_k l_ik^2`` (the squared
     diagonal entry). The factor comes from ``numpy.linalg.cholesky`` and
-    is kept when every pivot exceeds ``tol_pd * a_ii``. Otherwise scipy's
-    ``dpotrf`` runs to locate the rejection: raises ``NotPositiveDefinite``
-    at the first 1-based index whose pivot fails that test, or at the
-    index where ``dpotrf`` stops, whichever comes first, with the Schur
-    complement there recomputed from the factor of the leading block
-    before it.
+    is kept when every pivot exceeds ``tol_pd * a_ii``. Otherwise raises
+    ``NotPositiveDefinite`` at the first 1-based index whose pivot fails
+    that test, reading the pivots of ``potrf``'s own factor or, when
+    ``potrf`` stops, the diagonal of ``_schur_ladders``. Where ``potrf``
+    stops but the Schur kernel's different rounding leaves every pivot
+    above the tolerance, the smallest relative pivot is reported.
     """
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pass
+        lower = None
+        with np.errstate(all="ignore"):
+            pivots = _schur_ladders(a).diagonal()
     else:
         pivots = lower.diagonal() ** 2
-        if np.all(pivots > tol_pd * a.diagonal()):
-            return lower, pivots
-    from scipy.linalg import lapack, solve_triangular
-
-    lower, info = lapack.dpotrf(a, lower=1, clean=1)
-    stop = info if info > 0 else a.shape[0] + 1  # 1-based index dpotrf failed at
-    pivots = lower.diagonal()[: stop - 1] ** 2
-    small = np.flatnonzero(~(pivots > tol_pd * a.diagonal()[: pivots.size]))  # NaN fails too
-    k = int(small[0]) + 1 if small.size else stop
-    if k > a.shape[0]:
+    ok = pivots > tol_pd * a.diagonal()  # NaN fails too
+    if not ok.all():
+        k = int(np.argmin(ok))
+    elif lower is None:
+        k = int(np.argmin(pivots / a.diagonal()))
+    else:
         return lower, pivots
-    z = solve_triangular(lower[: k - 1, : k - 1], a[k - 1, : k - 1], lower=True, check_finite=False)
-    raise NotPositiveDefinite(k, a[k - 1, k - 1] - z @ z)
+    raise NotPositiveDefinite(k + 1, pivots[k])
 
 
 def _factor_of(m):

@@ -31,6 +31,42 @@ def exact_schur(a, k):
     return a[k - 1, k - 1] - a[k - 1, : k - 1] @ np.linalg.solve(lead, a[: k - 1, k - 1])
 
 
+def one_tiny_eigenvalue(t):
+    """Unit-diagonal matrix from seed [11, t]: n in 3..79, a random
+    orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of
+    +-10^U(-17, -10). Its last pivots sit at the level of rounding, where
+    LAPACK and the Schur kernel can disagree about the sign."""
+    rng = np.random.default_rng([11, t])
+    n = int(rng.integers(3, 80))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.exp(rng.uniform(np.log(1e-3), 0.0, n))
+    ev[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -10)
+    a = (q * ev) @ q.T
+    d = 1.0 / np.sqrt(np.diag(a))
+    a = a * np.outer(d, d)
+    return 0.5 * (a + a.T)
+
+
+def dpotrf_reject_index(a):
+    """1-based index of the first pivot of scipy's ``dpotrf`` factor at or
+    below ``TOL_PD * a_kk``, else the index where ``dpotrf`` stopped, else
+    None (accepted)."""
+    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    stop = info if info > 0 else a.shape[0] + 1
+    pivots = lower.diagonal()[: stop - 1] ** 2
+    small = np.flatnonzero(~(pivots > TOL_PD * a.diagonal()[: stop - 1]))
+    k = int(small[0]) + 1 if small.size else stop
+    return k if k <= a.shape[0] else None
+
+
+def reject_index(a):
+    try:
+        matrix_core._cholesky_pivots(a, TOL_PD)
+    except NotPositiveDefinite as err:
+        return err.pivot_index
+    return None
+
+
 class TestContainers:
     def test_square_matrix_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -187,6 +223,23 @@ class TestReferenceCholesky:
             matrix_core._cholesky_pivots(a, TOL_PD)
         assert err.value.pivot_index == 4
         assert 0.0 < err.value.pivot_value <= TOL_PD
+
+    # t = 459: potrf returns pivot 46 below the tolerance, the Schur
+    # kernel's pivot 46 is above it; t = 215: potrf stops at pivot 76,
+    # every Schur pivot is above the tolerance and pivot 76 is the smallest
+    def test_reject_index_matches_dpotrf_on_seeded_family(self):
+        seeds = [*range(1000), 1566]
+        got = {t: reject_index(one_tiny_eigenvalue(t)) for t in seeds}
+        expected = {t: dpotrf_reject_index(one_tiny_eigenvalue(t)) for t in seeds}
+        assert {t: (got[t], expected[t]) for t in seeds if got[t] != expected[t]} == {}
+        assert 500 < sum(k is not None for k in got.values()) < 1000
+
+    @pytest.mark.parametrize("n", [3, 10, 64])
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_reject_index_matches_dpotrf_on_equicorrelation(self, n, c):
+        a = np.full((n, n), -c / (n - 1))
+        np.fill_diagonal(a, 1.0)
+        assert reject_index(a) == dpotrf_reject_index(a) is not None
 
     @pytest.mark.parametrize("n,k", [(3, 3), (200, 142)])
     def test_failing_pivot_value_is_exact(self, n, k):
