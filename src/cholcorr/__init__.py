@@ -37,7 +37,6 @@ from .matrix_core import (
     CorrelationMatrix,
     CovarianceMatrix,
     banachiewicz_inverse,
-    bordered_minor_column,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ar1_cholesky",
     "ar1_matrix",
     "banachiewicz_inverse",
-    "bordered_minor_column",
     "check_order_conditions",
     "chol_covariance",
     "chol_detratio",

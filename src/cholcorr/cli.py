@@ -151,30 +151,27 @@ def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) 
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _factor(m, method: str, built: dict) -> CholeskyFactor:
-    """The factor of ``m`` by route ``method``, kept in ``built`` so that no
-    route is built twice; detratio takes its signs from the semi-partial
-    factor, and runs as ``chol_covariance`` on a covariance container (the
-    one with ``sigmas``: a tracer may rebind the class names to plain
-    functions, so ``isinstance`` against them is not used)."""
-    if method not in built:
-        if method == "reference":
-            factor = reference_cholesky(m)
-        elif method == "semipartial":
-            factor = chol_semipartial(m)
-        else:
-            signs = extract_signs(_factor(m, "semipartial", built))
-            route = chol_covariance if hasattr(m, "sigmas") else chol_detratio
-            factor = route(m, signs)
-        built[method] = factor
-    return built[method]
+def _detratio(m) -> CholeskyFactor:
+    """The ladder route on ``m`` with signs from its semi-partial factor:
+    ``chol_covariance`` on a covariance container (the one with ``sigmas``:
+    a tracer may rebind the class names to plain functions, so
+    ``isinstance`` against them is not used), ``chol_detratio`` otherwise."""
+    route = chol_covariance if hasattr(m, "sigmas") else chol_detratio
+    return route(m, extract_signs(m._once(chol_semipartial)))
+
+
+def _factor(m, method: str) -> CholeskyFactor:
+    """The factor of ``m`` by route ``method``, built once per container.
+    Route names are looked up per call, so a rebound name is honoured."""
+    routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
+              "detratio": _detratio}
+    return m._once(routes[method])
 
 
 def cmd_decompose(args) -> int:
     a = load_square(args.input, args.format)
     m = CovarianceMatrix(a) if args.covariance else CorrelationMatrix(a)
-    built = {}
-    factor = _factor(m, args.method, built)
+    factor = _factor(m, args.method)
     fmt = infer_format(args.out, args.format)
     write_output(render_table(factor.entries, fmt), args.out, "decompose",
                  {"input": args.input, "method": args.method, "covariance": args.covariance,
@@ -182,7 +179,7 @@ def cmd_decompose(args) -> int:
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
         methods = ("reference", "semipartial", "detratio")
-        factors = [_factor(m, name, built).entries for name in methods]
+        factors = [_factor(m, name).entries for name in methods]
         cross = max(
             float(np.max(np.abs(fa - fb)))
             for x, fa in enumerate(factors)

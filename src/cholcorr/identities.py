@@ -5,10 +5,12 @@ Each verifier computes both sides of an identity through deliberately
 different code paths (explicit blockwise inverses or Schur-elimination
 ladders against the semi-partial recursion) and reports the worst
 absolute residual with its location, so a shared bug cannot cancel.
-The three inverse-based verifiers stream one chain of leading-block
-inverses, holding only the current pair, and ``verify_recursion`` is one
-column of the two-column recursion that ``verify_general_recursion``
-checks.
+The three inverse-based verifiers read one walk of the chain of
+leading-block inverses, which holds only the current pair and runs once
+per matrix: the first of them to be called makes it, and the container
+keeps all three reports. ``verify_recursion`` is one column of the
+two-column recursion that ``verify_general_recursion`` checks. The
+semi-partial factor is likewise built once per matrix.
 
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotPositiveDefinite
 from .matrix_core import (
     CorrelationMatrix,
     _schur_ladders,
@@ -65,28 +68,53 @@ class IdentityReport:
             raise ValueError("residual must be non-negative")
 
 
-def _inverse_chain(a: np.ndarray):
-    """For i = 1..n-1 yield ``(i, prev, inv)``: the inverses of the leading
-    (i-1)- and i-blocks, each grown from the one before by blockwise
-    extension. The empty 0-block starts the chain, so prefix quadratic
-    forms vanish naturally; only the current pair is held."""
+def _chain_reports(r: CorrelationMatrix) -> dict[str, IdentityReport]:
+    """The reports of the three inverse-based identities, by name, from one
+    walk of the chain of leading-block inverses; reach it through
+    ``r._once`` so one walk serves all three verifiers.
+
+    For i = 1..n-1 the inverse of the leading i-block is grown from that of
+    the (i-1)-block by blockwise extension. The empty 0-block starts the
+    chain, so prefix quadratic forms vanish naturally; only the current
+    pair is held. Each report is the worst residual over all i with its
+    1-based (i, j, l); l is 0 unless the identity has two columns. Where
+    the semi-partial factor rejects a pivot that the container accepted
+    (rounding at the ``TOL_PD`` edge), ``verify_product_sums`` raises and
+    the walk still makes the other two reports.
+    """
+    a = r.values
+    worst = dict.fromkeys(("product_sums", "recursion", "general_recursion"), (-1.0, (0, 0, 0)))
+    try:
+        coeffs = r._once(chol_semipartial).entries
+    except NotPositiveDefinite:  # verify_product_sums raises it before reading the walk
+        del worst["product_sums"]
     inv = np.zeros((0, 0))
-    for i in range(1, a.shape[0]):
+    for i in range(1, r.n):
         prev, rho = inv, a[: i - 1, i - 1]
         inv = banachiewicz_inverse(prev, rho, a[i - 1, i - 1] - rho @ prev @ rho)
-        yield i, prev, inv
+        v = prev @ rho
 
+        def num(cols):  # rho_i,cols - q_i,cols; 1 - q_ii at cols = i-1
+            return a[i - 1, cols] - a[: i - 1, cols].T @ v
 
-def _worst(name: str, blocks, two_column: bool = False) -> IdentityReport:
-    """Report of the largest entry over ``blocks``, pairs ``(i, res)`` with
-    ``res[j - i - 1, l - i - 1]`` the residual at 1-based (i, j, l); l is
-    reported as 0 unless ``two_column``."""
-    worst, where = -1.0, (0, 0, 0)
-    for i, res in blocks:
-        row, col = divmod(int(np.argmax(res)), res.shape[1])
-        if res[row, col] > worst:
-            worst, where = float(res[row, col]), (i, row + i + 1, col + i + 1 if two_column else 0)
-    return IdentityReport(name, worst, where)
+        q_next = a[:i].T @ (inv @ a[:i, i])  # Q_{i+1} toward column i+1
+        rest, pivot = num(slice(None)), num(i - 1)
+        general = np.abs(a[:i].T @ (inv @ a[:i]) - (
+            a[: i - 1].T @ (prev @ a[: i - 1]) + np.multiply.outer(rest, rest) / pivot))
+        blocks = {
+            "recursion": np.abs(q_next - (
+                a[: i - 1].T @ (prev @ a[: i - 1, i]) + np.multiply.outer(rest, num(i)) / pivot
+            ))[i:, None],
+            "general_recursion": np.tril(general[i:, i:]),
+        }
+        if "product_sums" in worst:
+            blocks["product_sums"] = np.abs(q_next - coeffs[:, :i] @ coeffs[i, :i])[i:, None]
+        for name, res in blocks.items():
+            row, col = divmod(int(np.argmax(res)), res.shape[1])
+            if res[row, col] > worst[name][0]:
+                l = col + i + 1 if name == "general_recursion" else 0
+                worst[name] = (float(res[row, col]), (i, row + i + 1, l))
+    return {name: IdentityReport(name, *report) for name, report in worst.items()}
 
 
 def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
@@ -100,37 +128,8 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
     """
     if r.n < 2:
         raise ValueError("need n >= 2")
-    a = r.values
-    coeffs = chol_semipartial(r).entries
-    return _worst("product_sums", (
-        (i, np.abs(a[:i].T @ (inv @ a[:i, i]) - coeffs[:, :i] @ coeffs[i, :i])[i:, None])
-        for i, _, inv in _inverse_chain(a)
-    ))
-
-
-def _recursion_report(r: CorrelationMatrix, general: bool) -> IdentityReport:
-    """Worst residual of the two-column recursion (``verify_general_recursion``)
-    over j >= l >= i+1, or over its column l = i+1 alone unless ``general``."""
-    if r.n < 3:
-        raise ValueError("need n >= 3")
-    a = r.values
-
-    def blocks():
-        for i, prev, inv in _inverse_chain(a):
-            v = prev @ a[: i - 1, i - 1]
-
-            def num(cols):  # rho_i,cols - q_i,cols; 1 - q_ii at cols = i-1
-                return a[i - 1, cols] - a[: i - 1, cols].T @ v
-
-            l = slice(None) if general else i
-            lhs = a[:i].T @ (inv @ a[:i, l])
-            rhs = a[: i - 1].T @ (prev @ a[: i - 1, l]) + np.multiply.outer(
-                num(slice(None)), num(l)
-            ) / num(i - 1)
-            res = np.abs(lhs - rhs)[i:]
-            yield i, np.tril(res[:, i:]) if general else res[:, None]
-
-    return _worst("general_recursion" if general else "recursion", blocks(), general)
+    r._once(chol_semipartial)  # a rejected pivot raises here, before the chain
+    return r._once(_chain_reports)["product_sums"]
 
 
 def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
@@ -143,7 +142,9 @@ def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
 
     for 1 <= i < j <= n.
     """
-    return _recursion_report(r, general=False)
+    if r.n < 3:
+        raise ValueError("need n >= 3")
+    return r._once(_chain_reports)["recursion"]
 
 
 def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
@@ -164,7 +165,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     d = _schur_ladders(r.values)
     minors = leading_minor_determinants(r)
     prev = np.concatenate(([1.0], minors[:-1]))
-    coeffs = chol_semipartial(r).entries
+    coeffs = r._once(chol_semipartial).entries
     num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
     rhs = num[:-1] ** 2 * (prev / minors)[:-1, None]
     keep = np.triu(np.ones((n - 1, n), dtype=bool), 1)
@@ -183,7 +184,9 @@ def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
 
     for j >= l >= i+1.
     """
-    return _recursion_report(r, general=True)
+    if r.n < 3:
+        raise ValueError("need n >= 3")
+    return r._once(_chain_reports)["general_recursion"]
 
 
 ALL_VERIFIERS = (

@@ -24,7 +24,10 @@ Schur elimination (``_schur_ladders``) that shares no code with LAPACK.
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
 ``CovarianceMatrix`` keep the factor and pivots they were validated with,
-which ``reference_cholesky`` and ``leading_minor_determinants`` reuse.
+which ``reference_cholesky`` and ``leading_minor_determinants`` reuse, and
+keep every value derived from them through ``_once`` (a factor route, the
+verifiers' inverse chain): each is built once per container. Two threads
+may each build the same value, but the results are equal.
 
 The tolerances below are fixed constants, not parameters of any public
 function.
@@ -96,6 +99,15 @@ class _FactoredMatrix:
         for a in (sym, lower, pivots):
             a.flags.writeable = False
         self._values, self._lower, self._pivots = sym, lower, pivots
+        self._memo = {}
+
+    def _once(self, build):
+        """``build(self)``, computed on the first call and kept: the
+        container is immutable, so the value cannot go stale. A build that
+        raises keeps nothing."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
     @property
     def values(self) -> np.ndarray:
@@ -261,25 +273,6 @@ def _schur_ladders(a) -> np.ndarray:
         col = s[i + 1:, i]
         s[i + 1:, i + 1:] -= np.outer(col, col / s[i, i])
     return d
-
-
-def bordered_minor_column(m, j: int) -> np.ndarray:
-    """All bordered minors toward column j.
-
-    Element i (1-based, i = 1..j) is the determinant of the principal
-    submatrix on rows and columns {1, ..., i-1, j}. For a correlation
-    matrix element 1 is exactly 1; element j is the leading j x j minor.
-
-    Column j of ``_schur_ladders`` on the leading j-block times its running
-    pivot products, so indefinite input gets its determinants too; after
-    an exactly zero leading minor the elements are nan.
-    """
-    a = as_array(m)
-    n = a.shape[0]
-    if not 1 <= j <= n:
-        raise IndexError(f"column index {j} outside 1..{n}")
-    d = _schur_ladders(a[:j, :j])
-    return d[:, j - 1] * np.concatenate(([1.0], np.cumprod(d.diagonal()[:-1])))
 
 
 def banachiewicz_inverse(r_prev_inv, rho, c: float) -> np.ndarray:

@@ -437,6 +437,26 @@ class TestVerify:
         assert "det-order: ok\nratio-order: ok\nproduct_sums: not evaluated\n" in captured.out
         assert "failed: product_sums (Schur complement" in captured.err
 
+    def test_walks_the_inverse_chain_once(self, tmp_path, monkeypatch):
+        # the three chain verifiers share one walk (n - 1 extensions) and the
+        # two semi-partial readers share one factor; each is counted where
+        # the identities module looks it up
+        import cholcorr.identities as identities
+        src = tmp_path / "r.csv"
+        write_csv(src, generate_batch(GeneratorConfig(n=25, seed=4), 1)[0].values)
+        calls = dict.fromkeys(("banachiewicz_inverse", "chol_semipartial"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(identities, name, counting(name, getattr(identities, name)))
+        assert main(["verify", str(src)]) == 0
+        assert calls == {"banachiewicz_inverse": 24, "chol_semipartial": 1}
+
     def test_non_positive_definite_names_ordering(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("1,0.9,0.9\n0.9,1,0.1\n0.9,0.1,1\n")

@@ -1,11 +1,14 @@
+import itertools
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from helpers import cofactor_det, kappa_correlation, random_correlation
 
-from cholcorr.errors import SchurNonPositive
+from cholcorr.errors import NotPositiveDefinite, SchurNonPositive
 from cholcorr.identities import (
     ALL_VERIFIERS,
     TOL_ORD,
@@ -17,7 +20,6 @@ from cholcorr.identities import (
 )
 from cholcorr.matrix_core import (
     CorrelationMatrix,
-    bordered_minor_column,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -185,11 +187,136 @@ class TestStreamedChain:
         assert peak < 2_000_000
 
 
+class TestOneWalkPerMatrix:
+    """A container keeps the chain walk and the semi-partial factor, which
+    must change no report."""
+
+    @staticmethod
+    def fresh_reports(values):
+        return [fn(CorrelationMatrix(values)) for _, fn, _ in ALL_VERIFIERS]
+
+    def test_call_order_changes_no_report(self):
+        values = random_correlation(10, seed=6).values
+        expected = self.fresh_reports(values)
+        for order in itertools.permutations(range(len(ALL_VERIFIERS))):
+            r = CorrelationMatrix(values)
+            got = {k: ALL_VERIFIERS[k][1](r) for k in order}
+            assert [got[k] for k in range(len(ALL_VERIFIERS))] == expected
+
+    def test_interleaved_matrices_keep_their_own_reports(self):
+        a, b = (random_correlation(8, seed).values for seed in (1, 2))
+        expected = {"a": self.fresh_reports(a), "b": self.fresh_reports(b)}
+        ra, rb = CorrelationMatrix(a), CorrelationMatrix(b)
+        got = {"a": [], "b": []}
+        for _, fn, _ in reversed(ALL_VERIFIERS):
+            got["b"].append(fn(rb))
+            got["a"].append(fn(ra))
+        assert {k: v[::-1] for k, v in got.items()} == expected
+
+    def test_threads_sharing_one_container_get_the_same_reports(self):
+        # two threads may each build a kept value; either way every report is equal
+        values = random_correlation(12, seed=8).values
+        expected = self.fresh_reports(values)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                r = CorrelationMatrix(values)
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(fn, r) for _ in range(6) for _, fn, _ in ALL_VERIFIERS]
+                    got = [f.result(timeout=60) for f in futures]
+                assert got == expected * 6
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rejected_semipartial_factor_fails_product_sums_alone(self, monkeypatch):
+        # at the TOL_PD edge the semi-partial recursion can reject a pivot the
+        # container accepted; the walk must still serve the other two verifiers
+        import cholcorr.identities as identities
+        values = random_correlation(9, seed=3).values
+        expected = {fn: fn(CorrelationMatrix(values))
+                    for fn in (verify_recursion, verify_general_recursion)}
+
+        def reject(r):
+            raise NotPositiveDefinite(4, 1e-13)
+
+        monkeypatch.setattr(identities, "chol_semipartial", reject)
+        for order in (CHAIN_VERIFIERS, CHAIN_VERIFIERS[::-1]):
+            r = CorrelationMatrix(values)
+            got = {}
+            for fn in order:
+                if fn is verify_product_sums:
+                    with pytest.raises(NotPositiveDefinite):
+                        fn(r)
+                else:
+                    got[fn] = fn(r)
+            assert got == expected
+
+    def test_failed_walk_raises_on_every_chain_verifier(self):
+        # kappa = 1e10, seed 5: the walk raises, keeps nothing, and so raises again;
+        # the semi-partial factor kept before it failed still gives the fresh report
+        r = kappa_correlation(64, 1e10, 5)
+        for fn in CHAIN_VERIFIERS + CHAIN_VERIFIERS:
+            with pytest.raises(SchurNonPositive):
+                fn(r)
+        assert verify_ratio_differences(r) == verify_ratio_differences(
+            kappa_correlation(64, 1e10, 5))
+
+
+def bordered_minors(a, j):
+    """Bordered minors toward column j (1-based, j >= 2): element i-1 is the
+    determinant of the principal submatrix on {1, ..., i-1, j}, read as
+    the ``check_order_conditions`` ladder of column j times the LU
+    determinant of each leading (i-1)-block (the empty block's is 1)."""
+    a = np.asarray(getattr(a, "values", a))
+    ladder = check_order_conditions(a)[2][j - 2]
+    return ladder * np.array([np.linalg.det(a[:i, :i]) for i in range(j)])
+
+
+class TestBorderedDeterminant:
+    """``bordered_minors(r, j)[i-1]`` is the determinant of the principal
+    submatrix on {1, ..., i-1, j}."""
+
+    def test_coincides_with_leading_minor_when_j_equals_i(self):
+        r = random_correlation(6, seed=5)
+        minors = leading_minor_determinants(r)
+        for i in range(2, 7):
+            assert abs(bordered_minors(r, i)[i - 1] - minors[i - 1]) <= 1e-12
+
+    def test_two_by_two_hand_formula(self):
+        r = random_correlation(4, seed=7)
+        rho_14 = r.values[0, 3]
+        assert abs(bordered_minors(r, 4)[1] - (1.0 - rho_14**2)) <= 1e-14
+
+    def test_identity_blocks(self):
+        r = CorrelationMatrix(np.eye(5))
+        assert bordered_minors(r, 5)[2] == 1.0
+
+    def test_against_cofactor_oracle(self):
+        r = random_correlation(5, seed=13)
+        for j in range(2, 6):
+            col = bordered_minors(r, j)
+            for i in range(2, j + 1):
+                idx = list(range(i - 1)) + [j - 1]
+                expected = cofactor_det(r.values[np.ix_(idx, idx)])
+                assert abs(col[i - 1] - expected) <= 1e-12
+
+    def test_column_matches_single_queries(self):
+        # each element against an LU determinant of its own submatrix
+        r = random_correlation(6, seed=21)
+        for j in range(2, 7):
+            col = bordered_minors(r, j)
+            assert col[0] == 1.0
+            for i in range(2, j + 1):
+                idx = list(range(i - 1)) + [j - 1]
+                assert abs(col[i - 1] - np.linalg.det(r.values[np.ix_(idx, idx)])) <= 1e-12
+
+
 def pivot_ladders(r):
     """Ladders for columns j = 2..n from factorization pivots: bordered
     minors toward j divided by the previous leading minors."""
     prev = np.concatenate(([1.0], leading_minor_determinants(r)[:-1]))
-    return [bordered_minor_column(r, j) / prev[:j] for j in range(2, r.n + 1)]
+    return [bordered_minors(r, j) / prev[:j] for j in range(2, r.n + 1)]
 
 
 class TestDeterminantLadders:
@@ -240,7 +367,7 @@ class TestCheckOrderConditions:
         a = indefinite_input(kind, n, param)
         _, _, ladders = check_order_conditions(a)
         for j in range(2, n + 1):
-            col = bordered_minor_column(a, j)
+            col = bordered_minors(a, j)
             for i in range(1, j + 1):
                 det = lu_bordered(a, i, j)
                 assert abs(col[i - 1] - det) <= 1e-12 * max(1.0, abs(det))
@@ -249,7 +376,7 @@ class TestCheckOrderConditions:
 
     def test_bordered_minors_of_known_indefinite_matrix(self):
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-        col = bordered_minor_column(bad, 3)
+        col = bordered_minors(bad, 3)
         np.testing.assert_allclose(col, [1.0, 0.19, -2.888], rtol=0.0, atol=1e-12)
         for i in range(1, 4):
             assert abs(col[i - 1] - lu_bordered(bad, i, 3)) <= 1e-12

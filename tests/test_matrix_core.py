@@ -11,7 +11,6 @@ from cholcorr.matrix_core import (
     CorrelationMatrix,
     CovarianceMatrix,
     banachiewicz_inverse,
-    bordered_minor_column,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -292,52 +291,6 @@ class TestLeadingMinors:
         minors = leading_minor_determinants(r)
         assert np.all(minors > 0)
         assert np.all(np.diff(minors) <= 1e-12)
-
-
-class TestBorderedDeterminant:
-    """``bordered_minor_column(r, j)[i-1]`` is the determinant of the
-    principal submatrix on {1, ..., i-1, j}."""
-
-    def test_coincides_with_leading_minor_when_j_equals_i(self):
-        r = random_correlation(6, seed=5)
-        minors = leading_minor_determinants(r)
-        for i in range(2, 7):
-            assert abs(bordered_minor_column(r, i)[i - 1] - minors[i - 1]) <= 1e-12
-
-    def test_two_by_two_hand_formula(self):
-        r = random_correlation(4, seed=7)
-        rho_14 = r.values[0, 3]
-        assert abs(bordered_minor_column(r, 4)[1] - (1.0 - rho_14**2)) <= 1e-14
-
-    def test_identity_blocks(self):
-        r = CorrelationMatrix(np.eye(5))
-        assert bordered_minor_column(r, 5)[2] == 1.0
-
-    def test_against_cofactor_oracle(self):
-        r = random_correlation(5, seed=13)
-        for j in range(2, 6):
-            col = bordered_minor_column(r, j)
-            for i in range(2, j + 1):
-                idx = list(range(i - 1)) + [j - 1]
-                expected = cofactor_det(r.values[np.ix_(idx, idx)])
-                assert abs(col[i - 1] - expected) <= 1e-12
-
-    def test_column_matches_single_queries(self):
-        # each element against an LU determinant of its own submatrix
-        r = random_correlation(6, seed=21)
-        for j in range(2, 7):
-            col = bordered_minor_column(r, j)
-            assert col[0] == 1.0
-            for i in range(2, j + 1):
-                idx = list(range(i - 1)) + [j - 1]
-                assert abs(col[i - 1] - np.linalg.det(r.values[np.ix_(idx, idx)])) <= 1e-12
-
-    def test_index_errors(self):
-        r = random_correlation(4, seed=1)
-        with pytest.raises(IndexError):
-            bordered_minor_column(r, 0)
-        with pytest.raises(IndexError):
-            bordered_minor_column(r, 5)
 
 
 class TestBanachiewiczInverse:
