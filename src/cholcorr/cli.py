@@ -296,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False):
+    def add_common(p, seed=False, out=True):
         p.add_argument("--format", choices=("csv", "json"),
                        help="file format (default: inferred from extension, csv otherwise)")
-        p.add_argument("--out", help="output path (default: stdout)")
+        if out:
+            p.add_argument("--out", help="output path (default: stdout)")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("input", help="matrix file")
     v.add_argument("--tol", type=float, default=1e-9,
                    help="largest acceptable identity residual")
-    add_common(v)
+    add_common(v, out=False)  # verify writes only to stdout
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("test", help="sequential dependence t-test on a sample block")

@@ -6,11 +6,17 @@ different code paths (explicit blockwise inverses or Schur-elimination
 ladders against the semi-partial recursion) and reports the worst
 absolute residual with its location, so a shared bug cannot cancel.
 The three inverse-based verifiers read one walk of the chain of
-leading-block inverses, which holds only the current pair and runs once
-per matrix: the first of them to be called makes it, and the container
-keeps all three reports. ``verify_recursion`` is one column of the
-two-column recursion that ``verify_general_recursion`` checks. The
-semi-partial factor is likewise built once per matrix.
+leading-block inverses, made once per matrix by the first of them to be
+called and kept by the container. Beside each inverse R_i^{-1} the walk
+carries the n x n matrix of bordered quadratic forms
+G_i = A_{:i}^T R_i^{-1} A_{:i}, holding only the current and previous
+pair. The one- and two-column recursions are checked on the difference
+of successive G; ``verify_recursion`` is one column of the two-column
+recursion that ``verify_general_recursion`` checks. The walk does not
+read the semi-partial factor C: ``verify_product_sums`` compares the rows
+of G the walk keeps with all running sums of products at once, as the
+one triangular product tril(C, -1) C^T. The semi-partial factor is built
+once per matrix as well.
 
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
@@ -37,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
 from .matrix_core import (
     CorrelationMatrix,
     _schur_ladders,
@@ -68,53 +73,48 @@ class IdentityReport:
             raise ValueError("residual must be non-negative")
 
 
-def _chain_reports(r: CorrelationMatrix) -> dict[str, IdentityReport]:
-    """The reports of the three inverse-based identities, by name, from one
-    walk of the chain of leading-block inverses; reach it through
-    ``r._once`` so one walk serves all three verifiers.
+def _chain(r: CorrelationMatrix):
+    """One walk of the chain of leading-block inverses: ``q`` and the
+    ``recursion`` and ``general_recursion`` reports; reach it through
+    ``r._once`` so one walk serves all three chain verifiers.
 
     For i = 1..n-1 the inverse of the leading i-block is grown from that of
-    the (i-1)-block by blockwise extension. The empty 0-block starts the
-    chain, so prefix quadratic forms vanish naturally; only the current
-    pair is held. Each report is the worst residual over all i with its
-    1-based (i, j, l); l is 0 unless the identity has two columns. Where
-    the semi-partial factor rejects a pivot that the container accepted
-    (rounding at the ``TOL_PD`` edge), ``verify_product_sums`` raises and
-    the walk still makes the other two reports.
+    the (i-1)-block by blockwise extension, and with it the n x n matrix of
+    bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i} (G_0 = 0, the
+    empty block). Only the current and previous inverse and G are held.
+    Row i of G_{i-1} (1-based) holds q_ij, so with rest_j = rho_ij - q_ij,
+    whose entry j = i is 1 - q_ii, the two-column residual at step i is
+    |G_i - G_{i-1} - rest^T rest / (1 - q_ii)| over j >= l >= i+1, and the
+    one-column ``recursion`` residual is its l = i+1 column. ``q[i, j-1]``
+    (0-based row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is
+    what ``verify_product_sums`` reads, and the walk does not read the
+    semi-partial factor. Each report is the first worst residual in
+    (i, j, l) order, 1-based; l is 0 for the one-column identity.
     """
-    a = r.values
-    worst = dict.fromkeys(("product_sums", "recursion", "general_recursion"), (-1.0, (0, 0, 0)))
-    try:
-        coeffs = r._once(chol_semipartial).entries
-    except NotPositiveDefinite:  # verify_product_sums raises it before reading the walk
-        del worst["product_sums"]
-    inv = np.zeros((0, 0))
-    for i in range(1, r.n):
-        prev, rho = inv, a[: i - 1, i - 1]
+    a, n = r.values, r.n
+    inv, g = np.zeros((0, 0)), np.zeros((n, n))
+    q, rec = np.zeros((n, n)), np.zeros((n, n))
+    general = (-1.0, (0, 0, 0))
+    for i in range(1, n):
+        prev, g_prev, rho = inv, g, a[: i - 1, i - 1]
         inv = banachiewicz_inverse(prev, rho, a[i - 1, i - 1] - rho @ prev @ rho)
-        v = prev @ rho
+        g = a[:i].T @ (inv @ a[:i])
+        rest = a[i - 1] - g_prev[i - 1]  # rho_ij - q_ij; 1 - q_ii at j = i
+        res = np.tril(np.abs(g - g_prev - np.multiply.outer(rest, rest) / rest[i - 1])[i:, i:])
+        q[i, i:], rec[i, i:] = g[i, i:], res[:, 0]
+        j, l = divmod(int(np.argmax(res)), n - i)
+        if res[j, l] > general[0]:
+            general = (float(res[j, l]), (i, j + i + 1, l + i + 1))
+    return q, _worst("recursion", rec[1:], 1), IdentityReport("general_recursion", *general)
 
-        def num(cols):  # rho_i,cols - q_i,cols; 1 - q_ii at cols = i-1
-            return a[i - 1, cols] - a[: i - 1, cols].T @ v
 
-        q_next = a[:i].T @ (inv @ a[:i, i])  # Q_{i+1} toward column i+1
-        rest, pivot = num(slice(None)), num(i - 1)
-        general = np.abs(a[:i].T @ (inv @ a[:i]) - (
-            a[: i - 1].T @ (prev @ a[: i - 1]) + np.multiply.outer(rest, rest) / pivot))
-        blocks = {
-            "recursion": np.abs(q_next - (
-                a[: i - 1].T @ (prev @ a[: i - 1, i]) + np.multiply.outer(rest, num(i)) / pivot
-            ))[i:, None],
-            "general_recursion": np.tril(general[i:, i:]),
-        }
-        if "product_sums" in worst:
-            blocks["product_sums"] = np.abs(q_next - coeffs[:, :i] @ coeffs[i, :i])[i:, None]
-        for name, res in blocks.items():
-            row, col = divmod(int(np.argmax(res)), res.shape[1])
-            if res[row, col] > worst[name][0]:
-                l = col + i + 1 if name == "general_recursion" else 0
-                worst[name] = (float(res[row, col]), (i, row + i + 1, l))
-    return {name: IdentityReport(name, *report) for name, report in worst.items()}
+def _worst(name: str, res: np.ndarray, first: int) -> IdentityReport:
+    """The report of the first largest entry of ``res`` over j >= i+1, in
+    (i, j) order, where row 0 of ``res`` is i = ``first`` and column j - 1
+    is column j."""
+    res = np.where(np.triu(np.ones(res.shape, dtype=bool), first), res, -1.0)
+    i, j = divmod(int(np.argmax(res)), res.shape[1])
+    return IdentityReport(name, float(res[i, j]), (i + first, j + 1, 0))
 
 
 def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
@@ -128,8 +128,8 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
     """
     if r.n < 2:
         raise ValueError("need n >= 2")
-    r._once(chol_semipartial)  # a rejected pivot raises here, before the chain
-    return r._once(_chain_reports)["product_sums"]
+    c = r._once(chol_semipartial).entries  # a rejected pivot raises here, before the walk
+    return _worst("product_sums", np.abs(r._once(_chain)[0] - np.tril(c, -1) @ c.T)[1:], 1)
 
 
 def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
@@ -144,7 +144,7 @@ def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
     """
     if r.n < 3:
         raise ValueError("need n >= 3")
-    return r._once(_chain_reports)["recursion"]
+    return r._once(_chain)[1]
 
 
 def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
@@ -159,8 +159,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     Schur elimination, right side from the left-looking semi-partial
     recursion and the reference's pivot-product minors.
     """
-    n = r.n
-    if n < 3:
+    if r.n < 3:
         raise ValueError("need n >= 3")
     d = _schur_ladders(r.values)
     minors = leading_minor_determinants(r)
@@ -168,11 +167,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     coeffs = r._once(chol_semipartial).entries
     num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
     rhs = num[:-1] ** 2 * (prev / minors)[:-1, None]
-    keep = np.triu(np.ones((n - 1, n), dtype=bool), 1)
-    keep[0] = False  # i = 1 is excluded
-    res = np.where(keep, np.abs(d[:-1] - d[1:] - rhs), -1.0)  # row i-1, column j-1
-    i, j = divmod(int(np.argmax(res)), n)
-    return IdentityReport("ratio_differences", float(res[i, j]), (i + 1, j + 1, 0))
+    return _worst("ratio_differences", np.abs(d[:-1] - d[1:] - rhs)[1:], 2)  # i = 1 is excluded
 
 
 def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
@@ -186,7 +181,7 @@ def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
     """
     if r.n < 3:
         raise ValueError("need n >= 3")
-    return r._once(_chain_reports)["general_recursion"]
+    return r._once(_chain)[2]
 
 
 ALL_VERIFIERS = (

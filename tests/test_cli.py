@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -475,6 +477,29 @@ class TestVerify:
         src.write_text("1,0.3\n0.3,1\n")
         assert main(["verify", str(src)]) == 0
         assert "n/a" in capsys.readouterr().out
+
+    def test_out_is_not_an_option(self, tmp_path, capsys):
+        # verify prints its report; an --out it would ignore is a usage error
+        src, out = tmp_path / "r2.csv", tmp_path / "report.txt"
+        src.write_text("1,0.3\n0.3,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(src), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
+
+class TestParser:
+    def test_every_flag_is_read_by_its_command(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for command, parser in subparsers.choices.items():
+            source = inspect.getsource(parser.get_default("func"))
+            unread += [(command, action.dest) for action in parser._actions
+                       if action.dest not in ("help", "func")
+                       and f"args.{action.dest}" not in source]
+        assert unread == []
 
 
 class TestTest:

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cholcorr.identities import (
 )
 from cholcorr.matrix_core import (
     CorrelationMatrix,
+    banachiewicz_inverse,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -60,6 +62,17 @@ class TestProductSums:
                 rhs = factor[i, :i] @ factor[j - 1, :i]
                 assert abs(lhs - rhs) <= 1e-11
 
+    def test_planted_factor_error_is_found(self, monkeypatch):
+        # on the identity every quadratic form is 0, so c_52 = 1e-3 in the factor
+        # the check reads leaves only the sum for i = 4, j = 5: c_52^2 = 1e-6
+        import cholcorr.identities as identities
+        c = np.eye(6)
+        c[4, 1] = 1e-3
+        monkeypatch.setattr(identities, "chol_semipartial", lambda r: SimpleNamespace(entries=c))
+        rep = verify_product_sums(CorrelationMatrix(np.eye(6)))
+        assert rep.max_residual == pytest.approx(1e-6)
+        assert rep.location == (4, 5, 0)
+
     def test_needs_two(self):
         with pytest.raises(ValueError):
             verify_product_sums(CorrelationMatrix(np.eye(1)))
@@ -68,6 +81,24 @@ class TestProductSums:
 class TestRecursion:
     def test_identity_input_is_exactly_zero(self):
         assert verify_recursion(CorrelationMatrix(np.eye(5))).max_residual == 0.0
+
+    def test_planted_inverse_error_is_found_in_column_i_plus_1(self, monkeypatch):
+        # an error d in the 1 x 1 inverse shows only at i = 1, as d * rho_1j * rho_1l:
+        # the recursion reads l = 2, the general recursion every l >= 2
+        import cholcorr.identities as identities
+        a = np.eye(4)
+        a[0, 1:] = a[1:, 0] = (0.1, 0.2, 0.6)
+
+        def planted(prev, rho, c):
+            out = banachiewicz_inverse(prev, rho, c)
+            out[0, 0] += 1e-3 if out.shape == (1, 1) else 0.0
+            return out
+
+        monkeypatch.setattr(identities, "banachiewicz_inverse", planted)
+        r = CorrelationMatrix(a)
+        rec, general = verify_recursion(r), verify_general_recursion(r)
+        assert (rec.max_residual, rec.location) == (pytest.approx(1e-3 * 0.1 * 0.6), (1, 4, 0))
+        assert (general.max_residual, general.location) == (pytest.approx(1e-3 * 0.36), (1, 4, 4))
 
     def test_three_by_three_hand_check(self):
         r = random_correlation(5, seed=40)
