@@ -68,12 +68,21 @@ def render_table(a: np.ndarray, fmt: str) -> str:
     The CSV branch formats each distinct value once, keyed by bit pattern
     so that -0.0 and 0.0 stay apart: the matrices cholcorr writes are
     symmetric or triangular, so this halves their shortest round-trip
-    conversions without changing a byte.
+    conversions. Each distinct value is first written by ``repr``, which
+    is already ``format_value``'s string for every finite v with
+    1e-4 <= |v| < 1e16 that is not integral. Only the other three classes
+    go through ``format_value``: |v| < 1e-4 (``repr`` writes an exponent),
+    integral v, including -0.0, 0.0 and every |v| >= 1e16 (``repr`` ends in
+    ``.0`` or writes an exponent), and inf and nan. The bytes are the same
+    as formatting every cell with ``format_value``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if fmt == "csv":
         bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-        text = np.fromiter(map(format_value, bits.view(float).tolist()), object, bits.size)
+        u = bits.view(float)
+        text = np.array(list(map(repr, u.tolist())), dtype=object)
+        odd = ~(np.abs(u) >= 1e-4) | (u == np.trunc(u)) | ~np.isfinite(u)
+        text[odd] = [format_value(v) for v in u[odd].tolist()]
         rows = text[inverse.reshape(a.shape)].tolist()
         return "\n".join(map(",".join, rows)) + "\n"
     obj = {"n": a.shape[1], "rows": a.tolist()}

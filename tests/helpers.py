@@ -29,6 +29,22 @@ def kappa_correlation(n, kappa, seed):
     return CorrelationMatrix(a * np.outer(d, d))
 
 
+def one_tiny_eigenvalue(t):
+    """Unit-diagonal matrix from seed [11, t]: n in 3..79, a random
+    orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of
+    +-10^U(-17, -10). Its last pivots sit at the level of rounding, where
+    LAPACK and the Schur kernel can disagree about the sign."""
+    rng = np.random.default_rng([11, t])
+    n = int(rng.integers(3, 80))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ev = np.exp(rng.uniform(np.log(1e-3), 0.0, n))
+    ev[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -10)
+    a = (q * ev) @ q.T
+    d = 1.0 / np.sqrt(np.diag(a))
+    a = a * np.outer(d, d)
+    return 0.5 * (a + a.T)
+
+
 def cofactor_det(a):
     """Determinant by recursive first-row cofactor expansion. Factorial
     cost, keep n small."""

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import kappa_correlation, t_quantile_betaincinv
+from helpers import kappa_correlation, one_tiny_eigenvalue, t_quantile_betaincinv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import UsageError, format_value, load_table, main, render_table
+from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
 
@@ -116,6 +117,34 @@ class TestRenderTable:
 
     def test_signed_zeros_stay_apart(self):
         assert render_table(np.array([[0.0, -0.0], [-0.0, 0.0]]), "csv") == "0,-0\n-0,0\n"
+
+    # each side of both edges of repr's positional range (1e-4 and 1e16),
+    # integral values inside it, no repeated values, one value just under
+    # 1e-4 among many, and a triangle of zeros
+    FIXED = {
+        "hostile": lambda: np.array([HOSTILE + [100.0, -3.0, 1e15, 2.0**53]]),
+        "normal-2000x10": lambda: np.random.default_rng(0).standard_normal((2000, 10)),
+        "generate-n25-element1": lambda: generate_batch(GeneratorConfig(n=25, seed=0), 2)[1].values,
+        "semipartial-n64": lambda: chol_semipartial(
+            generate_batch(GeneratorConfig(n=64, seed=2024), 1)[0]).entries,
+    }
+
+    @pytest.mark.parametrize("table", sorted(FIXED))
+    def test_csv_matches_per_value_formatting_on_fixed_tables(self, table):
+        a = self.FIXED[table]()
+        assert render_table(a, "csv") == per_value_csv(a)
+
+    @pytest.mark.parametrize("k, formatted", [(0, [1.0]), (1, [-9.640713378749802e-05, 1.0])])
+    def test_format_value_runs_only_where_repr_differs(self, monkeypatch, k, formatted):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return format_value(v)
+
+        monkeypatch.setattr(cli, "format_value", counted)
+        render_table(generate_batch(GeneratorConfig(n=25, seed=0), 2)[k].values, "csv")
+        assert sorted(calls) == formatted
 
 
 class TestLoadTable:
@@ -305,6 +334,21 @@ class TestDecompose:
         assert manifest["command"] == "decompose"
         assert manifest["options"]["method"] == "semipartial"
         assert "tol_pd" in manifest["tolerances"]
+
+    # known limit at the TOL_PD edge: potrf puts the last pivot just above
+    # TOL_PD (1.0004e-12 and 1.195e-11), the semi-partial recursion just
+    # below it, so the routes disagree about definiteness on the same file
+    @pytest.mark.parametrize("seed, pivot", [(837, "pivot 65 is 9.989787e-13"),
+                                             (2345, "pivot 54 is -5.341949e-12")])
+    def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, seed, pivot):
+        src = tmp_path / "edge.csv"
+        np.savetxt(src, one_tiny_eigenvalue(seed), fmt="%.17g", delimiter=",")
+        assert main(["decompose", str(src), "--method", "reference"]) == 0
+        capsys.readouterr()
+        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"]):
+            assert main(["decompose", str(src), *flags]) == 3
+            assert pivot in capsys.readouterr().err
+        assert main(["verify", str(src)]) == 1
 
 
 class TestGenerate:

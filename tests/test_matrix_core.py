@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from helpers import adjugate_inverse, cofactor_det, random_correlation
+import scipy
+from helpers import adjugate_inverse, cofactor_det, one_tiny_eigenvalue, random_correlation
 from scipy.linalg import lapack
 
 import cholcorr.matrix_core as matrix_core
@@ -30,20 +31,14 @@ def exact_schur(a, k):
     return a[k - 1, k - 1] - a[k - 1, : k - 1] @ np.linalg.solve(lead, a[: k - 1, k - 1])
 
 
-def one_tiny_eigenvalue(t):
-    """Unit-diagonal matrix from seed [11, t]: n in 3..79, a random
-    orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of
-    +-10^U(-17, -10). Its last pivots sit at the level of rounding, where
-    LAPACK and the Schur kernel can disagree about the sign."""
-    rng = np.random.default_rng([11, t])
-    n = int(rng.integers(3, 80))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    ev = np.exp(rng.uniform(np.log(1e-3), 0.0, n))
-    ev[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -10)
-    a = (q * ev) @ q.T
-    d = 1.0 / np.sqrt(np.diag(a))
-    a = a * np.outer(d, d)
-    return 0.5 * (a + a.T)
+def lapack_builds():
+    """The LAPACK builds that numpy and scipy link, as one line: the two
+    can differ, and their ``potrf`` pivots then round differently."""
+    return "; ".join(
+        f"{module.__name__} {module.__version__} links LAPACK {build['name']} {build['version']}"
+        for module in (np, scipy)
+        for build in [module.show_config(mode="dicts")["Build Dependencies"]["lapack"]]
+    )
 
 
 def dpotrf_reject_index(a):
@@ -230,7 +225,8 @@ class TestReferenceCholesky:
         seeds = [*range(1000), 1566]
         got = {t: reject_index(one_tiny_eigenvalue(t)) for t in seeds}
         expected = {t: dpotrf_reject_index(one_tiny_eigenvalue(t)) for t in seeds}
-        assert {t: (got[t], expected[t]) for t in seeds if got[t] != expected[t]} == {}
+        assert {t: (got[t], expected[t]) for t in seeds if got[t] != expected[t]} == {}, (
+            lapack_builds())
         assert 500 < sum(k is not None for k in got.values()) < 1000
 
     @pytest.mark.parametrize("n", [3, 10, 64])
