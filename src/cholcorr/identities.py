@@ -48,6 +48,7 @@ from .matrix_core import (
     _schur_ladders,
     _symmetrized,
     _unit_diagonal,
+    as_array,
     banachiewicz_inverse,
     leading_minor_determinants,
 )
@@ -218,7 +219,7 @@ def check_order_conditions(m):
     ``ValueError``.
     """
     with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails every comparison
-        d = _schur_ladders(_unit_diagonal(_symmetrized(m)))
+        d = _schur_ladders(_unit_diagonal(_symmetrized(as_array(m))))
         pivots = d.diagonal()
         det_ok = bool(np.all(pivots > TOL_ORD) and np.all(pivots <= 1.0 + TOL_ORD))
         upper = np.triu(np.ones(d.shape, dtype=bool))

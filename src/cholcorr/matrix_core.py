@@ -29,11 +29,21 @@ keep every value derived from them through ``_once`` (a factor route, the
 verifiers' inverse chain): each is built once per container. Two threads
 may each build the same value, but the results are equal.
 
+The one validation path takes a stack: each check, and the ``potrf``
+factorization, reads one n x n matrix or a (k, n, n) stack alike, so a
+batch of k matrices is validated in one pass of numpy calls. The private
+builder ``_stack`` returns one container per element, holding views of
+the frozen stacked arrays; a stack that fails any check is validated
+again one element at a time, so it raises exactly what its first failing
+element raises on its own.
+
 The tolerances below are fixed constants, not parameters of any public
 function.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,25 +70,27 @@ def as_array(m) -> np.ndarray:
     return a
 
 
-def _symmetrized(values) -> np.ndarray:
-    """Finite square input, symmetric within ``TOL_SYM``, averaged with its
-    transpose (a fresh array)."""
-    a = as_array(values)
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """Finite square matrix or (k, n, n) stack, symmetric within
+    ``TOL_SYM``, averaged with its transpose (a fresh array)."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    err = float(np.max(np.abs(a - a.T)))
+    at = np.swapaxes(a, -1, -2)
+    err = float(np.max(np.abs(a - at)))
     if err > TOL_SYM:
         raise ValueError(f"matrix is not symmetric: max asymmetry {err:.3e}")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def _unit_diagonal(a: np.ndarray) -> np.ndarray:
-    """``a`` with its diagonal set to exactly 1, in place, after checking
-    that no diagonal entry is further than ``TOL_SYM`` from 1."""
-    err = float(np.max(np.abs(a.diagonal() - 1.0)))
+    """``a`` (a matrix or a stack) with every diagonal set to exactly 1, in
+    place, after checking that no diagonal entry is further than
+    ``TOL_SYM`` from 1."""
+    diagonal = np.einsum("...ii->...i", a)  # a writable view
+    err = float(np.max(np.abs(diagonal - 1.0)))
     if err > TOL_SYM:
         raise ValueError(f"matrix does not have a unit diagonal: max |a_ii - 1| {err:.3e}")
-    np.fill_diagonal(a, 1.0)
+    diagonal[...] = 1.0
     return a
 
 
@@ -86,19 +98,28 @@ class _FactoredMatrix:
     """Immutable symmetric positive-definite n x n matrix that keeps the
     factor and pivots it was validated with.
 
-    The one validation path of both containers: ``_symmetrized``, then the
-    subclass's ``_check`` (which may set entries exactly), then the
-    reference factorization, which raises ``NotPositiveDefinite`` at the
-    failing pivot.
+    The one validation path of both containers, ``_validated``, takes one
+    matrix or a (k, n, n) stack: ``_symmetrized``, then the subclass's
+    ``_check`` (which may set entries exactly), then the reference
+    factorization, which raises ``NotPositiveDefinite`` at the failing
+    pivot. The constructor runs it on one matrix, ``_stack`` on a stack.
     """
 
     def __init__(self, values):
-        sym = _symmetrized(values)
-        self._check(sym)
+        self._hold(*self._validated(as_array(values)))
+
+    @classmethod
+    def _validated(cls, a: np.ndarray):
+        """Frozen symmetrized values, lower factor and pivots of ``a``."""
+        sym = _symmetrized(a)
+        cls._check(sym)
         lower, pivots = _cholesky_pivots(sym, TOL_PD)
-        for a in (sym, lower, pivots):
-            a.flags.writeable = False
-        self._values, self._lower, self._pivots = sym, lower, pivots
+        for x in (sym, lower, pivots):
+            x.flags.writeable = False
+        return sym, lower, pivots
+
+    def _hold(self, values, lower, pivots):
+        self._values, self._lower, self._pivots = values, lower, pivots
         self._memo = {}
 
     def _once(self, build):
@@ -132,9 +153,11 @@ class CorrelationMatrix(_FactoredMatrix):
     rejected immediately with the failing pivot. The factor is kept.
     """
 
-    def _check(self, sym: np.ndarray) -> None:
-        off = _unit_diagonal(sym)[~np.eye(sym.shape[0], dtype=bool)]
-        if off.size and np.max(np.abs(off)) >= 1.0:
+    @staticmethod
+    def _check(sym: np.ndarray) -> None:
+        # every diagonal entry is exactly 1 by now, so any |entry| >= 1
+        # beyond one per row is off the diagonal
+        if np.count_nonzero(np.abs(_unit_diagonal(sym)) >= 1.0) > sym.size // sym.shape[-1]:
             raise ValueError("off-diagonal correlations must lie strictly inside (-1, 1)")
 
 
@@ -146,15 +169,18 @@ class CovarianceMatrix(_FactoredMatrix):
     judged relative to its diagonal entry, and keeps the factor.
     """
 
-    def _check(self, sym: np.ndarray) -> None:
-        diag = np.diag(sym)
-        if np.any(diag <= 0):
+    @staticmethod
+    def _check(sym: np.ndarray) -> None:
+        if np.any(np.diagonal(sym, axis1=-2, axis2=-1) <= 0):
             raise ValueError("covariance diagonal must be strictly positive")
-        self._sigmas = _freeze(np.sqrt(diag))
 
     @property
     def sigmas(self) -> np.ndarray:
-        return self._sigmas
+        return self._once(_sigmas)
+
+
+def _sigmas(m: CovarianceMatrix) -> np.ndarray:
+    return _freeze(np.sqrt(np.diag(m.values)))
 
 
 class CholeskyFactor:
@@ -162,16 +188,27 @@ class CholeskyFactor:
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        if a.ndim != 2:
+            raise ValueError(f"expected a square factor, got shape {a.shape}")
+        self._hold(*self._validated(a))
+
+    @staticmethod
+    def _validated(a: np.ndarray):
+        """``(a,)``, frozen, after the factor checks, which read one n x n
+        factor or a (k, n, n) stack alike."""
+        if a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
             raise ValueError(f"expected a square factor, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("factor entries must be finite")
         if np.any(np.triu(a, 1) != 0.0):
             raise ValueError("strict upper triangle must be exactly zero")
-        if np.any(np.diag(a) <= 0.0):
+        if np.any(np.diagonal(a, axis1=-2, axis2=-1) <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
         a.flags.writeable = False
-        self._entries = a
+        return (a,)
+
+    def _hold(self, entries):
+        self._entries = entries
 
     @property
     def entries(self) -> np.ndarray:
@@ -190,8 +227,9 @@ class CholeskyFactor:
 
 
 def _cholesky_pivots(a: np.ndarray, tol_pd: float):
-    """Lower factor and pivot sequence of a symmetric matrix (lower
-    triangle read) from LAPACK ``potrf``.
+    """Lower factor and pivot sequence of a symmetric matrix, or of each
+    matrix of a (k, n, n) stack (lower triangle read), from LAPACK
+    ``potrf``.
 
     Pivot i is the Schur complement ``a_ii - sum_k l_ik^2`` (the squared
     diagonal entry). The factor comes from ``numpy.linalg.cholesky`` and
@@ -200,23 +238,26 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     that test, reading the pivots of ``potrf``'s own factor or, when
     ``potrf`` stops, the diagonal of ``_schur_ladders``. Where ``potrf``
     stops but the Schur kernel's different rounding leaves every pivot
-    above the tolerance, the smallest relative pivot is reported.
+    above the tolerance, the smallest relative pivot is reported. A
+    rejected stack is factored again one matrix at a time, and the first
+    rejected matrix raises.
     """
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         lower = None
+    else:
+        pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+        if np.all(pivots > tol_pd * np.diagonal(a, axis1=-2, axis2=-1)):  # NaN fails too
+            return lower, pivots
+    if a.ndim > 2:
+        for element in a:
+            _cholesky_pivots(element, tol_pd)
+    if lower is None:
         with np.errstate(all="ignore"):
             pivots = _schur_ladders(a).diagonal()
-    else:
-        pivots = lower.diagonal() ** 2
-    ok = pivots > tol_pd * a.diagonal()  # NaN fails too
-    if not ok.all():
-        k = int(np.argmin(ok))
-    elif lower is None:
-        k = int(np.argmin(pivots / a.diagonal()))
-    else:
-        return lower, pivots
+    ok = pivots > tol_pd * a.diagonal()
+    k = int(np.argmin(ok)) if not ok.all() else int(np.argmin(pivots / a.diagonal()))
     raise NotPositiveDefinite(k + 1, pivots[k])
 
 
@@ -225,7 +266,29 @@ def _factor_of(m):
     holds, or one factorization of an array after ``_symmetrized``."""
     if isinstance(m, _FactoredMatrix):
         return m._lower, m._pivots
-    return _cholesky_pivots(_symmetrized(m), TOL_PD)
+    return _cholesky_pivots(_symmetrized(as_array(m)), TOL_PD)
+
+
+def _stack(cls, values: np.ndarray) -> list:
+    """One ``cls`` per element of the (k, n, n) stack ``values``, validated
+    in one pass of ``cls._validated``; each holds views of the frozen
+    stacked arrays."""
+    try:
+        stacked = cls._validated(values)
+    except ValueError:  # built alone, the first failing element raises as it does on its own
+        return [cls(v) for v in values]
+    out = []
+    for parts in zip(*stacked):
+        m = cls.__new__(cls)
+        m._hold(*parts)
+        out.append(m)
+    return out
+
+
+# Bound to the classes here: a caller that names a class at call time
+# would follow any later rebinding of that name to a plain function.
+_correlation_stack = functools.partial(_stack, CorrelationMatrix)
+_factor_stack = functools.partial(_stack, CholeskyFactor)
 
 
 def reference_cholesky(m) -> CholeskyFactor:

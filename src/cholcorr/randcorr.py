@@ -18,6 +18,18 @@ Because the ladders are non-increasing and positive by construction, the
 result is always positive-definite, and the determinant of R equals the
 smallest uniform drawn in step 1.
 
+Distribution
+------------
+The output is not uniform over correlation matrices, and its law depends
+on variable position. The step-1 targets D_2 >= ... >= D_n are n-1
+independent uniforms on (0, 1], sorted. r_12 = l_21 and
+l_21^2 = 1 - D_2, one minus the largest, so r_12^2 ~ Beta(1, n-1).
+det R = D_n, the smallest, so P(det R <= x) = 1 - (1 - x)^(n-1). Later
+rows split their unit norm over more ladder steps, so r_{n-1,n} has
+another law than r_12. Callers who need draws that are exchangeable in
+the variables permute each matrix themselves (P R P^T for a random
+permutation P); the generator has no option for it.
+
 Determinism contract
 --------------------
 Streams are numpy PCG64 generators keyed by ``SeedSequence``. A matrix
@@ -30,6 +42,13 @@ and order as one call per step and row. Uniforms on (a, b] are realized
 as ``b - (b - a) * u`` with ``u`` on [0, 1). Batch element k uses the
 substream ``SeedSequence(seed, spawn_key=(k,))``, so it does not depend
 on the batch size.
+
+A batch is computed as chunked stacks: each chunk of at most
+``_CHUNK_FLOATS`` floats per stacked array (at least one matrix) draws
+its elements' uniforms, builds their factors with the steps above along
+a leading axis, and validates them in one pass. The steps are elementwise,
+so every byte equals what element-by-element generation gives; the
+chunk bounds peak memory, and at large n a chunk is one matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import CholeskyFactor, CorrelationMatrix
+from .matrix_core import CorrelationMatrix, _correlation_stack, _factor_stack
+
+_CHUNK_FLOATS = 2**16  # floats per stacked array in a batch chunk
 
 
 @dataclass(frozen=True)
@@ -70,6 +91,45 @@ def stream(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
+    """The (k, n, n) stack of factor entries built from a (k, n(n-1))
+    stack of uniforms, row k holding one matrix's draws in contract order."""
+    count = u.shape[0]
+    entries = np.zeros((count, n, n))
+    entries[:, 0, 0] = 1.0
+    if n > 1:
+        half = n * (n - 1) // 2
+        draws = np.sort(1.0 - u[:, : n - 1], axis=-1)[:, ::-1]
+        targets = np.concatenate((np.ones((count, 1)), draws), axis=-1)  # D_1 = 1, D_j = U_(j)
+        ljj_sq = (targets[:, 1:] / targets[:, :-1])[..., None]  # row j-2 is l_jj^2
+        # row j-2 holds the j-2 interior draws of row j, padded with -1 so
+        # that the descending sort leaves the pads behind them; the pads turn
+        # into l_jj^2 only after the sort, as a draw can round a hair below it
+        lower = np.broadcast_to(np.tri(n - 1, k=-1, dtype=bool), (count, n - 1, n - 1))
+        inner = np.zeros(lower.shape)
+        inner[lower] = u[:, n - 1 : half].ravel()
+        inner = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, -1.0)
+        inner.sort(axis=-1)
+        ladders = np.ones((count, n - 1, n))
+        ladders[..., 1:] = np.where(lower, inner[..., ::-1], ljj_sq)
+        del inner  # a chunk's live temporaries set the batch's peak memory
+        entries[:, 1:, :-1] = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
+        del ladders
+        np.einsum("...ii->...i", entries[:, 1:, 1:])[...] = np.sqrt(ljj_sq[..., 0])
+        strict = np.broadcast_to(np.tri(n, k=-1, dtype=bool), entries.shape)
+        entries[strict] *= np.where(u[:, half:] < sign_bias, 1.0, -1.0).ravel()
+    return entries
+
+
+def _generate(cfg: GeneratorConfig, rngs: list[np.random.Generator]):
+    """Factors and correlation matrices of one stack, element k drawing
+    its uniforms from ``rngs[k]``."""
+    n = cfg.n
+    entries = _factor_entries(np.stack([rng.random(n * (n - 1)) for rng in rngs]), n, cfg.sign_bias)
+    factors = _factor_stack(entries)
+    return factors, _correlation_stack(entries @ np.swapaxes(entries, -1, -2))
+
+
 def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     """One random factor and its correlation matrix.
 
@@ -77,32 +137,8 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     norms up to rounding) and ``r`` the assembled correlation matrix,
     which always passes positive-definite construction.
     """
-    n = cfg.n
-    if rng is None:
-        rng = stream(cfg.seed)
-    entries = np.zeros((n, n))
-    entries[0, 0] = 1.0
-    if n > 1:
-        u = rng.random(n * (n - 1))
-        half = n * (n - 1) // 2
-        draws = np.sort(1.0 - u[: n - 1])[::-1]
-        targets = np.concatenate(([1.0], draws))  # D_1 = 1, D_j = U_(j)
-        ljj_sq = targets[1:, None] / targets[:-1, None]  # row j-2 is l_jj^2
-        # row j-2 holds the j-2 interior draws of row j, padded with -1 so
-        # that the descending sort leaves the pads behind them; the pads turn
-        # into l_jj^2 only after the sort, as a draw can round a hair below it
-        lower = np.tri(n - 1, k=-1, dtype=bool)
-        inner = np.zeros((n - 1, n - 1))
-        inner[lower] = u[n - 1 : half]
-        inner = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, -1.0)
-        inner.sort(axis=1)
-        ladders = np.ones((n - 1, n))
-        ladders[:, 1:] = np.where(lower, inner[:, ::-1], ljj_sq)
-        entries[1:, :-1] = np.sqrt(ladders[:, :-1] - ladders[:, 1:])
-        entries[1:, 1:][np.diag_indices(n - 1)] = np.sqrt(ljj_sq[:, 0])
-        entries[np.tri(n, k=-1, dtype=bool)] *= np.where(u[half:] < cfg.sign_bias, 1.0, -1.0)
-    factor = CholeskyFactor(entries)
-    return factor, CorrelationMatrix(factor.reconstruct())
+    factors, matrices = _generate(cfg, [stream(cfg.seed) if rng is None else rng])
+    return factors[0], matrices[0]
 
 
 def generate_batch(cfg: GeneratorConfig, count: int) -> list[CorrelationMatrix]:
@@ -113,4 +149,9 @@ def generate_batch(cfg: GeneratorConfig, count: int) -> list[CorrelationMatrix]:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    return [generate(cfg, rng=stream(cfg.seed, k))[1] for k in range(count)]
+    step = max(1, _CHUNK_FLOATS // cfg.n**2)
+    out = []
+    for start in range(0, count, step):
+        rngs = [stream(cfg.seed, k) for k in range(start, min(start + step, count))]
+        out += _generate(cfg, rngs)[1]
+    return out

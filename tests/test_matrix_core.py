@@ -152,6 +152,84 @@ class TestContainers:
             CholeskyFactor([[1.0, 0.0], [0.5, 0.0]])
 
 
+def with_entries(a, entries):
+    """A copy of ``a`` with ``entries``, a map of (row, column) to value."""
+    out = np.array(a, dtype=float)
+    for (i, j), value in entries.items():
+        out[i, j] = value
+    return out
+
+
+def planted(stack, element, at=2):
+    """A copy of ``stack`` with ``element`` in position ``at``."""
+    out = stack.copy()
+    out[at] = element
+    return out
+
+
+def tiny_pivot_3x3(pivot):
+    a = np.eye(3)
+    a[:2, :2] = tiny_pivot_block(pivot)
+    return a
+
+
+GOOD = np.stack([random_correlation(3, seed).values for seed in range(5)])
+GOOD_FACTORS = np.linalg.cholesky(GOOD)
+BASE = random_correlation(3, seed=99).values
+BAD_CORRELATIONS = {
+    "non-finite": with_entries(BASE, {(0, 1): np.nan, (1, 0): np.nan}),
+    "asymmetric": with_entries(BASE, {(0, 1): BASE[0, 1] + 1e-6}),
+    "off unit diagonal": with_entries(BASE, {(1, 1): 1.0 + 1e-8}),
+    "off-diagonal +1": with_entries(BASE, {(0, 2): 1.0, (2, 0): 1.0}),
+    "off-diagonal -1": with_entries(BASE, {(0, 2): -1.0, (2, 0): -1.0}),
+    "indefinite": NOT_PD_3X3,
+    "pivot below TOL_PD": tiny_pivot_3x3(0.5 * TOL_PD),
+}
+BASE_FACTOR = np.linalg.cholesky(BASE)
+BAD_FACTORS = {
+    "non-finite": with_entries(BASE_FACTOR, {(2, 1): np.inf}),
+    "nonzero upper": with_entries(BASE_FACTOR, {(1, 2): 1e-300}),
+    "nonpositive diagonal": with_entries(BASE_FACTOR, {(2, 2): 0.0}),
+}
+
+
+def raised(build, *args):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    return type(err.value), str(err.value)
+
+
+class TestStackedValidation:
+    """A stack is validated in one pass; a stack that fails raises what its
+    first failing element raises when built alone."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CORRELATIONS))
+    def test_planted_correlation_raises_as_alone(self, kind):
+        bad = BAD_CORRELATIONS[kind]
+        stack = planted(GOOD, bad)
+        assert raised(matrix_core._correlation_stack, stack) == raised(CorrelationMatrix, bad)
+
+    @pytest.mark.parametrize("kind", ["indefinite", "pivot below TOL_PD"])
+    def test_stacked_pivots_raise_as_alone(self, kind):
+        bad = BAD_CORRELATIONS[kind]
+        stack = planted(GOOD, bad)
+        assert raised(matrix_core._cholesky_pivots, stack, TOL_PD) == raised(
+            matrix_core._cholesky_pivots, bad, TOL_PD)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_FACTORS))
+    def test_planted_factor_raises_as_alone(self, kind):
+        bad = BAD_FACTORS[kind]
+        stack = planted(GOOD_FACTORS, bad)
+        assert raised(matrix_core._factor_stack, stack) == raised(CholeskyFactor, bad)
+
+    def test_first_failing_element_raises(self):
+        stack = planted(GOOD, BAD_CORRELATIONS["asymmetric"], at=1)
+        stack[3] = with_entries(BASE, {(0, 1): BASE[0, 1] + 1e-3})  # larger asymmetry, later
+        stack[4] = BAD_CORRELATIONS["non-finite"]
+        assert raised(matrix_core._correlation_stack, stack) == raised(
+            CorrelationMatrix, BAD_CORRELATIONS["asymmetric"])
+
+
 class TestReferenceCholesky:
     def test_identity(self):
         out = reference_cholesky(np.eye(3))

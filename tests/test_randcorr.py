@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from cholcorr.matrix_core import reference_cholesky
+import cholcorr.randcorr as randcorr
+from cholcorr.matrix_core import CorrelationMatrix, leading_minor_determinants, reference_cholesky
 from cholcorr.randcorr import GeneratorConfig, generate, generate_batch, stream
 
 
@@ -130,3 +134,71 @@ class TestGenerateBatch:
         means = np.array([r.values[mask].mean() for r in batch])
         standard_error = means.std(ddof=1) / np.sqrt(len(means))
         assert abs(means.mean()) <= 3.0 * standard_error
+
+
+def assert_elements_match_single_generation(cfg, batch):
+    """Element k equals ``generate`` on substream k bit for bit, and holds
+    the factor and pivots of its values validated alone."""
+    for k, r in enumerate(batch):
+        _, alone = generate(cfg, rng=stream(cfg.seed, k))
+        assert r.values.tobytes() == alone.values.tobytes()
+        rebuilt = CorrelationMatrix(r.values)
+        assert r._lower.tobytes() == rebuilt._lower.tobytes()
+        assert r._pivots.tobytes() == rebuilt._pivots.tobytes()
+
+
+class TestBatchStacks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 25, 64])
+    @pytest.mark.parametrize("count", [1, 7, 20])
+    @pytest.mark.parametrize("sign_bias", [0.0, 0.3, 1.0])
+    def test_element_equals_single_generation(self, n, count, sign_bias):
+        cfg = GeneratorConfig(n=n, seed=31, sign_bias=sign_bias)
+        assert_elements_match_single_generation(cfg, generate_batch(cfg, count))
+
+    def test_batch_spanning_several_chunks(self):
+        cfg = GeneratorConfig(n=100, seed=5, sign_bias=0.3)
+        per_chunk = randcorr._CHUNK_FLOATS // cfg.n**2
+        assert_elements_match_single_generation(cfg, generate_batch(cfg, 2 * per_chunk + 3))
+
+    def test_containers_are_frozen(self):
+        for r in generate_batch(GeneratorConfig(n=4, seed=2), 3):
+            for a in (r.values, r._lower, r._pivots):
+                assert not a.flags.writeable
+
+    # tracemalloc peaks of the element-by-element generator, in MB
+    @pytest.mark.parametrize("n,count,unstacked_peak_mb", [(100, 200, 32.9), (400, 10, 34.8)])
+    def test_peak_memory_is_bounded_by_chunks(self, n, count, unstacked_peak_mb):
+        tracemalloc.start()
+        try:
+            generate_batch(GeneratorConfig(n=n, seed=1), count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * unstacked_peak_mb * 1e6
+
+
+class TestOutputLaw:
+    """The law stated in the module docstring, checked by seeded KS tests
+    (fixed seed and draw count; a p-value threshold fixed here)."""
+
+    DRAWS = 2000
+
+    def batch(self, n):
+        return generate_batch(GeneratorConfig(n=n, seed=1), self.DRAWS)
+
+    @pytest.mark.parametrize("n", [3, 10, 25])
+    def test_first_correlation_squared_is_beta(self, n):
+        r12 = np.array([r.values[0, 1] for r in self.batch(n)])
+        assert stats.kstest(r12**2, stats.beta(1, n - 1).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 10, 25])
+    def test_determinant_law(self, n):
+        det = np.array([leading_minor_determinants(r)[-1] for r in self.batch(n)])
+        assert stats.kstest(det, lambda x: 1.0 - (1.0 - x) ** (n - 1)).pvalue > 1e-3
+
+    def test_law_depends_on_variable_position(self):
+        n = 10
+        batch = self.batch(n)
+        first = np.array([r.values[0, 1] for r in batch])
+        last = np.array([r.values[n - 2, n - 1] for r in batch])
+        assert stats.ks_2samp(first, last).pvalue < 1e-6
