@@ -98,12 +98,38 @@ def infer_format(path: str | None, flag: str | None) -> str:
 
 
 def load_table(path: str, fmt: str | None) -> np.ndarray:
-    """Rectangular float table from a CSV or JSON file."""
+    """Rectangular float table from a CSV or JSON file.
+
+    A well-formed CSV table is read by one ``np.loadtxt`` call on Python's
+    own ``splitlines``: numpy's C reader splits the fields and converts
+    each with the correctly rounded routine that ``float()`` uses.
+    Whatever it rejects, and blank text (where it warns), goes through
+    ``_parse_cells``'s per-cell ``float()`` loop, which words the error
+    for the first bad cell or accepts the syntax numpy does not (``1_0``,
+    non-ASCII digits, whitespace-only lines).
+    """
     fmt = infer_format(path, fmt)
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    a = None
+    # loadtxt warns on blank text, and it strips the unit separator \x1f
+    # around a field where float() does not
+    if fmt == "csv" and text.strip() and "\x1f" not in text:
+        try:
+            a = np.loadtxt(text.splitlines(), delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+    if a is None:
+        a = _parse_cells(path, fmt, text)
+    if not np.all(np.isfinite(a)):
+        raise UsageError(f"{path}: values must be finite")
+    return a
+
+
+def _parse_cells(path: str, fmt: str, text: str) -> np.ndarray:
+    """``text`` as a rectangular table, converting each cell with ``float()``."""
     try:
         if fmt == "json":
             obj = json.loads(text)
@@ -121,10 +147,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
         raise UsageError(f"{path}: cannot parse as {fmt}: {exc}") from exc
     if len(set(widths)) != 1:
         raise UsageError(f"{path}: rows have inconsistent lengths")
-    a = np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
-    if not np.all(np.isfinite(a)):
-        raise UsageError(f"{path}: values must be finite")
-    return a
+    return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
 def load_square(path: str, fmt: str | None) -> np.ndarray:

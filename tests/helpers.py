@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately naive (cofactor expansions, adjugates,
-quadrature) so it shares no code path with the library internals it
-checks.
+quadrature, per-cell parsing) so it shares no code path with the library
+internals it checks.
 """
 
 import math
@@ -43,6 +43,24 @@ def one_tiny_eigenvalue(t):
     d = 1.0 / np.sqrt(np.diag(a))
     a = a * np.outer(d, d)
     return 0.5 * (a + a.T)
+
+
+def per_cell_csv(text):
+    """The table ``cholcorr.cli.load_table`` reads from CSV ``text``, or the
+    message it raises after the path, by a loop of ``float()`` per cell:
+    every line that is not all whitespace is a row, split at each comma,
+    and the first cell ``float()`` rejects names the error."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    try:
+        cells = [[float(v) for v in row] for row in rows]
+    except ValueError as exc:
+        return f"cannot parse as csv: {exc}"
+    if len({len(row) for row in cells}) != 1:
+        return "rows have inconsistent lengths"
+    a = np.array(cells, dtype=float)
+    if not np.all(np.isfinite(a)):
+        return "values must be finite"
+    return a
 
 
 def cofactor_det(a):

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from helpers import kappa_correlation, one_tiny_eigenvalue, t_quantile_betaincinv
-from hypothesis import given, settings
+from helpers import kappa_correlation, one_tiny_eigenvalue, per_cell_csv, t_quantile_betaincinv
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cholcorr.cli as cli
@@ -147,6 +148,38 @@ class TestRenderTable:
         assert sorted(calls) == formatted
 
 
+# Cells and line breaks of the differential test: well-formed numbers, and
+# atoms on which numpy's C reader and float() could disagree (underscores,
+# non-ASCII digits and whitespace, hex, BOM, NUL, the unit separator \x1f,
+# comment and quote characters, every line break str.splitlines knows).
+CSV_ATOMS = ["0", "7", "12", "3.25", "-2", "+.5", "1.", ".5", "e5", "E-3", "1e400", "nan",
+             "-Infinity", "1_0", "\uff11", "\u0663", "0x10", "x", "#", '"', "\ufeff", "\x00",
+             "\x1f", " ", "\t", "\xa0", "\u3000", "-", ","]
+CSV_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029", "\n\n", "\n \n", "\n\t\n", "\n\xa0\n"]
+
+
+def csv_cells():
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    pad = st.sampled_from(["", " ", "\t", "\xa0", "\u3000", "\x1f"])
+    return st.one_of(
+        number,
+        st.tuples(pad, number, pad).map("".join),
+        st.lists(st.sampled_from(CSV_ATOMS), max_size=4).map("".join),
+    )
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly rectangular tables of mostly well-formed cells, so that both
+    numpy's reader and the per-cell fallback are exercised."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(csv_cells(), min_size=width, max_size=width) | st.lists(csv_cells(), max_size=5)
+    rows = draw(st.lists(row.map(",".join), max_size=5))
+    breaks = draw(st.lists(st.sampled_from(CSV_LINE_BREAKS), min_size=len(rows), max_size=len(rows)))
+    return "".join(r + b for r, b in zip(rows, breaks))
+
+
 class TestLoadTable:
     """CSV parsing keeps the syntax and the messages of a per-cell ``float()``
     loop, first bad cell included."""
@@ -160,6 +193,14 @@ class TestLoadTable:
         "": "rows have inconsistent lengths",
         "\n  \n\t\n": "rows have inconsistent lengths",
         "1,inf\ninf,1\n": "values must be finite",
+        "1,0x10\n0.5,1\n": "cannot parse as csv: could not convert string to float: '0x10'",
+        "\ufeff1,0.5\n0.5,1\n": "cannot parse as csv: could not convert string to float: '\\ufeff1'",
+        "1,0.5\n0.5,1\x00\n": "cannot parse as csv: could not convert string to float: '1\\x00'",
+        "1,\x1f0.5\n0.5,1\n": "cannot parse as csv: could not convert string to float: '\\x1f0.5'",
+        "1,0.5\n#0.5,1\n": "cannot parse as csv: could not convert string to float: '#0.5'",
+        '"1",0.5\n0.5,1\n': "cannot parse as csv: could not convert string to float: '\"1\"'",
+        "1,1e400\n0.5,1\n": "values must be finite",
+        "1,nan\n-Infinity,1\n": "values must be finite",
     }
 
     @pytest.mark.parametrize("text", list(FAILURES))
@@ -175,6 +216,13 @@ class TestLoadTable:
         "1,0.5\r\n0.5,1\r\n",
         " 1 , 0.5\n0.5,\t1 \n",
         "1_0,0.5e-0\n+.5,1.\n",
+        "\uff11,0.5\n0.5,\u0663\n",
+        "1,0.5\r0.5,1\r",
+        "1,0.5\x0b0.5,1\x0c",
+        "1,0.5\x850.5,1\u2028",
+        "1\xa0,\u30000.5\n\xa0\n0.5,1\n",
+        "-0,1e-320,-1.5E+3\n",
+        "1\n0.5\n-2\n",
     ])
     def test_accepted_syntax(self, tmp_path, text):
         src = tmp_path / "m.csv"
@@ -182,6 +230,42 @@ class TestLoadTable:
         lines = [line for line in text.splitlines() if line.strip()]
         expected = [[float(v) for v in line.split(",")] for line in lines]
         assert load_table(str(src), None).tolist() == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, shape", [
+        ("", None),
+        ("\n  \n\t\n", None),
+        ("1,0.5,-2\n", (1, 3)),
+        ("1\n0.5\n-2\n", (3, 1)),
+    ])
+    def test_no_warnings(self, tmp_path, text, shape):
+        src = tmp_path / "m.csv"
+        src.write_text(text)
+        if shape is None:
+            with pytest.raises(UsageError, match="rows have inconsistent lengths"):
+                load_table(str(src), None)
+        else:
+            assert load_table(str(src), None).shape == shape
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_matches_per_cell_oracle(self, tmp_path, text):
+        src = tmp_path / "m.csv"
+        src.write_bytes(text.encode())
+        expected = per_cell_csv(src.read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = load_table(str(src), None)
+            except UsageError as exc:
+                got = str(exc)
+        if isinstance(expected, str):
+            assert isinstance(got, str) and got == f"{src}: {expected}"
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestDecompose:
