@@ -10,14 +10,10 @@ from .dependence_test import (
     SampleMatrix,
     StageResult,
     TestReport,
-    sample_correlation,
     sequential_test,
-    t_quantile,
-    t_statistic,
 )
 from .errors import (
     DegenerateColumn,
-    InvalidSemiPartial,
     NearSingular,
     NegativeRadicand,
     NotPositiveDefinite,
@@ -36,7 +32,6 @@ from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    banachiewicz_inverse,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -56,7 +51,6 @@ __all__ = [
     "DegenerateColumn",
     "GeneratorConfig",
     "IdentityReport",
-    "InvalidSemiPartial",
     "NearSingular",
     "NegativeRadicand",
     "NotPositiveDefinite",
@@ -67,7 +61,6 @@ __all__ = [
     "ALL_VERIFIERS",
     "ar1_cholesky",
     "ar1_matrix",
-    "banachiewicz_inverse",
     "check_order_conditions",
     "chol_covariance",
     "chol_detratio",
@@ -77,12 +70,9 @@ __all__ = [
     "generate_batch",
     "leading_minor_determinants",
     "reference_cholesky",
-    "sample_correlation",
     "sample_mvn",
     "sequential_test",
     "stream",
-    "t_quantile",
-    "t_statistic",
     "verify_general_recursion",
     "verify_product_sums",
     "verify_ratio_differences",

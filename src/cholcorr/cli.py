@@ -100,49 +100,52 @@ def infer_format(path: str | None, flag: str | None) -> str:
 def load_table(path: str, fmt: str | None) -> np.ndarray:
     """Rectangular float table from a CSV or JSON file.
 
-    A well-formed CSV table is read by one ``np.loadtxt`` call on Python's
-    own ``splitlines``: numpy's C reader splits the fields and converts
-    each with the correctly rounded routine that ``float()`` uses.
-    Whatever it rejects, and blank text (where it warns), goes through
-    ``_parse_cells``'s per-cell ``float()`` loop, which words the error
-    for the first bad cell or accepts the syntax numpy does not (``1_0``,
-    non-ASCII digits, whitespace-only lines).
+    CSV lines that are empty or whitespace-only are dropped, and a
+    well-formed table is read by one ``np.loadtxt`` call on the rest of
+    Python's own ``splitlines``: numpy's C reader splits the fields and
+    converts each with the correctly rounded routine that ``float()``
+    uses. Whatever it rejects, and text with no line left (where it
+    warns), goes through ``_parse_cells``'s per-cell ``float()`` loop,
+    which words the error for the first bad cell or accepts the syntax
+    numpy does not (``1_0``, non-ASCII digits).
     """
     fmt = infer_format(path, fmt)
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    a = None
-    # loadtxt warns on blank text, and it strips the unit separator \x1f
-    # around a field where float() does not
-    if fmt == "csv" and text.strip() and "\x1f" not in text:
-        try:
-            a = np.loadtxt(text.splitlines(), delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            pass
+    source, a = text, None
+    if fmt == "csv":
+        source = [line for line in text.splitlines() if line.strip()]
+        # loadtxt warns on no lines, and it strips the unit separator \x1f
+        # around a field where float() does not
+        if source and "\x1f" not in text:
+            try:
+                a = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                pass
     if a is None:
-        a = _parse_cells(path, fmt, text)
+        a = _parse_cells(path, fmt, source)
     if not np.all(np.isfinite(a)):
         raise UsageError(f"{path}: values must be finite")
     return a
 
 
-def _parse_cells(path: str, fmt: str, text: str) -> np.ndarray:
-    """``text`` as a rectangular table, converting each cell with ``float()``."""
+def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
+    """A rectangular table, converting each cell with ``float()``: ``source``
+    is the JSON text, or the list of non-blank lines of a CSV file."""
     try:
         if fmt == "json":
-            obj = json.loads(text)
+            obj = json.loads(source)
             if not isinstance(obj, dict) or "rows" not in obj:
                 raise UsageError(f"{path}: expected an object with a 'rows' field")
             cells = [[float(v) for v in row] for row in obj["rows"]]
             widths = [len(row) for row in cells]
         else:
-            lines = [line for line in text.splitlines() if line.strip()]
-            widths = [line.count(",") + 1 for line in lines]
+            widths = [line.count(",") + 1 for line in source]
             # numpy parses each cell with float(): the same syntax, and the
             # same message for the first bad cell, as a per-cell loop
-            cells = np.array(",".join(lines).split(","), dtype=float) if lines else []
+            cells = np.array(",".join(source).split(","), dtype=float) if source else []
     except (ValueError, TypeError) as exc:
         raise UsageError(f"{path}: cannot parse as {fmt}: {exc}") from exc
     if len(set(widths)) != 1:

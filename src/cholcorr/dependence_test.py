@@ -16,7 +16,9 @@ carries every per-k decision plus the largest rejected k.
 
 The correlation estimator is the product-moment estimator with mean
 centering; the variance divisor cancels in the ratio, so the N vs N-1
-choice is immaterial.
+choice is immaterial. The estimator and the inverse-t quantile are
+private helpers of ``sequential_test``; the public names are the sample
+container, the test and its report.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumn, InvalidSemiPartial, NearSingular
+from .errors import DegenerateColumn, NearSingular
 from .matrix_core import CorrelationMatrix
 from .parametrizations import chol_semipartial
 
@@ -101,15 +103,15 @@ class TestReport:
         return asdict(self)
 
 
-def sample_correlation(x: SampleMatrix) -> CorrelationMatrix:
-    """Product-moment correlation matrix of the sample columns (each of
-    which ``SampleMatrix`` has checked for variance).
+def _sample_correlation(data: np.ndarray) -> CorrelationMatrix:
+    """Product-moment correlation matrix of the columns of ``data`` (each
+    of which ``SampleMatrix`` has checked for variance).
 
     Raises ``NearSingular`` if the estimate fails positive-definite
     construction (e.g. two columns are perfectly collinear).
     """
-    centered = x.data - x.data.mean(axis=0)
-    cov = centered.T @ centered / x.N
+    centered = data - data.mean(axis=0)
+    cov = centered.T @ centered / data.shape[0]
     d = 1.0 / np.sqrt(np.diag(cov))
     corr = cov * np.outer(d, d)
     try:
@@ -118,26 +120,13 @@ def sample_correlation(x: SampleMatrix) -> CorrelationMatrix:
         raise NearSingular(f"sample correlation is not positive-definite: {exc}") from exc
 
 
-def t_statistic(r_semi: float, N: int, k: int) -> float:
-    """The statistic sqrt(N - k) * r / sqrt(1 - r^2).
-
-    Odd and strictly increasing in ``r_semi``; raises
-    ``InvalidSemiPartial`` when |r_semi| >= 1.
-    """
-    if not N > k >= 1:
-        raise ValueError(f"need N > k >= 1, got N={N}, k={k}")
-    if abs(r_semi) >= 1.0:
-        raise InvalidSemiPartial(f"|r| = {abs(r_semi)} is outside (-1, 1)")
-    return math.sqrt(N - k) * r_semi / math.sqrt(1.0 - r_semi * r_semi)
-
-
-def t_quantile(prob: float, df: int) -> float:
+def _t_quantile(prob: float, df: int) -> float:
     """Inverse CDF of the t distribution with ``df`` degrees of freedom.
 
     Imports only ``math`` and ``statistics``. The upper tail
     P(T > t) = I_x(df/2, 1/2) / 2, with x = df / (df + t^2), is inverted
-    with the sign taken from ``prob``, so ``t_quantile(p, df) ==
-    -t_quantile(1 - p, df)`` holds exactly wherever ``1 - p`` is exact.
+    with the sign taken from ``prob``, so ``_t_quantile(p, df) ==
+    -_t_quantile(1 - p, df)`` holds exactly wherever ``1 - p`` is exact.
 
     - df = 1 and df = 2 have closed forms.
     - Otherwise the start is the Cornish-Fisher expansion in the normal
@@ -283,16 +272,15 @@ def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     order = [c for c in range(1, x.p + 1) if c != target] + [target]
-    reordered = SampleMatrix(x.data[:, [c - 1 for c in order]])
-    r_hat = sample_correlation(reordered)
-    factor = chol_semipartial(r_hat)
+    factor = chol_semipartial(_sample_correlation(x.data[:, [c - 1 for c in order]]))
     stages = []
     largest = None
     for k in range(1, x.p):
+        # |r_k| < 1: the target row of an accepted factor has l_pp^2 > TOL_PD
         r_k = float(factor.entries[x.p - 1, k - 1])
-        t_k = t_statistic(r_k, x.N, k)
         df = x.N - k
-        critical = t_quantile(1.0 - alpha / 2.0, df)
+        t_k = math.sqrt(df) * r_k / math.sqrt(1.0 - r_k * r_k)
+        critical = _t_quantile(1.0 - alpha / 2.0, df)
         reject = abs(t_k) > critical
         if reject:
             largest = k

@@ -55,7 +55,3 @@ class DegenerateColumn(ValueError):
 
 class NearSingular(ValueError):
     """An estimated correlation matrix failed positive-definite construction."""
-
-
-class InvalidSemiPartial(ValueError):
-    """A semi-partial estimate with magnitude >= 1 cannot form a t statistic."""

@@ -45,11 +45,11 @@ import numpy as np
 
 from .matrix_core import (
     CorrelationMatrix,
+    _banachiewicz_inverse,
     _schur_ladders,
     _symmetrized,
     _unit_diagonal,
     as_array,
-    banachiewicz_inverse,
     leading_minor_determinants,
 )
 from .parametrizations import chol_semipartial
@@ -98,7 +98,7 @@ def _chain(r: CorrelationMatrix):
     general = (-1.0, (0, 0, 0))
     for i in range(1, n):
         prev, g_prev, rho = inv, g, a[: i - 1, i - 1]
-        inv = banachiewicz_inverse(prev, rho, a[i - 1, i - 1] - rho @ prev @ rho)
+        inv = _banachiewicz_inverse(prev, rho, a[i - 1, i - 1] - rho @ prev @ rho)
         g = a[:i].T @ (inv @ a[:i])
         rest = a[i - 1] - g_prev[i - 1]  # rho_ij - q_ij; 1 - q_ii at j = i
         res = np.tril(np.abs(g - g_prev - np.multiply.outer(rest, rest) / rest[i - 1])[i:, i:])

@@ -19,7 +19,9 @@ units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
 identity directly; the recursion itself is exercised by the
 ``identities`` module as a cross-check. Bordered minors come from one
-Schur elimination (``_schur_ladders``) that shares no code with LAPACK.
+Schur elimination (``_schur_ladders``) that shares no code with LAPACK,
+and the blockwise inverse (``_banachiewicz_inverse``) that grows the
+``identities`` chain is private as well.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
@@ -188,27 +190,16 @@ class CholeskyFactor:
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"expected a square factor, got shape {a.shape}")
-        self._hold(*self._validated(a))
-
-    @staticmethod
-    def _validated(a: np.ndarray):
-        """``(a,)``, frozen, after the factor checks, which read one n x n
-        factor or a (k, n, n) stack alike."""
-        if a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square factor, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("factor entries must be finite")
         if np.any(np.triu(a, 1) != 0.0):
             raise ValueError("strict upper triangle must be exactly zero")
-        if np.any(np.diagonal(a, axis1=-2, axis2=-1) <= 0.0):
+        if np.any(np.diagonal(a) <= 0.0):
             raise ValueError("diagonal entries must be strictly positive")
         a.flags.writeable = False
-        return (a,)
-
-    def _hold(self, entries):
-        self._entries = entries
+        self._entries = a
 
     @property
     def entries(self) -> np.ndarray:
@@ -288,7 +279,6 @@ def _stack(cls, values: np.ndarray) -> list:
 # Bound to the classes here: a caller that names a class at call time
 # would follow any later rebinding of that name to a plain function.
 _correlation_stack = functools.partial(_stack, CorrelationMatrix)
-_factor_stack = functools.partial(_stack, CholeskyFactor)
 
 
 def reference_cholesky(m) -> CholeskyFactor:
@@ -338,21 +328,16 @@ def _schur_ladders(a) -> np.ndarray:
     return d
 
 
-def banachiewicz_inverse(r_prev_inv, rho, c: float) -> np.ndarray:
+def _banachiewicz_inverse(inv: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:
     """Extend a block inverse by one row and column.
 
-    Given ``B = r_prev_inv``, the inverse of the leading block ``A``, the
-    border row ``rho``, and its Schur complement ``c = 1 - rho B rho^T``
-    (which must be positive), returns the inverse of::
+    Given ``inv``, the inverse B of the leading block ``A``, the border
+    row ``rho``, and its Schur complement ``c = 1 - rho B rho^T`` (which
+    must be positive), returns the inverse of::
 
         [[ A    rho^T ],     namely   1/c * [[ c B + B rho^T rho B,  -B rho^T ],
          [ rho  1     ]]                     [ -rho B,                1        ]]
-
-    ``r_prev_inv`` may be a container or array; the result is a plain
-    array so chains of extensions stay cheap.
     """
-    inv = np.asarray(getattr(r_prev_inv, "values", r_prev_inv), dtype=float)
-    rho = np.asarray(rho, dtype=float)
     m = rho.shape[0]
     if inv.shape != (m, m):
         raise ValueError(f"inverse block is {inv.shape}, border has length {m}")

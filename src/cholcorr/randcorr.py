@@ -46,9 +46,10 @@ on the batch size.
 A batch is computed as chunked stacks: each chunk of at most
 ``_CHUNK_FLOATS`` floats per stacked array (at least one matrix) draws
 its elements' uniforms, builds their factors with the steps above along
-a leading axis, and validates them in one pass. The steps are elementwise,
-so every byte equals what element-by-element generation gives; the
-chunk bounds peak memory, and at large n a chunk is one matrix.
+a leading axis, and validates their correlation matrices in one pass.
+The steps are elementwise, so every byte equals what element-by-element
+generation gives; the chunk bounds peak memory, and at large n a chunk
+is one matrix.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import CorrelationMatrix, _correlation_stack, _factor_stack
+from .matrix_core import CholeskyFactor, CorrelationMatrix, _correlation_stack
 
 _CHUNK_FLOATS = 2**16  # floats per stacked array in a batch chunk
 
@@ -122,12 +123,11 @@ def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
 
 
 def _generate(cfg: GeneratorConfig, rngs: list[np.random.Generator]):
-    """Factors and correlation matrices of one stack, element k drawing
-    its uniforms from ``rngs[k]``."""
+    """Factor entries and correlation matrices of one stack, element k
+    drawing its uniforms from ``rngs[k]``."""
     n = cfg.n
     entries = _factor_entries(np.stack([rng.random(n * (n - 1)) for rng in rngs]), n, cfg.sign_bias)
-    factors = _factor_stack(entries)
-    return factors, _correlation_stack(entries @ np.swapaxes(entries, -1, -2))
+    return entries, _correlation_stack(entries @ np.swapaxes(entries, -1, -2))
 
 
 def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
@@ -137,8 +137,8 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     norms up to rounding) and ``r`` the assembled correlation matrix,
     which always passes positive-definite construction.
     """
-    factors, matrices = _generate(cfg, [stream(cfg.seed) if rng is None else rng])
-    return factors[0], matrices[0]
+    entries, matrices = _generate(cfg, [stream(cfg.seed) if rng is None else rng])
+    return CholeskyFactor(entries[0]), matrices[0]
 
 
 def generate_batch(cfg: GeneratorConfig, count: int) -> list[CorrelationMatrix]:

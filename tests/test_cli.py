@@ -247,6 +247,15 @@ class TestLoadTable:
         else:
             assert load_table(str(src), None).shape == shape
 
+    def test_whitespace_only_lines_skip_the_per_cell_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid table was parsed cell by cell")
+
+        monkeypatch.setattr(cli, "_parse_cells", refuse)
+        src = tmp_path / "m.csv"
+        src.write_text("1,0.5\n  \n0.5,1\n\t\n  \n")
+        assert load_table(str(src), None).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts())
@@ -574,7 +583,7 @@ class TestVerify:
         import cholcorr.identities as identities
         src = tmp_path / "r.csv"
         write_csv(src, generate_batch(GeneratorConfig(n=25, seed=4), 1)[0].values)
-        calls = dict.fromkeys(("banachiewicz_inverse", "chol_semipartial"), 0)
+        calls = dict.fromkeys(("_banachiewicz_inverse", "chol_semipartial"), 0)
 
         def counting(name, fn):
             def wrapped(*args):
@@ -585,7 +594,7 @@ class TestVerify:
         for name in calls:
             monkeypatch.setattr(identities, name, counting(name, getattr(identities, name)))
         assert main(["verify", str(src)]) == 0
-        assert calls == {"banachiewicz_inverse": 24, "chol_semipartial": 1}
+        assert calls == {"_banachiewicz_inverse": 24, "chol_semipartial": 1}
 
     def test_non_positive_definite_names_ordering(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
@@ -659,6 +668,20 @@ class TestTest:
         report = json.loads(capsys.readouterr().out)
         assert report["largest_rejected_k"] >= 1
 
+    def test_validates_the_block_once(self, tmp_path, monkeypatch):
+        calls = []
+        post_init = dependence_test.SampleMatrix.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(dependence_test.SampleMatrix, "__post_init__", counting)
+        src = tmp_path / "x.csv"
+        write_csv(src, np.random.default_rng(8).standard_normal((2000, 10)))
+        assert main(["test", str(src), "--target", "3"]) == 0
+        assert len(calls) == 1
+
     def test_too_few_samples_is_usage_error(self, tmp_path):
         src = tmp_path / "tiny.csv"
         write_csv(src, np.eye(3))
@@ -687,7 +710,7 @@ class TestTest:
         write_csv(src, data)
         assert main(["test", str(src)]) == 0
         ours = capsys.readouterr().out
-        monkeypatch.setattr(dependence_test, "t_quantile", t_quantile_betaincinv)
+        monkeypatch.setattr(dependence_test, "_t_quantile", t_quantile_betaincinv)
         assert main(["test", str(src)]) == 0
         theirs = capsys.readouterr().out
 

@@ -4,18 +4,10 @@ import time
 import numpy as np
 import pytest
 from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, sample_mvn
-from cholcorr.dependence_test import (
-    SampleMatrix,
-    sample_correlation,
-    sequential_test,
-    t_quantile,
-    t_statistic,
-)
-from cholcorr.errors import DegenerateColumn, InvalidSemiPartial, NearSingular
+from cholcorr.dependence_test import SampleMatrix, _sample_correlation, _t_quantile, sequential_test
+from cholcorr.errors import DegenerateColumn, NearSingular
 
 
 class TestSampleMatrix:
@@ -52,7 +44,7 @@ class TestSampleCorrelation:
     def test_orthogonalized_columns_give_identity(self):
         rng = np.random.default_rng(3)
         data = gram_schmidt_columns(rng.standard_normal((60, 4)))
-        r = sample_correlation(SampleMatrix(data))
+        r = _sample_correlation(SampleMatrix(data).data)
         assert np.max(np.abs(r.values - np.eye(4))) <= 1e-12
 
     def test_duplicated_column_is_near_singular(self):
@@ -60,75 +52,50 @@ class TestSampleCorrelation:
         col = rng.standard_normal(30)
         data = np.column_stack([col, col, rng.standard_normal(30)])
         with pytest.raises(NearSingular):
-            sample_correlation(SampleMatrix(data))
+            _sample_correlation(SampleMatrix(data).data)
 
     def test_recovers_ar1_structure(self):
         spec = Ar1Spec(n=4, rho=0.5)
         draws = sample_mvn(ar1_cholesky(spec), count=100, seed=13)
-        r = sample_correlation(SampleMatrix(draws))
+        r = _sample_correlation(SampleMatrix(draws).data)
         target = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         assert np.max(np.abs(r.values - target)) <= 3.0 / math.sqrt(100)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         data = rng.standard_normal((40, 3))
-        r1 = sample_correlation(SampleMatrix(data))
-        r2 = sample_correlation(SampleMatrix(data * np.array([3.0, 0.01, 250.0])))
+        r1 = _sample_correlation(SampleMatrix(data).data)
+        r2 = _sample_correlation(SampleMatrix(data * np.array([3.0, 0.01, 250.0])).data)
         assert np.max(np.abs(r1.values - r2.values)) <= 1e-12
 
     @pytest.mark.parametrize("scale,offset", [(1e-7, 0.0), (1.0, 1e7)])
     def test_tiny_scale_or_large_offset_is_not_degenerate(self, scale, offset):
         data = np.random.default_rng(21).standard_normal((500, 4))
-        r1 = sample_correlation(SampleMatrix(data))
-        r2 = sample_correlation(SampleMatrix(scale * data + offset))
+        r1 = _sample_correlation(SampleMatrix(data).data)
+        r2 = _sample_correlation(SampleMatrix(scale * data + offset).data)
         assert np.max(np.abs(r1.values - r2.values)) <= 1e-8
-
-
-class TestTStatistic:
-    def test_zero(self):
-        assert t_statistic(0.0, 50, 3) == 0.0
-
-    def test_half_at_ten_samples(self):
-        assert abs(t_statistic(0.5, 10, 1) - math.sqrt(3.0)) <= 1e-15
-
-    def test_domain_edge(self):
-        with pytest.raises(InvalidSemiPartial):
-            t_statistic(1.0, 10, 1)
-        with pytest.raises(InvalidSemiPartial):
-            t_statistic(-1.0, 10, 1)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            t_statistic(0.1, 5, 5)
-
-    @settings(max_examples=50, deadline=None)
-    @given(r=st.floats(min_value=-0.999, max_value=0.999),
-           n=st.integers(min_value=5, max_value=500),
-           k=st.integers(min_value=1, max_value=4))
-    def test_odd_function(self, r, n, k):
-        assert t_statistic(-r, n, k) == -t_statistic(r, n, k)
 
 
 class TestTQuantile:
     def test_median_is_zero(self):
         for df in (1, 2, 17, 200):
-            assert t_quantile(0.5, df) == 0.0
+            assert _t_quantile(0.5, df) == 0.0
 
     def test_table_value(self):
-        assert abs(t_quantile(0.975, 10) - 2.2281) <= 5e-5
+        assert abs(_t_quantile(0.975, 10) - 2.2281) <= 5e-5
 
     def test_cauchy_quartile(self):
-        assert abs(t_quantile(0.75, 1) - 1.0) <= 1e-12
+        assert abs(_t_quantile(0.75, 1) - 1.0) <= 1e-12
 
     def test_symmetry(self):
         for df in (1, 3, 12):
             for p in (0.6, 0.9, 0.99):
-                assert abs(t_quantile(p, df) + t_quantile(1.0 - p, df)) <= 1e-12
+                assert abs(_t_quantile(p, df) + _t_quantile(1.0 - p, df)) <= 1e-12
 
     @pytest.mark.parametrize("df", [1, 2, 5, 30, 200, 1999, 100000])
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.6, 0.9, 0.975, 0.999])
     def test_cdf_roundtrip_against_quadrature(self, df, p):
-        q = t_quantile(p, df)
+        q = _t_quantile(p, df)
         assert abs(t_cdf_quadrature(q, df) - p) <= 1e-10
 
     ACCURACY_DF = [1, 2, 3, 5, 10, 30, 200, 1999, 10**4]
@@ -140,7 +107,7 @@ class TestTQuantile:
         # log B(df/2, 1/2) taken as a difference of lgamma values misses
         # this bound at df = 1999 and 10^4
         for p in self.ACCURACY_PROB:
-            q = t_quantile(p, df)
+            q = _t_quantile(p, df)
             assert abs(q - t_quantile_betaincinv(p, df)) <= 1e-13 * abs(q), p
 
     @pytest.mark.parametrize("df", ACCURACY_DF)
@@ -148,23 +115,23 @@ class TestTQuantile:
         # pairs are formed from the side above 1/2, where 1 - p is exact
         for p in self.ACCURACY_PROB:
             upper = max(p, 1.0 - p)
-            assert t_quantile(upper, df) == -t_quantile(1.0 - upper, df)
+            assert _t_quantile(upper, df) == -_t_quantile(1.0 - upper, df)
 
     def test_large_df_is_bounded(self):
-        t_quantile(0.975, 10)
+        _t_quantile(0.975, 10)
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            q = t_quantile(0.975, 10**6)
+            q = _t_quantile(0.975, 10**6)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) <= 0.010
         assert abs(q - t_quantile_betaincinv(0.975, 10**6)) <= 1e-10 * q
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            t_quantile(0.0, 5)
+            _t_quantile(0.0, 5)
         with pytest.raises(ValueError):
-            t_quantile(0.4, 0)
+            _t_quantile(0.4, 0)
 
 
 class TestSequentialTest:
@@ -176,9 +143,33 @@ class TestSequentialTest:
         assert len(report.per_k) == 1
         stage = report.per_k[0]
         assert stage.df == 29
-        r = sample_correlation(x).values[0, 1]
+        r = _sample_correlation(x.data).values[0, 1]
         expected = math.sqrt(29) * r / math.sqrt(1 - r * r)
         assert abs(stage.t_stat - expected) <= 1e-12
+
+    def test_statistic_of_every_stage(self):
+        rng = np.random.default_rng(12)
+        data = rng.standard_normal((40, 4))
+        data[:, 3] += 0.3 * data[:, 1]
+        report = sequential_test(SampleMatrix(data), target=4, alpha=0.05)
+        assert [stage.df for stage in report.per_k] == [39, 38, 37]
+        for stage in report.per_k:
+            r = stage.r_semi
+            expected = math.sqrt(40 - stage.k) * r / math.sqrt(1 - r * r)
+            assert abs(stage.t_stat - expected) <= 1e-12 * abs(expected)
+
+    def test_negated_target_negates_every_statistic(self):
+        # the statistic is odd in r_k, and negating the target column
+        # negates its row of the sample correlation exactly
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((50, 4))
+        data[:, 3] += 0.4 * data[:, 0]
+        flipped = data * np.array([1.0, 1.0, 1.0, -1.0])
+        a = sequential_test(SampleMatrix(data), target=4, alpha=0.05)
+        b = sequential_test(SampleMatrix(flipped), target=4, alpha=0.05)
+        assert [s.t_stat for s in b.per_k] == [-s.t_stat for s in a.per_k]
+        assert [s.reject for s in b.per_k] == [s.reject for s in a.per_k]
+        assert a.per_k[0].reject
 
     def test_strong_dependence_is_detected(self):
         rng = np.random.default_rng(4)
@@ -248,6 +239,6 @@ class TestSequentialTest:
         report = sequential_test(x, target=4, alpha=0.05)
         from cholcorr.parametrizations import chol_semipartial
 
-        factor = chol_semipartial(sample_correlation(x))
+        factor = chol_semipartial(_sample_correlation(x.data))
         for stage in report.per_k:
             assert abs(stage.r_semi - factor.entries[3, stage.k - 1]) <= 1e-14

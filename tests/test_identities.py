@@ -21,7 +21,7 @@ from cholcorr.identities import (
 )
 from cholcorr.matrix_core import (
     CorrelationMatrix,
-    banachiewicz_inverse,
+    _banachiewicz_inverse,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -90,11 +90,11 @@ class TestRecursion:
         a[0, 1:] = a[1:, 0] = (0.1, 0.2, 0.6)
 
         def planted(prev, rho, c):
-            out = banachiewicz_inverse(prev, rho, c)
+            out = _banachiewicz_inverse(prev, rho, c)
             out[0, 0] += 1e-3 if out.shape == (1, 1) else 0.0
             return out
 
-        monkeypatch.setattr(identities, "banachiewicz_inverse", planted)
+        monkeypatch.setattr(identities, "_banachiewicz_inverse", planted)
         r = CorrelationMatrix(a)
         rec, general = verify_recursion(r), verify_general_recursion(r)
         assert (rec.max_residual, rec.location) == (pytest.approx(1e-3 * 0.1 * 0.6), (1, 4, 0))

@@ -11,7 +11,7 @@ from cholcorr.matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    banachiewicz_inverse,
+    _banachiewicz_inverse,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -174,7 +174,6 @@ def tiny_pivot_3x3(pivot):
 
 
 GOOD = np.stack([random_correlation(3, seed).values for seed in range(5)])
-GOOD_FACTORS = np.linalg.cholesky(GOOD)
 BASE = random_correlation(3, seed=99).values
 BAD_CORRELATIONS = {
     "non-finite": with_entries(BASE, {(0, 1): np.nan, (1, 0): np.nan}),
@@ -186,10 +185,13 @@ BAD_CORRELATIONS = {
     "pivot below TOL_PD": tiny_pivot_3x3(0.5 * TOL_PD),
 }
 BASE_FACTOR = np.linalg.cholesky(BASE)
-BAD_FACTORS = {
-    "non-finite": with_entries(BASE_FACTOR, {(2, 1): np.inf}),
-    "nonzero upper": with_entries(BASE_FACTOR, {(1, 2): 1e-300}),
-    "nonpositive diagonal": with_entries(BASE_FACTOR, {(2, 2): 0.0}),
+BAD_FACTORS = {  # kind: (factor, the message CholeskyFactor raises)
+    "non-finite": (with_entries(BASE_FACTOR, {(2, 1): np.inf}),
+                   "factor entries must be finite"),
+    "nonzero upper": (with_entries(BASE_FACTOR, {(1, 2): 1e-300}),
+                      "strict upper triangle must be exactly zero"),
+    "nonpositive diagonal": (with_entries(BASE_FACTOR, {(2, 2): 0.0}),
+                             "diagonal entries must be strictly positive"),
 }
 
 
@@ -197,6 +199,12 @@ def raised(build, *args):
     with pytest.raises(ValueError) as err:
         build(*args)
     return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FACTORS))
+def test_bad_factor_raises_its_message(kind):
+    bad, message = BAD_FACTORS[kind]
+    assert raised(CholeskyFactor, bad) == (ValueError, message)
 
 
 class TestStackedValidation:
@@ -215,12 +223,6 @@ class TestStackedValidation:
         stack = planted(GOOD, bad)
         assert raised(matrix_core._cholesky_pivots, stack, TOL_PD) == raised(
             matrix_core._cholesky_pivots, bad, TOL_PD)
-
-    @pytest.mark.parametrize("kind", sorted(BAD_FACTORS))
-    def test_planted_factor_raises_as_alone(self, kind):
-        bad = BAD_FACTORS[kind]
-        stack = planted(GOOD_FACTORS, bad)
-        assert raised(matrix_core._factor_stack, stack) == raised(CholeskyFactor, bad)
 
     def test_first_failing_element_raises(self):
         stack = planted(GOOD, BAD_CORRELATIONS["asymmetric"], at=1)
@@ -371,14 +373,14 @@ class TestBanachiewiczInverse:
     def test_two_by_two_formula(self):
         rho = 0.37
         c = 1.0 - rho**2
-        out = banachiewicz_inverse(np.array([[1.0]]), np.array([rho]), c)
+        out = _banachiewicz_inverse(np.array([[1.0]]), np.array([rho]), c)
         expected = np.array([[1.0, -rho], [-rho, 1.0]]) / c
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_zero_border_extends_block_diagonally(self):
         r = random_correlation(3, seed=4)
         inv = np.linalg.inv(r.values)
-        out = banachiewicz_inverse(inv, np.zeros(3), 1.0)
+        out = _banachiewicz_inverse(inv, np.zeros(3), 1.0)
         np.testing.assert_allclose(out[:3, :3], inv, atol=1e-15)
         np.testing.assert_allclose(out[3, :], [0, 0, 0, 1], atol=1e-15)
 
@@ -388,7 +390,7 @@ class TestBanachiewiczInverse:
         prev_inv = adjugate_inverse(a[:2, :2])
         border = a[:2, 2]
         c = 1.0 - border @ prev_inv @ border
-        out = banachiewicz_inverse(prev_inv, border, c)
+        out = _banachiewicz_inverse(prev_inv, border, c)
         np.testing.assert_allclose(out, adjugate_inverse(a), atol=1e-12)
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (12, 1), (20, 2)])
@@ -399,9 +401,9 @@ class TestBanachiewiczInverse:
         for i in range(2, n + 1):
             rho = a[: i - 1, i - 1]
             c = 1.0 - rho @ inv @ rho
-            inv = banachiewicz_inverse(inv, rho, c)
+            inv = _banachiewicz_inverse(inv, rho, c)
         assert np.max(np.abs(inv @ a - np.eye(n))) <= 1e-10
 
     def test_nonpositive_schur_raises(self):
         with pytest.raises(SchurNonPositive):
-            banachiewicz_inverse(np.array([[1.0]]), np.array([0.9]), -0.1)
+            _banachiewicz_inverse(np.array([[1.0]]), np.array([0.9]), -0.1)
