@@ -15,12 +15,16 @@ printed in shortest round-trip form, so parse -> print -> parse is
 lossless for 64-bit floats. Whenever a command writes files, a manifest
 recording the command, flags, seed, library version and tolerances is
 written alongside them.
+
+Run as the program (``main()`` with no argv), ``main`` freezes the objects
+left by the imports, so that the collections at interpreter exit skip them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -150,6 +154,8 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
         raise UsageError(f"{path}: cannot parse as {fmt}: {exc}") from exc
     if len(set(widths)) != 1:
         raise UsageError(f"{path}: rows have inconsistent lengths")
+    if fmt == "json" and obj.get("n", widths[0]) != widths[0]:
+        raise UsageError(f"{path}: 'n' is {obj['n']!r} but the rows have {widths[0]} columns")
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
@@ -319,6 +325,18 @@ def cmd_ar1(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` type: a float that is neither nan nor negative; 0 and
+    inf are valid."""
+    try:
+        tol = float(text)
+    except ValueError:  # worded like nan and negative values below
+        tol = float("nan")
+    if not tol >= 0:  # false for nan
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs far
@@ -347,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat the input as a covariance matrix")
     d.add_argument("--check", action="store_true",
                    help="report reconstruction error and cross-method discrepancy on stderr")
-    d.add_argument("--tol", type=float, default=TOL_REC,
+    d.add_argument("--tol", type=_tolerance, default=TOL_REC,
                    help="threshold for --check failures")
     add_common(d)
     d.set_defaults(func=cmd_decompose)
@@ -364,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check order conditions and identity residuals")
     v.add_argument("input", help="matrix file")
-    v.add_argument("--tol", type=float, default=1e-9,
+    v.add_argument("--tol", type=_tolerance, default=TOL_REC,
                    help="largest acceptable identity residual")
     add_common(v, out=False)  # verify writes only to stdout
     v.set_defaults(func=cmd_verify)
@@ -388,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # run as the program: every object the imports left lives until exit,
+        # and frozen ones are skipped by the collections at exit
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

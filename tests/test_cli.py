@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import inspect
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,27 @@ class TestLoadTable:
         src = tmp_path / "m.csv"
         src.write_text("1,0.5\n  \n0.5,1\n\t\n  \n")
         assert load_table(str(src), None).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    def test_json_n_must_match_the_row_width(self, tmp_path):
+        src = tmp_path / "m.json"
+        src.write_text('{"n": 5, "rows": [[1, 0.5], [0.5, 1]]}')
+        with pytest.raises(UsageError) as err:
+            load_table(str(src), None)
+        assert str(err.value) == f"{src}: 'n' is 5 but the rows have 2 columns"
+        assert main(["decompose", str(src)]) == 2
+
+    @pytest.mark.parametrize("header", ['"n": 3, ', ""])
+    def test_json_n_equal_to_the_width_or_missing_is_accepted(self, tmp_path, header):
+        # a 2 x 3 sample block: "n" counts columns, as render_table writes it
+        src = tmp_path / "m.json"
+        src.write_text('{' + header + '"rows": [[1, 2, 3], [4, 5, 6]]}')
+        assert load_table(str(src), None).tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_json_written_by_render_table_reads_back(self, tmp_path):
+        a = np.random.default_rng(6).standard_normal((4, 3))
+        src = tmp_path / "m.json"
+        src.write_text(render_table(a, "json"))
+        assert load_table(str(src), None).tobytes() == a.tobytes()
 
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -626,6 +649,34 @@ class TestVerify:
         assert list(tmp_path.iterdir()) == [src]
 
 
+class TestTolerance:
+    """``--tol`` of ``verify`` and ``decompose --check``: nan and negative
+    values are usage errors; 0 and inf are valid."""
+
+    COMMANDS = {"verify": ["verify"], "decompose": ["decompose", "--check"]}
+
+    @pytest.fixture
+    def matrix(self, tmp_path):
+        src = tmp_path / "r.csv"
+        write_csv(src, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
+        return str(src)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-0.5", "NaN"])
+    def test_nan_and_negative_are_usage_errors(self, matrix, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], matrix, "--tol", tol])
+        assert exc.value.code == 2
+        assert f"argument --tol: expected a number >= 0, got {tol!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_zero_fails_the_check_and_inf_passes_it(self, matrix, command):
+        argv = [*self.COMMANDS[command], matrix, "--tol"]
+        assert main([*argv, "0"]) == 1
+        assert main([*argv, "inf"]) == 0
+        assert main(argv[:-1]) == 0
+
+
 class TestParser:
     def test_every_flag_is_read_by_its_command(self):
         subparsers = next(a for a in cli.build_parser()._actions
@@ -810,6 +861,7 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1,0"
 
+
     def test_no_scipy_after_any_command(self, tmp_path):
         good, bad, sample = tmp_path / "r.csv", tmp_path / "bad.csv", tmp_path / "x.csv"
         write_csv(good, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
@@ -853,3 +905,68 @@ print(json.dumps(result))
         code, report = result["test"]
         assert code == 0
         assert [row["k"] for row in json.loads(report)["per_k"]] == [1, 2]
+
+
+class TestFreeze:
+    """``main()`` run as the program freezes the objects left by the imports;
+    ``main(argv)`` and importing the package freeze nothing."""
+
+    PROGRAM = """
+import contextlib, gc, io, json, sys
+from cholcorr.cli import main
+
+before = gc.get_freeze_count()
+sys.argv = ["cholcorr", *sys.argv[1:]]
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main()
+print(json.dumps([before, gc.get_freeze_count(), code, out.getvalue(), err.getvalue()]))
+"""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        good, sample = tmp_path / "r.csv", tmp_path / "x.csv"
+        write_csv(good, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
+        write_csv(sample, np.random.default_rng(8).standard_normal((50, 3)))
+        return {"good": str(good), "sample": str(sample), "tmp": str(tmp_path)}
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "{good}", "--check", "--method", "detratio"],
+        ["test", "{sample}", "--target", "2"],
+        ["generate", "--n", "7", "--count", "3", "--seed", "11", "--out", "{tmp}/{side}"],
+    ])
+    def test_program_run_freezes_and_writes_the_same_bytes(self, inputs, capsys, argv):
+        def run_args(side):
+            return [arg.format(side=side, **inputs) for arg in argv]
+
+        proc = subprocess.run([sys.executable, "-c", self.PROGRAM, *run_args("program")],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        before, after, code, out, err = json.loads(proc.stdout)
+        assert before == 0 and after > 0
+        assert main(run_args("in-process")) == code == 0
+        assert capsys.readouterr() == (out, err)
+        if argv[0] == "generate":
+            program, in_process = (Path(inputs["tmp"], side) for side in ("program", "in-process"))
+            names = sorted(p.name for p in program.iterdir())
+            assert names == sorted(p.name for p in in_process.iterdir())
+            assert len(names) == 4
+            for name in names:
+                assert (program / name).read_bytes() == (in_process / name).read_bytes()
+
+    def test_in_process_main_freezes_nothing(self, inputs, capsys):
+        before = gc.get_freeze_count()
+        assert main(["decompose", inputs["good"]]) == 0
+        assert main(["test", inputs["sample"]]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_imports_freeze_nothing(self):
+        script = ("import gc, json\n"
+                  "import cholcorr\n"
+                  "counts = [gc.get_freeze_count()]\n"
+                  "import cholcorr.cli\n"
+                  "print(json.dumps(counts + [gc.get_freeze_count()]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 0]
