@@ -40,7 +40,6 @@ from .matrix_core import (
     TOL_PD,
     TOL_REC,
     TOL_SYM,
-    CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
     reference_cholesky,
@@ -159,13 +158,6 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
-def load_square(path: str, fmt: str | None) -> np.ndarray:
-    a = load_table(path, fmt)
-    if a.shape[0] != a.shape[1]:
-        raise UsageError(f"{path}: expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def write_output(text: str, out: str | None, command: str, options: dict) -> None:
     """``text`` to stdout, or to the file ``out`` with the manifest of
     ``command`` and its ``options`` beside it, at ``<out>.manifest.json``."""
@@ -192,35 +184,22 @@ def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) 
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _detratio(m) -> CholeskyFactor:
-    """The ladder route on ``m`` with signs from its semi-partial factor:
-    ``chol_covariance`` on a covariance container (the one with ``sigmas``:
-    a tracer may rebind the class names to plain functions, so
-    ``isinstance`` against them is not used), ``chol_detratio`` otherwise."""
-    route = chol_covariance if hasattr(m, "sigmas") else chol_detratio
-    return route(m, extract_signs(m._once(chol_semipartial)))
-
-
-def _factor(m, method: str) -> CholeskyFactor:
-    """The factor of ``m`` by route ``method``, built once per container.
-    Route names are looked up per call, so a rebound name is honoured."""
-    routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
-              "detratio": _detratio}
-    return m._once(routes[method])
-
-
 def cmd_decompose(args) -> int:
-    a = load_square(args.input, args.format)
+    a = load_table(args.input, args.format)
     m = CovarianceMatrix(a) if args.covariance else CorrelationMatrix(a)
-    factor = _factor(m, args.method)
+    # names are looked up when the command runs, so a name rebound after
+    # import (the benchmark's tracer) is honoured
+    ladder = chol_covariance if args.covariance else chol_detratio
+    routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
+              "detratio": lambda m: ladder(m, extract_signs(m._once(chol_semipartial)))}
+    factor = m._once(routes[args.method])
     fmt = infer_format(args.out, args.format)
     write_output(render_table(factor.entries, fmt), args.out, "decompose",
                  {"input": args.input, "method": args.method, "covariance": args.covariance,
                   "check": args.check, "format": fmt, "tol": args.tol})
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
-        methods = ("reference", "semipartial", "detratio")
-        factors = [_factor(m, name).entries for name in methods]
+        factors = [m._once(route).entries for route in routes.values()]
         cross = max(
             float(np.max(np.abs(fa - fb)))
             for x, fa in enumerate(factors)
@@ -235,8 +214,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be at least 1")
     cfg = GeneratorConfig(n=args.n, seed=args.seed, sign_bias=args.sign_bias)
     matrices = generate_batch(cfg, args.count)
     outdir = Path(args.out)
@@ -259,7 +236,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a = load_square(args.input, args.format)
+    a = load_table(args.input, args.format)
     det_ok, ratio_ok, _ = check_order_conditions(a)
     print(f"det-order: {'ok' if det_ok else 'violated'}")
     print(f"ratio-order: {'ok' if ratio_ok else 'violated'}")
@@ -315,8 +292,6 @@ def cmd_ar1(args) -> int:
     elif args.emit == "factor":
         payload = ar1_cholesky(spec).entries
     else:
-        if args.count < 1:
-            raise UsageError("--count must be at least 1")
         payload = sample_mvn(ar1_cholesky(spec), args.count, args.seed)
     fmt = infer_format(args.out, args.format)
     write_output(render_table(payload, fmt), args.out, "ar1",

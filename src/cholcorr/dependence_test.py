@@ -7,12 +7,19 @@ ordered last, reads the semi-partial estimates r_k off the last row of
 the semi-partial factor, and for each k = 1..p-1 tests whether the target
 is uncorrelated with the first k variables using
 
-    T = sqrt(N - k) * r_k / sqrt(1 - r_k^2),
+    T = sqrt(N - 2) * r_k / sqrt(1 - r_k^2),
 
 rejected at level alpha when |T| exceeds the upper alpha/2 quantile of
-the t distribution with N - k degrees of freedom. All k are scanned (no
-early stopping) and no multiplicity correction is applied; the report
-carries every per-k decision plus the largest rejected k.
+the t distribution with N - 2 degrees of freedom. r_k is the sample
+correlation of the target with variable k residualized on variables
+1..k-1; the target itself is not residualized. So when the target is
+Gaussian and independent of the others, r_k^2 ~ Beta(1/2, (N-2)/2)
+whatever the others are, and T is exactly t(N - 2) at every stage: the
+classical law of a sample correlation with a fixed vector (Anderson,
+*An Introduction to Multivariate Statistical Analysis*, ch. 4). Each
+stage is a separate test at level alpha: all k are scanned (no early
+stopping) and no multiplicity correction is applied; the report carries
+every per-k decision plus the largest rejected k.
 
 The correlation estimator is the product-moment estimator with mean
 centering; the variance divisor cancels in the ratio, so the N vs N-1
@@ -273,14 +280,14 @@ def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     order = [c for c in range(1, x.p + 1) if c != target] + [target]
     factor = chol_semipartial(_sample_correlation(x.data[:, [c - 1 for c in order]]))
+    df = x.N - 2
+    critical = _t_quantile(1.0 - alpha / 2.0, df)
     stages = []
     largest = None
     for k in range(1, x.p):
         # |r_k| < 1: the target row of an accepted factor has l_pp^2 > TOL_PD
         r_k = float(factor.entries[x.p - 1, k - 1])
-        df = x.N - k
         t_k = math.sqrt(df) * r_k / math.sqrt(1.0 - r_k * r_k)
-        critical = _t_quantile(1.0 - alpha / 2.0, df)
         reject = abs(t_k) > critical
         if reject:
             largest = k

@@ -35,9 +35,10 @@ The one validation path takes a stack: each check, and the ``potrf``
 factorization, reads one n x n matrix or a (k, n, n) stack alike, so a
 batch of k matrices is validated in one pass of numpy calls. The private
 builder ``_stack`` returns one container per element, holding views of
-the frozen stacked arrays; a stack that fails any check is validated
-again one element at a time, so it raises exactly what its first failing
-element raises on its own.
+the frozen stacked arrays. A stack that fails any check, the ``potrf``
+factorization included, raises at once, and ``_stack`` is the one place
+that builds it again one element at a time, so it raises exactly what
+its first failing element raises on its own.
 
 The tolerances below are fixed constants, not parameters of any public
 function.
@@ -54,13 +55,6 @@ from .errors import NotPositiveDefinite, SchurNonPositive
 TOL_SYM = 1e-10  # max absolute asymmetry, and max |a_ii - 1| of a correlation matrix
 TOL_PD = 1e-12   # minimum accepted pivot (Schur complement)
 TOL_REC = 1e-9   # factor reconstruction tolerance
-TOL_EQ = 1e-9    # entrywise agreement tolerance between factor routes
-
-
-def _freeze(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 def as_array(m) -> np.ndarray:
@@ -166,9 +160,10 @@ class CorrelationMatrix(_FactoredMatrix):
 class CovarianceMatrix(_FactoredMatrix):
     """Symmetric positive-definite matrix with standard deviations on record.
 
-    ``sigmas[k]`` is the square root of the k-th diagonal entry. Validation
-    runs the reference factorization on the matrix itself, with each pivot
-    judged relative to its diagonal entry, and keeps the factor.
+    ``sigmas[k]``, a plain property computed on each read, is the square
+    root of the k-th diagonal entry. Validation runs the reference
+    factorization on the matrix itself, with each pivot judged relative to
+    its diagonal entry, and keeps the factor.
     """
 
     @staticmethod
@@ -178,11 +173,7 @@ class CovarianceMatrix(_FactoredMatrix):
 
     @property
     def sigmas(self) -> np.ndarray:
-        return self._once(_sigmas)
-
-
-def _sigmas(m: CovarianceMatrix) -> np.ndarray:
-    return _freeze(np.sqrt(np.diag(m.values)))
+        return np.sqrt(np.diagonal(self._values))
 
 
 class CholeskyFactor:
@@ -230,8 +221,9 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     ``potrf`` stops, the diagonal of ``_schur_ladders``. Where ``potrf``
     stops but the Schur kernel's different rounding leaves every pivot
     above the tolerance, the smallest relative pivot is reported. A
-    rejected stack is factored again one matrix at a time, and the first
-    rejected matrix raises.
+    rejected stack raises a plain ``ValueError`` at once: ``_stack``
+    catches it and builds the stack again one matrix at a time, up to the
+    first that raises.
     """
     try:
         lower = np.linalg.cholesky(a)
@@ -241,9 +233,8 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
         pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
         if np.all(pivots > tol_pd * np.diagonal(a, axis1=-2, axis2=-1)):  # NaN fails too
             return lower, pivots
-    if a.ndim > 2:
-        for element in a:
-            _cholesky_pivots(element, tol_pd)
+    if a.ndim > 2:  # _stack builds the elements again one at a time
+        raise ValueError("a matrix of the stack is not positive-definite")
     if lower is None:
         with np.errstate(all="ignore"):
             pivots = _schur_ladders(a).diagonal()

@@ -14,8 +14,9 @@ successive ratios of bordered principal minors,
 
 with ``B_i^j`` the leading (i-1)-block bordered by column j's prefix and
 ``s_ij`` an externally supplied sign (the determinants fix magnitudes
-only). Both routes must agree with the reference factorization entrywise;
-the test suite holds them to ``TOL_EQ``.
+only). Both routes must agree with the reference factorization entrywise:
+``decompose --check`` fails beyond its ``--tol`` (default ``TOL_REC``),
+and acceptance gate 1 holds them to 1e-9 on generated matrices.
 
 With the reference they compute the same quantities by different code,
 not different mathematics, and share none of its code: q_ij grows by the

@@ -348,6 +348,15 @@ class TestDecompose:
         src.write_text("1,0.5,0\n0.5,1,0\n")
         assert main(["decompose", str(src)]) == 2
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_nonsquare_is_usage_error(self, tmp_path, capsys, command):
+        src = tmp_path / "rect.csv"
+        src.write_text("1,0.5,0\n0.5,1,0\n")
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a square matrix, got shape (2, 3)" in captured.err
+
     def test_covariance_roundtrip(self, tmp_path):
         r = generate_batch(GeneratorConfig(n=3, seed=8), 1)[0]
         sig = np.array([0.5, 2.0, 1.0])
@@ -508,6 +517,12 @@ class TestGenerate:
 
     def test_bad_count(self, tmp_path):
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(tmp_path / "x")]) == 2
+
+    def test_bad_count_creates_no_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "x"
+        assert main(["generate", "--n", "3", "--count", "0", "--out", str(outdir)]) == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 def stdout_digest(capsys, argv):
@@ -707,7 +722,7 @@ class TestTest:
         write_csv(src, rng.standard_normal((30, 2)))
         assert main(["test", str(src)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["per_k"][0]["df"] == 29
+        assert report["per_k"][0]["df"] == 28
 
     def test_dependent_target_detected(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -797,6 +812,13 @@ class TestAr1:
                          "--count", "6", "--seed", "11", "--out", str(path)]) == 0
         assert a.read_text() == b.read_text()
         assert read_csv(a).shape == (6, 4)
+
+    def test_bad_count_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["ar1", "--n", "3", "--rho", "0.3", "--emit", "samples",
+                     "--count", "0", "--out", str(out)]) == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def read_stdout_csv(capsys):

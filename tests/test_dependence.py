@@ -142,9 +142,9 @@ class TestSequentialTest:
         report = sequential_test(x, target=2, alpha=0.05)
         assert len(report.per_k) == 1
         stage = report.per_k[0]
-        assert stage.df == 29
+        assert stage.df == 28
         r = _sample_correlation(x.data).values[0, 1]
-        expected = math.sqrt(29) * r / math.sqrt(1 - r * r)
+        expected = math.sqrt(28) * r / math.sqrt(1 - r * r)
         assert abs(stage.t_stat - expected) <= 1e-12
 
     def test_statistic_of_every_stage(self):
@@ -152,11 +152,25 @@ class TestSequentialTest:
         data = rng.standard_normal((40, 4))
         data[:, 3] += 0.3 * data[:, 1]
         report = sequential_test(SampleMatrix(data), target=4, alpha=0.05)
-        assert [stage.df for stage in report.per_k] == [39, 38, 37]
+        assert [stage.df for stage in report.per_k] == [38, 38, 38]
+        assert len({stage.critical for stage in report.per_k}) == 1
         for stage in report.per_k:
             r = stage.r_semi
-            expected = math.sqrt(40 - stage.k) * r / math.sqrt(1 - r * r)
+            expected = math.sqrt(38) * r / math.sqrt(1 - r * r)
             assert abs(stage.t_stat - expected) <= 1e-12 * abs(expected)
+
+    def test_every_stage_holds_its_level(self):
+        # under independence T is exactly t(N - 2) at every stage; each
+        # stage is its own test (no multiplicity correction), so each
+        # rate is checked on its own: 6,000 replicates, se about 0.003
+        reps, alpha = 6000, 0.05
+        blocks = np.random.default_rng(2014).standard_normal((reps, 12, 6))
+        rejections = np.zeros(5)
+        for data in blocks:
+            report = sequential_test(SampleMatrix(data), target=6, alpha=alpha)
+            rejections += [stage.reject for stage in report.per_k]
+        rates = rejections / reps
+        assert np.all((0.040 <= rates) & (rates <= 0.060)), rates
 
     def test_negated_target_negates_every_statistic(self):
         # the statistic is odd in r_k, and negating the target column

@@ -217,12 +217,22 @@ class TestStackedValidation:
         stack = planted(GOOD, bad)
         assert raised(matrix_core._correlation_stack, stack) == raised(CorrelationMatrix, bad)
 
-    @pytest.mark.parametrize("kind", ["indefinite", "pivot below TOL_PD"])
-    def test_stacked_pivots_raise_as_alone(self, kind):
-        bad = BAD_CORRELATIONS[kind]
-        stack = planted(GOOD, bad)
-        assert raised(matrix_core._cholesky_pivots, stack, TOL_PD) == raised(
-            matrix_core._cholesky_pivots, bad, TOL_PD)
+    def test_rejected_stack_factors_each_element_at_most_once(self, monkeypatch):
+        # one stacked factorization, then each element alone once, up to
+        # the indefinite 4th
+        good = np.stack([random_correlation(3, seed).values for seed in range(8)])
+        stack = planted(good, NOT_PD_3X3, at=3)
+        calls = []
+        pivots = matrix_core._cholesky_pivots
+
+        def counting(a, tol_pd):
+            calls.append(a.shape)
+            return pivots(a, tol_pd)
+
+        monkeypatch.setattr(matrix_core, "_cholesky_pivots", counting)
+        with pytest.raises(NotPositiveDefinite):
+            matrix_core._correlation_stack(stack)
+        assert calls == [(8, 3, 3)] + [(3, 3)] * 4
 
     def test_first_failing_element_raises(self):
         stack = planted(GOOD, BAD_CORRELATIONS["asymmetric"], at=1)
