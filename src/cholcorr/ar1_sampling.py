@@ -14,26 +14,23 @@ languages is only promised for the uniform pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matrix_core import CholeskyFactor, CorrelationMatrix
+from .matrix_core import CholeskyFactor, CorrelationMatrix, _Record
 from .randcorr import stream
 
 
-@dataclass(frozen=True)
-class Ar1Spec:
+class Ar1Spec(_Record):
     """Dimension and lag-one coefficient, |rho| strictly below 1."""
 
-    n: int
-    rho: float
+    __slots__ = ("n", "rho")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rho: float):
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not abs(self.rho) < 1.0:
-            raise ValueError(f"|rho| must be < 1, got {self.rho}")
+        if not abs(rho) < 1.0:
+            raise ValueError(f"|rho| must be < 1, got {rho}")
+        self._set(n, rho)
 
 
 def ar1_matrix(spec: Ar1Spec) -> CorrelationMatrix:

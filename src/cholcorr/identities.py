@@ -39,13 +39,12 @@ diagnostic usable on arbitrary symmetric unit-diagonal input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matrix_core import (
     CorrelationMatrix,
     _banachiewicz_inverse,
+    _Record,
     _schur_ladders,
     _symmetrized,
     _unit_diagonal,
@@ -57,21 +56,19 @@ from .parametrizations import chol_semipartial
 TOL_ORD = 1e-10  # slack for order comparisons; exact ties are legitimate
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Worst absolute residual of one identity over all index choices.
 
     ``location`` is the 1-based (i, j, l) triple of the worst case; l is 0
     for identities indexed by (i, j) only.
     """
 
-    name: str
-    max_residual: float
-    location: tuple[int, int, int]
+    __slots__ = ("name", "max_residual", "location")
 
-    def __post_init__(self):
-        if self.max_residual < 0:
+    def __init__(self, name: str, max_residual: float, location: tuple[int, int, int]):
+        if max_residual < 0:
             raise ValueError("residual must be non-negative")
+        self._set(name, max_residual, location)
 
 
 def _chain(r: CorrelationMatrix):

@@ -90,6 +90,44 @@ def _unit_diagonal(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Record:
+    """Immutable record whose fields are the subclass's ``__slots__``, set
+    once by its ``__init__`` through ``_set``. Equality, hash and repr go
+    by field, in slot order; assigning or deleting a field raises
+    ``AttributeError``. Plain code, so that importing a record type
+    generates and compiles nothing."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._fields()
+
+
 class _FactoredMatrix:
     """Immutable symmetric positive-definite n x n matrix that keeps the
     factor and pivots it was validated with.

@@ -54,32 +54,28 @@ is one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matrix_core import CholeskyFactor, CorrelationMatrix, _correlation_stack
+from .matrix_core import CholeskyFactor, CorrelationMatrix, _correlation_stack, _Record
 
 _CHUNK_FLOATS = 2**16  # floats per stacked array in a batch chunk
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(_Record):
     """Dimension, seed and sign bias for the generator.
 
     ``sign_bias`` is the probability that an off-diagonal factor entry
     keeps a positive sign; 0.5 reproduces the symmetric coin flip.
     """
 
-    n: int
-    seed: int
-    sign_bias: float = 0.5
+    __slots__ = ("n", "seed", "sign_bias")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, seed: int, sign_bias: float = 0.5):
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not 0.0 <= self.sign_bias <= 1.0:
+        if not 0.0 <= sign_bias <= 1.0:
             raise ValueError("sign_bias must lie in [0, 1]")
+        self._set(n, seed, sign_bias)
 
 
 def stream(seed: int, index: int | None = None) -> np.random.Generator:

@@ -736,13 +736,13 @@ class TestTest:
 
     def test_validates_the_block_once(self, tmp_path, monkeypatch):
         calls = []
-        post_init = dependence_test.SampleMatrix.__post_init__
+        init = dependence_test.SampleMatrix.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             calls.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(dependence_test.SampleMatrix, "__post_init__", counting)
+        monkeypatch.setattr(dependence_test.SampleMatrix, "__init__", counting)
         src = tmp_path / "x.csv"
         write_csv(src, np.random.default_rng(8).standard_normal((2000, 10)))
         assert main(["test", str(src), "--target", "3"]) == 0
@@ -882,6 +882,31 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1,0"
+
+    def test_import_budget(self, tmp_path):
+        # beyond numpy, importing the CLI loads only argparse, json and
+        # cholcorr itself; the t quantile of `test` loads no statistics
+        sample = tmp_path / "x.csv"
+        write_csv(sample, np.random.default_rng(8).standard_normal((50, 3)))
+        script = """
+import sys
+import numpy
+before = set(sys.modules)
+from cholcorr.cli import main
+added = sorted(set(sys.modules) - before)
+code = main(["test", sys.argv[1], "--out", sys.argv[2]])
+import json
+print(json.dumps([added, code, sorted({"statistics", "decimal", "fractions"} & set(sys.modules))]))
+"""
+        out = tmp_path / "t.json"
+        proc = subprocess.run([sys.executable, "-c", script, str(sample), str(out)],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        added, code, unwanted = json.loads(proc.stdout)
+        assert {m for m in added if not m.startswith(("cholcorr.", "json."))} == {
+            "__future__", "_json", "argparse", "cholcorr", "gc", "gettext", "json"}
+        assert code == 0 and unwanted == []
+        assert json.loads(out.read_text())["variable_order"] == [1, 2, 3]
 
 
     def test_no_scipy_after_any_command(self, tmp_path):

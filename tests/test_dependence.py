@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
+from scipy import special
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, sample_mvn
 from cholcorr.dependence_test import SampleMatrix, _sample_correlation, _t_quantile, sequential_test
@@ -116,6 +117,26 @@ class TestTQuantile:
         for p in self.ACCURACY_PROB:
             upper = max(p, 1.0 - p)
             assert _t_quantile(upper, df) == -_t_quantile(1.0 - upper, df)
+
+    @pytest.mark.parametrize("n_samples", [12, 50, 2000, 10**5])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_critical_values_of_sequential_test(self, n_samples, alpha):
+        # the grid `sequential_test` reads: df = N - 2, prob = 1 - alpha/2.
+        # The oracle is betaincinv on the mirror I_y(1/2, df/2) = 1 - 2 tail,
+        # y = 1 - x, as in t_quantile_betaincinv above tail 1/4; its branch
+        # below 1/4 forms 1 - x near x = 1 and is 6e-13 off at df = 10^5.
+        prob, df = 1.0 - alpha / 2.0, n_samples - 2
+        y = special.betaincinv(0.5, 0.5 * df, 1.0 - 2.0 * (1.0 - prob))
+        q = _t_quantile(prob, df)
+        assert abs(q - math.sqrt(df * y / (1.0 - y))) <= 2e-14 * q
+
+    @pytest.mark.parametrize("df", [3, 30, 10**6])
+    def test_just_above_the_median(self, df):
+        # the rational start for the normal quantile is negative here, and
+        # the lower bound sqrt(2 pi) (1/2 - tail) starts Newton instead
+        for p in (0.5 + 2.0**-40, 0.5 + 1e-8):
+            q = _t_quantile(p, df)
+            assert 0.0 < q and abs(q - t_quantile_betaincinv(p, df)) <= 2e-14 * q
 
     def test_large_df_is_bounded(self):
         _t_quantile(0.975, 10)
