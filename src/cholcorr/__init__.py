@@ -15,7 +15,6 @@ from .dependence_test import (
 from .errors import (
     DegenerateColumn,
     NearSingular,
-    NegativeRadicand,
     NotPositiveDefinite,
     SchurNonPositive,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "GeneratorConfig",
     "IdentityReport",
     "NearSingular",
-    "NegativeRadicand",
     "NotPositiveDefinite",
     "SampleMatrix",
     "SchurNonPositive",

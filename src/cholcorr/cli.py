@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from .dependence_test import SampleMatrix, sequential_test
-from .errors import NearSingular, NegativeRadicand, NotPositiveDefinite, SchurNonPositive
+from .errors import NearSingular, NotPositiveDefinite, SchurNonPositive
 from .identities import ALL_VERIFIERS, TOL_ORD, check_order_conditions
 from .matrix_core import (
     TOL_PD,
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotPositiveDefinite, SchurNonPositive, NegativeRadicand, NearSingular) as exc:
+    except (NotPositiveDefinite, SchurNonPositive, NearSingular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError, OSError) as exc:

@@ -27,24 +27,6 @@ class SchurNonPositive(ValueError):
         super().__init__(f"Schur complement {self.value:.6e} is not positive")
 
 
-class NegativeRadicand(ValueError):
-    """A difference of successive determinant ratios was negative beyond
-    tolerance, which signals a non-positive-definite or corrupted input.
-
-    ``i`` and ``j`` locate the factor entry (1-based, row ``j``, column
-    ``i``); ``value`` is the offending difference.
-    """
-
-    def __init__(self, i: int, j: int, value: float):
-        self.i = int(i)
-        self.j = int(j)
-        self.value = float(value)
-        super().__init__(
-            f"negative radicand {self.value:.6e} at factor entry "
-            f"(row {self.j}, column {self.i})"
-        )
-
-
 class DegenerateColumn(ValueError):
     """A data column has (numerically) zero sample variance."""
 

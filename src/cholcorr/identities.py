@@ -45,7 +45,7 @@ from .matrix_core import (
     CorrelationMatrix,
     _banachiewicz_inverse,
     _Record,
-    _schur_ladders,
+    _schur_steps,
     _symmetrized,
     _unit_diagonal,
     as_array,
@@ -159,7 +159,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     """
     if r.n < 3:
         raise ValueError("need n >= 3")
-    d = _schur_ladders(r.values)
+    d = _schur_steps(r.values)[0]
     minors = leading_minor_determinants(r)
     prev = np.concatenate(([1.0], minors[:-1]))
     coeffs = r._once(chol_semipartial).entries
@@ -216,7 +216,7 @@ def check_order_conditions(m):
     ``ValueError``.
     """
     with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails every comparison
-        d = _schur_ladders(_unit_diagonal(_symmetrized(as_array(m))))
+        d = _schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0]
         pivots = d.diagonal()
         det_ok = bool(np.all(pivots > TOL_ORD) and np.all(pivots <= 1.0 + TOL_ORD))
         upper = np.triu(np.ones(d.shape, dtype=bool))

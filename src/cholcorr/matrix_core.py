@@ -19,8 +19,12 @@ units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
 identity directly; the recursion itself is exercised by the
 ``identities`` module as a cross-check. Bordered minors come from one
-Schur elimination (``_schur_ladders``) that shares no code with LAPACK,
-and the blockwise inverse (``_banachiewicz_inverse``) that grows the
+Schur elimination (``_schur_steps``) that shares no code with LAPACK.
+Beside the ladder of each column's bordered-minor ratios it returns the
+steps between them, s_ji^2 / s_ii, the diagonal of the rank-one update
+that step i subtracts: the squared factor entries, read where they are
+formed rather than as a difference of two ratios of order 1. The
+blockwise inverse (``_banachiewicz_inverse``) that grows the
 ``identities`` chain is private as well.
 
 All containers copy and freeze their arrays after validation, so instances
@@ -256,7 +260,7 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     is kept when every pivot exceeds ``tol_pd * a_ii``. Otherwise raises
     ``NotPositiveDefinite`` at the first 1-based index whose pivot fails
     that test, reading the pivots of ``potrf``'s own factor or, when
-    ``potrf`` stops, the diagonal of ``_schur_ladders``. Where ``potrf``
+    ``potrf`` stops, the pivots of ``_schur_steps``. Where ``potrf``
     stops but the Schur kernel's different rounding leaves every pivot
     above the tolerance, the smallest relative pivot is reported. A
     rejected stack raises a plain ``ValueError`` at once: ``_stack``
@@ -275,7 +279,7 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
         raise ValueError("a matrix of the stack is not positive-definite")
     if lower is None:
         with np.errstate(all="ignore"):
-            pivots = _schur_ladders(a).diagonal()
+            pivots = _schur_steps(a)[0].diagonal()
     ok = pivots > tol_pd * a.diagonal()
     k = int(np.argmin(ok)) if not ok.all() else int(np.argmin(pivots / a.diagonal()))
     raise NotPositiveDefinite(k + 1, pivots[k])
@@ -338,10 +342,15 @@ def leading_minor_determinants(m) -> np.ndarray:
     return np.cumprod(_factor_of(m)[1])
 
 
-def _schur_ladders(a) -> np.ndarray:
-    """Upper-triangular (n, n) ``d``: ``d[i, j]`` (0-based, j >= i) is
+def _schur_steps(a):
+    """The ladders ``d`` and the steps between them, as ``(d, steps)``.
+
+    ``d`` is upper-triangular (n, n): ``d[i, j]`` (0-based, j >= i) is
     diagonal entry j of the Schur complement left after eliminating 0..i-1,
     i.e. the ratio |B_{i+1}^{j+1}| / |R_i|, and ``d[i, i]`` is pivot i.
+    ``steps`` is strictly lower: ``steps[j, i]`` is s_ji^2 / s_ii, the
+    diagonal entry j of the rank-one update that step i subtracts, so
+    ``d[i + 1, j]`` is ``d[i, j] - steps[j, i]`` rounded once.
 
     One right-looking symmetric elimination, O(n^3), with no pivoting, no
     square root and no definiteness assumed (Golub & Van Loan, *Matrix
@@ -349,12 +358,14 @@ def _schur_ladders(a) -> np.ndarray:
     """
     s = np.array(a, dtype=float)
     n = s.shape[0]
-    d = np.zeros((n, n))
+    d, steps = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
         d[i, i:] = s.diagonal()[i:]
         col = s[i + 1:, i]
-        s[i + 1:, i + 1:] -= np.outer(col, col / s[i, i])
-    return d
+        update = np.outer(col, col / s[i, i])
+        s[i + 1:, i + 1:] -= update
+        steps[i + 1:, i] = update.diagonal()
+    return d, steps
 
 
 def _banachiewicz_inverse(inv: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:

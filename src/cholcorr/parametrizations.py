@@ -23,21 +23,36 @@ not different mathematics, and share none of its code: q_ij grows by the
 paper's left-looking rank-one recursion Q_{i+1} = Q_i + c_i c_i^T, and
 each ratio |B_i^j| / |R_{i-1}| is diagonal entry j of the Schur complement
 after eliminating 1..i-1, so one right-looking elimination
-(``matrix_core._schur_ladders``) gives every row's ladder. Explicit
-blockwise inverses live in the ``identities`` verifiers.
+(``matrix_core._schur_steps``) gives every row's ladder. The difference
+of two successive ratios is the diagonal entry s_ji^2 / s_ii of the
+rank-one update that step i subtracts, and the kernel returns these
+``steps`` beside the ladders: the second route reads its squared entries
+there, where a small one keeps its digits, instead of subtracting two
+ratios of order 1. ``identities.verify_ratio_differences`` checks the
+subtracted form. Explicit blockwise inverses live in the ``identities``
+verifiers.
+
+Accuracy contract (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 10): on a correlation matrix of 2-norm condition number
+kappa each route's factor is within n * kappa * eps of the reference
+entrywise, and on a covariance matrix row j is within sigma_j times that,
+kappa taken on its correlation matrix. ``tests/test_parametrizations.py``
+pins the bound on AR(1) with |rho| up to 1 - 1e-5, equicorrelation within
+1e-10 of its floor -1/(n-1), factors with one planted entry down to 1e-12,
+and spectra of kappa up to 1e12, at n = 12 and 64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeRadicand, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .matrix_core import (
     TOL_PD,
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    _schur_ladders,
+    _schur_steps,
 )
 
 
@@ -59,6 +74,9 @@ def chol_semipartial(r: CorrelationMatrix | CovarianceMatrix) -> CholeskyFactor:
     factorization nor a triangular solve is involved. A pivot a_ii - q_ii
     at or below ``TOL_PD * a_ii`` raises ``NotPositiveDefinite``, the
     reference's unit-free test.
+
+    Accurate to n * kappa * eps (module docstring); over 200 draws per
+    tested family at n = 12 and 64 the smallest margin is about 110x.
 
     Known limit: this recursion and ``potrf`` round a pivot differently,
     so where it lies within rounding of ``TOL_PD * a_ii`` the two can
@@ -97,12 +115,16 @@ def chol_detratio(r: CorrelationMatrix, signs: np.ndarray) -> CholeskyFactor:
     and signs supplied externally.
 
     For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at 1 and
-    ending at |R_j|/|R_{j-1}|) come from one Schur elimination, O(n^3);
-    successive differences are the squared entries. Differences below
-    -TOL_PD raise ``NegativeRadicand`` at the first such row; tiny
-    negative values produced by rounding are clamped to zero. The diagonal
-    does not depend on signs; ``decompose`` takes them from the semi-partial
-    factor, so the two routes are not independent in sign.
+    ending at |R_j|/|R_{j-1}|) come from one Schur elimination, O(n^3).
+    The last is the squared diagonal entry, and each difference of
+    successive ratios, a squared entry, is read off the elimination's
+    update as it is formed, so it is never negative. A pivot at or below
+    ``TOL_PD`` raises ``NotPositiveDefinite``. The diagonal does not
+    depend on signs; ``decompose`` takes them from the semi-partial factor,
+    so the two routes are not independent in sign.
+
+    Accurate to n * kappa * eps (module docstring); over 200 draws per
+    tested family at n = 12 and 64 the smallest margin is about 50x.
     """
     return _ladder_factor(r, signs)
 
@@ -112,18 +134,25 @@ def chol_covariance(s: CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
 
     Same ladder construction as ``chol_detratio`` with the bordered minors
     taken on the covariance itself, so the first ratio of row j starts at
-    sigma_j^2 instead of 1 and the negative-radicand threshold scales with
-    the largest variance. Signs are supplied externally, e.g. from
+    sigma_j^2 instead of 1, and pivot i is judged against ``TOL_PD * a_ii``.
+    Signs are supplied externally, e.g. from
     ``extract_signs(chol_semipartial(s))``. Row j equals sigma_j times row
     j of the correlation factor.
+
+    Row j is accurate to sigma_j * n * kappa * eps (module docstring); over
+    200 draws per tested family at n = 12 and 64 the smallest margin is
+    about 120x.
     """
     return _ladder_factor(s, signs)
 
 
 def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
     """The ladder construction shared by ``chol_detratio`` (unit diagonal)
-    and ``chol_covariance``. ``signs`` is an (n, n) array with +1 or -1
-    below the diagonal and 0 elsewhere, as ``extract_signs`` returns."""
+    and ``chol_covariance``: the diagonal is the square root of the
+    kernel's pivots, each pivot checked against ``TOL_PD * a_ii``, and
+    entry (j, i) below it is the sign times the square root of step
+    s_ji^2 / s_ii. ``signs`` is an (n, n) array with +1 or -1 below the
+    diagonal and 0 elsewhere, as ``extract_signs`` returns."""
     n = m.n
     signs = np.asarray(signs)
     if signs.shape != (n, n):
@@ -131,13 +160,10 @@ def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
     below = np.tril(np.ones((n, n), dtype=bool), -1)
     if np.any(signs[~below] != 0) or not np.all(np.abs(signs[below]) == 1):
         raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
-    d = _schur_ladders(m.values)
-    sq = np.where(below[:, :-1], (d[:-1] - d[1:]).T, 0.0)  # sq[j, i] = l_ji^2
-    low = np.min(sq, axis=1, initial=0.0)
-    bad = np.flatnonzero(low < -TOL_PD * float(np.max(d[0])))
-    if bad.size:
-        j = int(bad[0])
-        raise NegativeRadicand(int(np.argmin(sq[j])) + 1, j + 1, float(low[j]))
-    entries = np.diag(np.sqrt(d.diagonal()))
-    entries[:, :-1] += signs[:, :-1] * np.sqrt(np.clip(sq, 0.0, None))
-    return CholeskyFactor(entries)
+    d, steps = _schur_steps(m.values)
+    pivots = d.diagonal()
+    ok = pivots > TOL_PD * m.values.diagonal()
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NotPositiveDefinite(k + 1, pivots[k])
+    return CholeskyFactor(np.diag(np.sqrt(pivots)) + signs * np.sqrt(steps))

@@ -8,6 +8,7 @@ internals it checks.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
@@ -27,6 +28,48 @@ def kappa_correlation(n, kappa, seed):
     a = (q * np.logspace(0.0, -np.log10(kappa), n)) @ q.T
     d = 1.0 / np.sqrt(np.diag(a))
     return CorrelationMatrix(a * np.outer(d, d))
+
+
+def ar1_correlation(n, rho):
+    """AR(1) matrix rho^|i - j|; as |rho| -> 1 every pivot after the
+    first, 1 - rho^2, goes to 0."""
+    return CorrelationMatrix(rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+
+
+def equicorrelation(n, gap):
+    """Every off-diagonal entry -(1 - gap) / (n - 1), just above the
+    lowest value that keeps the matrix positive-definite: its smallest
+    eigenvalue is gap, the others 1 + (1 - gap) / (n - 1)."""
+    rho = -(1.0 - gap) / (n - 1)
+    return CorrelationMatrix(np.where(np.eye(n, dtype=bool), 1.0, rho))
+
+
+def planted_correlation(n, seed, tiny=1e-8):
+    """F F^T for a lower-triangular F with unit rows, so F is its Cholesky
+    factor: unit diagonal plus standard normal off-diagonals scaled by
+    2/sqrt(n) (each row's squared norm stays below about 5, so no diagonal
+    entry of F falls far below 1/sqrt(5)), with one entry below the
+    diagonal set to ``tiny`` before the rows are normalized."""
+    rng = np.random.default_rng(seed)
+    f = np.tril(rng.standard_normal((n, n)), -1) * (2.0 / np.sqrt(n)) + np.eye(n)
+    j = int(rng.integers(1, n))
+    f[j, rng.integers(j)] = tiny
+    f /= np.linalg.norm(f, axis=1)[:, None]
+    return CorrelationMatrix(f @ f.T)
+
+
+def hard_correlations(n):
+    """Hypothesis strategies for the three families above at dimension n,
+    by name: "ar1" with |rho| = 1 - 10^-u, u in [1, 5], either sign;
+    "equicorrelation" with gap 10^-u, u in [1, 10]; "planted" with any
+    seed and an entry of 10^-u, u in [6, 12]."""
+    return {
+        "ar1": st.builds(lambda u, sign: ar1_correlation(n, sign * (1.0 - 10.0**-u)),
+                         st.floats(1.0, 5.0), st.sampled_from((-1.0, 1.0))),
+        "equicorrelation": st.builds(lambda u: equicorrelation(n, 10.0**-u), st.floats(1.0, 10.0)),
+        "planted": st.builds(lambda seed, u: planted_correlation(n, seed, 10.0**-u),
+                             st.integers(0, 2**32 - 1), st.floats(6.0, 12.0)),
+    }
 
 
 def one_tiny_eigenvalue(t):
@@ -109,21 +152,22 @@ def t_cdf_quadrature(x, df):
 def t_quantile_betaincinv(prob, df):
     """Student-t quantile by scipy's inverse regularized incomplete beta.
 
-    P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2), so the tail
-    quantile is sqrt(df (1 - x) / x) at x = betaincinv(df/2, 1/2, 2 tail).
-    Near the median x is close to 1 and 1 - x loses digits (6e-11 at
-    df = 1999, prob = 0.49, against a 40-digit reference), so tails above
-    1/4 invert the mirror I_y(1/2, df/2) = 1 - 2 tail for y = 1 - x,
-    where 1 - 2 tail is exact. Within 5e-14 of the 40-digit reference for
-    df <= 10^4 and 1e-12 <= prob <= 1 - 1e-12.
+    P(T > t) = I_x(df/2, 1/2) / 2 with x = df / (df + t^2). The helper
+    solves for the smaller of x and y = 1 - x, so that the other is not
+    formed as 1 minus a number near 1, and gives the solver 2 tail, which
+    is exact, in either form: x = betaincinv(df/2, 1/2, 2 tail) when
+    x < 1/2, i.e. when 2 tail < I_{1/2}(df/2, 1/2), and otherwise
+    y = betainccinv(1/2, df/2, 2 tail), from the mirror
+    1 - I_y(1/2, df/2) = 2 tail. Within 1.6e-15 relative of a 50-digit
+    mpmath bisection for df up to 10^6 and 1e-12 <= prob <= 1 - 1e-12.
     """
     tail = prob if prob < 0.5 else 1.0 - prob
-    if tail > 0.25:
-        y = special.betaincinv(0.5, 0.5 * df, 1.0 - 2.0 * tail)
-        q = math.sqrt(df * y / (1.0 - y))
-    else:
+    if 2.0 * tail < special.betainc(0.5 * df, 0.5, 0.5):
         x = special.betaincinv(0.5 * df, 0.5, 2.0 * tail)
         q = math.sqrt(df * (1.0 - x) / x)
+    else:
+        y = special.betainccinv(0.5, 0.5 * df, 2.0 * tail)
+        q = math.sqrt(df * y / (1.0 - y))
     return -q if prob < 0.5 else q
 
 

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kappa_correlation, one_tiny_eigenvalue, per_cell_csv, t_quantile_betaincinv
+from helpers import (
+    kappa_correlation,
+    one_tiny_eigenvalue,
+    per_cell_csv,
+    planted_correlation,
+    t_quantile_betaincinv,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -441,6 +447,15 @@ class TestDecompose:
         assert main(argv + (["--covariance"] if covariance else [])) == 0
         assert routes == {"chol_detratio": int(not covariance), "chol_covariance": int(covariance)}
 
+    @pytest.mark.parametrize("n", [12, 64])
+    def test_check_passes_on_planted_tiny_entries(self, tmp_path, capsys, n):
+        # one factor entry of 1e-8: its square is read off the elimination's
+        # update, not taken as the difference of two ladder entries near 1
+        for seed in range(10):
+            src = tmp_path / f"p{seed}.csv"
+            write_csv(src, planted_correlation(n, seed).values)
+            assert main(["decompose", str(src), "--check"]) == 0, capsys.readouterr().err
+
     def test_json_output(self, tmp_path):
         src = tmp_path / "r.csv"
         src.write_text("1,0.5\n0.5,1\n")
@@ -550,10 +565,10 @@ class TestPinnedBytes:
     DECOMPOSE = {
         ("reference", False): "d7d06c29479d50b89f8e6a8e647b02f151e132e0a37c5ac9c90d1ad04421ff78",
         ("semipartial", False): "bb7e7eb62283a6b5887b531c148881f9f01fdc6c9eaa13fe8284c3ae7468397f",
-        ("detratio", False): "71e510e520fdd9079410133156f8a009198f99ec37ff62a9a3d01728b08bc9e0",
+        ("detratio", False): "43ef66cfabf8eb90c20b11c5cb261b3503299503263f6dd43f495f638ca0e17a",
         ("reference", True): "4a7be0a1c80621bb20708e16b9ec67524cbbb5d03ed263bc0c13fe4915380276",
         ("semipartial", True): "939fde6b104e3b92984d4461870e76026d362613a94d15ee2f3e6b4132b344d2",
-        ("detratio", True): "27b513f334784957420eb034cc08ff5e78e9483227c2eb54e29f51ac5ffc8fe4",
+        ("detratio", True): "29cc7cc9766e02e743cc1ad71bf6ccce6cf5986be7fc7704940e9bc3feff6ae2",
     }
 
     AR1_SAMPLES = "72250ef5ec0380139f0638856fbdc80487739a45d5d74e9c6475a40f849ca081"

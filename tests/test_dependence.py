@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
-from scipy import special
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, sample_mvn
 from cholcorr.dependence_test import SampleMatrix, _sample_correlation, _t_quantile, sequential_test
@@ -99,7 +98,7 @@ class TestTQuantile:
         q = _t_quantile(p, df)
         assert abs(t_cdf_quadrature(q, df) - p) <= 1e-10
 
-    ACCURACY_DF = [1, 2, 3, 5, 10, 30, 200, 1999, 10**4]
+    ACCURACY_DF = [1, 2, 3, 5, 10, 30, 200, 1999, 10**4, 10**5, 10**6]
     ACCURACY_PROB = [1e-12, 1e-8, 1e-3, 0.025, 0.3, 0.49, 0.51, 0.7, 0.975,
                      1 - 1e-8, 1 - 1e-12]
 
@@ -121,14 +120,10 @@ class TestTQuantile:
     @pytest.mark.parametrize("n_samples", [12, 50, 2000, 10**5])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     def test_critical_values_of_sequential_test(self, n_samples, alpha):
-        # the grid `sequential_test` reads: df = N - 2, prob = 1 - alpha/2.
-        # The oracle is betaincinv on the mirror I_y(1/2, df/2) = 1 - 2 tail,
-        # y = 1 - x, as in t_quantile_betaincinv above tail 1/4; its branch
-        # below 1/4 forms 1 - x near x = 1 and is 6e-13 off at df = 10^5.
+        # the grid `sequential_test` reads: df = N - 2, prob = 1 - alpha/2
         prob, df = 1.0 - alpha / 2.0, n_samples - 2
-        y = special.betaincinv(0.5, 0.5 * df, 1.0 - 2.0 * (1.0 - prob))
         q = _t_quantile(prob, df)
-        assert abs(q - math.sqrt(df * y / (1.0 - y))) <= 2e-14 * q
+        assert abs(q - t_quantile_betaincinv(prob, df)) <= 2e-14 * q
 
     @pytest.mark.parametrize("df", [3, 30, 10**6])
     def test_just_above_the_median(self, df):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from helpers import kappa_correlation, random_correlation
+from helpers import ar1_correlation, hard_correlations, kappa_correlation, random_correlation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cholcorr.matrix_core as matrix_core
 import cholcorr.parametrizations as parametrizations
-from cholcorr.errors import NegativeRadicand
+from cholcorr.cli import main, render_table
+from cholcorr.errors import NotPositiveDefinite
 from cholcorr.matrix_core import (
+    TOL_PD,
     CorrelationMatrix,
     CovarianceMatrix,
     leading_minor_determinants,
@@ -21,10 +23,7 @@ from cholcorr.parametrizations import (
 )
 
 TOL_EQ = 1e-9  # entrywise agreement between factor routes, as in acceptance gate 1
-
-
-def ar1(n, rho):
-    return CorrelationMatrix(rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+EPS = np.finfo(float).eps
 
 
 def covariance_factor(s):
@@ -52,7 +51,7 @@ class TestSemipartialCoefficient:
         assert chol_semipartial(r).entries[2, 2] == 1.0
 
     def test_ar1_closed_form(self):
-        r = ar1(3, 0.5)
+        r = ar1_correlation(3, 0.5)
         value = chol_semipartial(r).entries[2, 1]
         assert abs(value - 0.5 * np.sqrt(0.75)) <= 1e-14
         assert abs(value - reference_cholesky(r).entries[2, 1]) <= 1e-14
@@ -180,7 +179,7 @@ class TestCholDetratio:
         np.testing.assert_array_equal(chol_detratio(r, signs).entries, np.eye(4))
 
     def test_ar1_closed_form(self):
-        r = ar1(3, 0.5)
+        r = ar1_correlation(3, 0.5)
         signs = extract_signs(chol_semipartial(r))
         expected = np.array(
             [
@@ -234,44 +233,80 @@ class TestCholDetratio:
         scaled = sig[:, None] * expected
         assert np.max(np.abs(chol_covariance(s, signs).entries - scaled)) <= TOL_EQ * np.max(sig)
 
-    def test_negative_radicand_guard(self, monkeypatch):
-        r = random_correlation(4, seed=6)
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_kernel_pivot_guard(self, tmp_path, capsys, monkeypatch, scale):
+        # a pivot the Schur kernel rounds to TOL_PD * a_kk or below raises
+        # NotPositiveDefinite at k on either container; nothing reaches the factor
+        r = random_correlation(5, seed=6)
+        sig = np.array([0.5, 2.0, 1.0, 3.0, 0.1])
+        s = CovarianceMatrix(r.values * np.outer(sig, sig))
         signs = extract_signs(chol_semipartial(r))
-        import cholcorr.parametrizations as mod
+        original = parametrizations._schur_steps
 
-        original = mod._schur_ladders
+        def low_pivot(a):
+            d, steps = original(a)
+            d[2, 2] = scale * TOL_PD * a[2, 2]
+            return d, steps
 
-        def corrupted(a):
-            d = np.array(original(a))
-            d[1, 2] *= 0.5  # makes the ratio ladder of column 3 jump upward mid-ladder
-            return d
+        monkeypatch.setattr(parametrizations, "_schur_steps", low_pivot)
+        for route, m in ((chol_detratio, r), (chol_covariance, s)):
+            with pytest.raises(NotPositiveDefinite) as err:
+                route(m, signs)
+            assert err.value.pivot_index == 3
+            assert err.value.pivot_value == scale * TOL_PD * m.values[2, 2]
+        src = tmp_path / "r.csv"
+        src.write_text(render_table(r.values, "csv"))
+        assert main(["decompose", str(src), "--method", "detratio"]) == 3
+        assert "not positive-definite: pivot 3 is" in capsys.readouterr().err
 
-        monkeypatch.setattr(mod, "_schur_ladders", corrupted)
-        with pytest.raises(NegativeRadicand) as err:
-            chol_detratio(r, signs)
-        assert err.value.j == 3
+
+def route_error(route, r):
+    """Largest entrywise distance of ``route``'s factor of the correlation
+    matrix ``r`` from the reference factor. The covariance route runs on
+    r scaled by sigmas drawn from seed n, and row j of its distance is
+    divided by sigma_j, the unit-free error that the bound on r governs."""
+    if route == "covariance":
+        sig = np.random.default_rng(r.n).uniform(0.1, 10.0, r.n)
+        s = CovarianceMatrix(r.values * np.outer(sig, sig))
+        diff = covariance_factor(s).entries - reference_cholesky(s).entries
+        return float(np.max(np.abs(diff) / sig[:, None]))
+    semi = chol_semipartial(r)
+    out = semi if route == "semipartial" else chol_detratio(r, extract_signs(semi))
+    return float(np.max(np.abs(out.entries - reference_cholesky(r).entries)))
 
 
-# Largest entrywise error against the reference over seeds 0..19 of the
-# earlier ratio construction (one reordered dpotrf per row, ratios divided
-# by the reference's leading minors), rounded up to three digits.
-EARLIER_WORST = {
-    (12, 1e4): 1.91e-12, (12, 1e6): 1.34e-10, (12, 1e8): 4.41e-11,
-    (12, 1e10): 7.40e-10, (12, 1e12): 2.06e-9,
-    (64, 1e4): 2.73e-11, (64, 1e6): 7.18e-11, (64, 1e8): 6.40e-9,
-    (64, 1e10): 7.43e-9, (64, 1e12): 4.14e-8,
-}
+def contract_bound(r):
+    """n * kappa * eps, kappa the 2-norm condition number of ``r``: the
+    accuracy every route's docstring states (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10)."""
+    return r.n * np.linalg.cond(r.values) * EPS
+
+
+ROUTES = ["semipartial", "detratio", "covariance"]
+
+
+class TestAccuracyContract:
+    """Every route within n * kappa * eps of the reference on the three
+    families of ``helpers.hard_correlations``; the margins measured over
+    200 draws per family and n are 50x or more."""
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("family", ["ar1", "equicorrelation", "planted"])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_within_bound(self, family, route, n, data):
+        r = data.draw(hard_correlations(n)[family])
+        assert route_error(route, r) <= contract_bound(r)
 
 
 class TestDetratioAccuracy:
-    @pytest.mark.parametrize("n,kappa", sorted(EARLIER_WORST))
-    def test_kappa_sweep_no_worse_than_before(self, n, kappa):
-        worst = 0.0
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_kappa_sweep_within_contract(self, n, kappa):
         for seed in range(20):
             r = kappa_correlation(n, kappa, seed)
-            det = chol_detratio(r, extract_signs(chol_semipartial(r))).entries
-            worst = max(worst, float(np.max(np.abs(det - reference_cholesky(r).entries))))
-        assert worst <= EARLIER_WORST[n, kappa]
+            assert route_error("detratio", r) <= contract_bound(r), seed
 
 
 class TestCholCovariance:
