@@ -48,10 +48,6 @@ from .parametrizations import chol_covariance, chol_detratio, chol_semipartial, 
 from .randcorr import GeneratorConfig, generate_batch
 
 
-class UsageError(Exception):
-    """Invalid flags or unparseable input; maps to exit code 2."""
-
-
 def format_value(v: float) -> str:
     """Shortest decimal string that parses back to the same float, never in
     exponent form.
@@ -116,7 +112,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     source, a = text, None
     if fmt == "csv":
         source = [line for line in text.splitlines() if line.strip()]
@@ -130,31 +126,33 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     if a is None:
         a = _parse_cells(path, fmt, source)
     if not np.all(np.isfinite(a)):
-        raise UsageError(f"{path}: values must be finite")
+        raise ValueError(f"{path}: values must be finite")
     return a
 
 
 def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
     """A rectangular table, converting each cell with ``float()``: ``source``
     is the JSON text, or the list of non-blank lines of a CSV file."""
+    widths = None
     try:
         if fmt == "json":
             obj = json.loads(source)
-            if not isinstance(obj, dict) or "rows" not in obj:
-                raise UsageError(f"{path}: expected an object with a 'rows' field")
-            cells = [[float(v) for v in row] for row in obj["rows"]]
-            widths = [len(row) for row in cells]
+            if isinstance(obj, dict) and "rows" in obj:
+                cells = [[float(v) for v in row] for row in obj["rows"]]
+                widths = [len(row) for row in cells]
         else:
             widths = [line.count(",") + 1 for line in source]
             # numpy parses each cell with float(): the same syntax, and the
             # same message for the first bad cell, as a per-cell loop
             cells = np.array(",".join(source).split(","), dtype=float) if source else []
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"{path}: cannot parse as {fmt}: {exc}") from exc
+        raise ValueError(f"{path}: cannot parse as {fmt}: {exc}") from exc
+    if widths is None:
+        raise ValueError(f"{path}: expected an object with a 'rows' field")
     if len(set(widths)) != 1:
-        raise UsageError(f"{path}: rows have inconsistent lengths")
+        raise ValueError(f"{path}: rows have inconsistent lengths")
     if fmt == "json" and obj.get("n", widths[0]) != widths[0]:
-        raise UsageError(f"{path}: 'n' is {obj['n']!r} but the rows have {widths[0]} columns")
+        raise ValueError(f"{path}: 'n' is {obj['n']!r} but the rows have {widths[0]} columns")
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
@@ -277,7 +275,7 @@ def cmd_test(args) -> int:
     try:
         x = SampleMatrix(a)
     except ValueError as exc:
-        raise UsageError(f"{args.data}: {exc}") from exc
+        raise ValueError(f"{args.data}: {exc}") from exc
     target = args.target if args.target is not None else x.p
     report = sequential_test(x, target, args.alpha)
     write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out, "test",
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
     except (NotPositiveDefinite, SchurNonPositive, NearSingular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,8 @@ blockwise inverse (``_banachiewicz_inverse``) that grows the
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
 ``CovarianceMatrix`` keep the factor and pivots they were validated with,
-which ``reference_cholesky`` and ``leading_minor_determinants`` reuse, and
+which ``reference_cholesky`` and ``leading_minor_determinants`` read (both
+take only a container, so every matrix they see has been validated), and
 keep every value derived from them through ``_once`` (a factor route, the
 verifiers' inverse chain): each is built once per container. Two threads
 may each build the same value, but the results are equal.
@@ -200,22 +201,17 @@ class CorrelationMatrix(_FactoredMatrix):
 
 
 class CovarianceMatrix(_FactoredMatrix):
-    """Symmetric positive-definite matrix with standard deviations on record.
+    """Symmetric positive-definite matrix with a strictly positive diagonal.
 
-    ``sigmas[k]``, a plain property computed on each read, is the square
-    root of the k-th diagonal entry. Validation runs the reference
-    factorization on the matrix itself, with each pivot judged relative to
-    its diagonal entry, and keeps the factor.
+    Validation runs the reference factorization on the matrix itself,
+    with each pivot judged relative to its diagonal entry, and keeps the
+    factor.
     """
 
     @staticmethod
     def _check(sym: np.ndarray) -> None:
         if np.any(np.diagonal(sym, axis1=-2, axis2=-1) <= 0):
             raise ValueError("covariance diagonal must be strictly positive")
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.sqrt(np.diagonal(self._values))
 
 
 class CholeskyFactor:
@@ -285,14 +281,6 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     raise NotPositiveDefinite(k + 1, pivots[k])
 
 
-def _factor_of(m):
-    """Lower factor and pivots of ``m``: the ones a validated container
-    holds, or one factorization of an array after ``_symmetrized``."""
-    if isinstance(m, _FactoredMatrix):
-        return m._lower, m._pivots
-    return _cholesky_pivots(_symmetrized(as_array(m)), TOL_PD)
-
-
 def _stack(cls, values: np.ndarray) -> list:
     """One ``cls`` per element of the (k, n, n) stack ``values``, validated
     in one pass of ``cls._validated``; each holds views of the frozen
@@ -315,31 +303,28 @@ _correlation_stack = functools.partial(_stack, CorrelationMatrix)
 
 
 def reference_cholesky(m) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix with LAPACK ``potrf``.
+    """The LAPACK ``potrf`` factor of a ``CorrelationMatrix`` or
+    ``CovarianceMatrix``: the one its validation computed and holds.
     This is the oracle every closed-form construction in the library is
     compared against; its backward stability is the classic Cholesky
     result (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 10).
-
-    Accepts any container with square ``values`` or a plain array; a
-    validated container hands back the factor it already holds.
-    Raises ``ValueError`` if the input is not finite or is asymmetric
-    beyond ``TOL_SYM``, and ``NotPositiveDefinite`` if a pivot falls at or
-    below ``TOL_PD`` times its diagonal entry.
+    ch. 10). A matrix that fails validation never reaches it: the
+    container's constructor raises ``ValueError`` or
+    ``NotPositiveDefinite`` instead.
     """
-    return CholeskyFactor(_factor_of(m)[0])
+    return CholeskyFactor(m._lower)
 
 
 def leading_minor_determinants(m) -> np.ndarray:
     """Determinants of every leading principal block, element j (1-based)
     being the determinant of the leading j x j block.
 
-    Computed as running products of squared factorization pivots (the
-    ones a validated container already holds). For a correlation matrix
-    the first element is exactly 1 and the sequence is positive and
-    non-increasing.
+    Computed as running products of the squared factorization pivots that
+    the ``CorrelationMatrix`` or ``CovarianceMatrix`` ``m`` holds. For a
+    correlation matrix the first element is exactly 1 and the sequence is
+    positive and non-increasing.
     """
-    return np.cumprod(_factor_of(m)[1])
+    return np.cumprod(m._pivots)
 
 
 def _schur_steps(a):

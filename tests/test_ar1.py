@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
-from cholcorr.matrix_core import leading_minor_determinants, reference_cholesky
+from cholcorr.matrix_core import CorrelationMatrix, leading_minor_determinants, reference_cholesky
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate
 
@@ -101,7 +101,7 @@ class TestAr1Transform:
 
 class TestSampleMvn:
     def test_identity_factor_gives_uncorrelated_draws(self):
-        factor = reference_cholesky(np.eye(3))
+        factor = reference_cholesky(CorrelationMatrix(np.eye(3)))
         draws = sample_mvn(factor, count=40_000, seed=1)
         corr = np.corrcoef(draws, rowvar=False)
         off = corr[~np.eye(3, dtype=bool)]

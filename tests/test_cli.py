@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
-from cholcorr.cli import UsageError, format_value, load_table, main, render_table
+from cholcorr.cli import format_value, load_table, main, render_table
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
@@ -215,7 +215,7 @@ class TestLoadTable:
     def test_failure_messages(self, tmp_path, text):
         src = tmp_path / "m.csv"
         src.write_text(text)
-        with pytest.raises(UsageError) as err:
+        with pytest.raises(ValueError) as err:
             load_table(str(src), None)
         assert str(err.value) == f"{src}: {self.FAILURES[text]}"
 
@@ -250,7 +250,7 @@ class TestLoadTable:
         src = tmp_path / "m.csv"
         src.write_text(text)
         if shape is None:
-            with pytest.raises(UsageError, match="rows have inconsistent lengths"):
+            with pytest.raises(ValueError, match="rows have inconsistent lengths"):
                 load_table(str(src), None)
         else:
             assert load_table(str(src), None).shape == shape
@@ -267,10 +267,25 @@ class TestLoadTable:
     def test_json_n_must_match_the_row_width(self, tmp_path):
         src = tmp_path / "m.json"
         src.write_text('{"n": 5, "rows": [[1, 0.5], [0.5, 1]]}')
-        with pytest.raises(UsageError) as err:
+        with pytest.raises(ValueError) as err:
             load_table(str(src), None)
         assert str(err.value) == f"{src}: 'n' is 5 but the rows have 2 columns"
         assert main(["decompose", str(src)]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ('[[1, 0.5], [0.5, 1]]', "expected an object with a 'rows' field"),
+        ('{"n": 2}', "expected an object with a 'rows' field"),
+        ('{"rows": null}', "cannot parse as json: 'NoneType' object is not iterable"),
+        ('{"rows": [[1, "x"]]}', "cannot parse as json: could not convert string to float: 'x'"),
+    ])
+    def test_json_failure_messages(self, tmp_path, capsys, text, message):
+        src = tmp_path / "m.json"
+        src.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_table(str(src), None)
+        assert str(err.value) == f"{src}: {message}"
+        assert main(["decompose", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
     @pytest.mark.parametrize("header", ['"n": 3, ', ""])
     def test_json_n_equal_to_the_width_or_missing_is_accepted(self, tmp_path, header):
@@ -296,7 +311,7 @@ class TestLoadTable:
             warnings.simplefilter("error")
             try:
                 got = load_table(str(src), None)
-            except UsageError as exc:
+            except ValueError as exc:
                 got = str(exc)
         if isinstance(expected, str):
             assert isinstance(got, str) and got == f"{src}: {expected}"
@@ -698,6 +713,18 @@ class TestTolerance:
             main([*self.COMMANDS[command], matrix, "--tol", tol])
         assert exc.value.code == 2
         assert f"argument --tol: expected a number >= 0, got {tol!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_in_exponent_form_is_a_usage_error(self, matrix, capsys, command):
+        # argparse reads "-1e-9" as an option, not as the value of --tol
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], matrix, "--tol", "-1e-9"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected one argument" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], matrix, "--tol=-1e-9"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected a number >= 0, got '-1e-9'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_zero_fails_the_check_and_inf_passes_it(self, matrix, command):

@@ -483,8 +483,8 @@ class TestCheckOrderConditions:
             np.fill_diagonal(a, 1.0)
         det_ok, ratio_ok, _ = check_order_conditions(a)
         try:
-            reference_cholesky(a)
+            reference_cholesky(CorrelationMatrix(a))
             succeeded = True
-        except Exception:
+        except NotPositiveDefinite:
             succeeded = False
         assert (det_ok and ratio_ok) == succeeded

@@ -106,13 +106,14 @@ class TestContainers:
 
     def test_covariance_sigmas(self):
         s = CovarianceMatrix([[4.0, 0.0], [0.0, 9.0]])
-        np.testing.assert_allclose(s.sigmas, [2.0, 3.0])
+        np.testing.assert_allclose(np.sqrt(np.diag(s.values)), [2.0, 3.0])
 
     def test_covariance_accepts_tiny_variance(self):
         # pivot 1e-12 is at TOL_PD in absolute terms but 1 relative to its diagonal
         s = CovarianceMatrix(np.diag([1e-12, 1.0]))
-        np.testing.assert_allclose(s.sigmas, [1e-6, 1.0])
-        np.testing.assert_array_equal(s.values / np.outer(s.sigmas, s.sigmas), np.eye(2))
+        sigmas = np.sqrt(np.diag(s.values))
+        np.testing.assert_allclose(sigmas, [1e-6, 1.0])
+        np.testing.assert_array_equal(s.values / np.outer(sigmas, sigmas), np.eye(2))
         np.testing.assert_allclose(reference_cholesky(s).entries, np.diag([1e-6, 1.0]))
 
     def test_covariance_rejection_reports_raw_pivot(self):
@@ -141,7 +142,8 @@ class TestContainers:
         r = random_correlation(4, seed=11)
         sig = np.array([0.5, 1.0, 1.5, 2.0])
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
-        np.testing.assert_allclose(s.values / np.outer(s.sigmas, s.sigmas), r.values, atol=1e-14)
+        sigmas = np.sqrt(np.diag(s.values))
+        np.testing.assert_allclose(s.values / np.outer(sigmas, sigmas), r.values, atol=1e-14)
 
     def test_factor_rejects_nonzero_upper(self):
         with pytest.raises(ValueError):
@@ -244,23 +246,23 @@ class TestStackedValidation:
 
 class TestReferenceCholesky:
     def test_identity(self):
-        out = reference_cholesky(np.eye(3))
+        out = reference_cholesky(CorrelationMatrix(np.eye(3)))
         np.testing.assert_array_equal(out.entries, np.eye(3))
 
     def test_two_by_two(self):
-        out = reference_cholesky([[1.0, 0.5], [0.5, 1.0]])
+        out = reference_cholesky(CorrelationMatrix([[1.0, 0.5], [0.5, 1.0]]))
         expected = [[1.0, 0.0], [0.5, np.sqrt(0.75)]]
         np.testing.assert_allclose(out.entries, expected, atol=1e-15)
 
     def test_not_positive_definite_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as err:
-            reference_cholesky(NOT_PD_3X3)
+            reference_cholesky(CorrelationMatrix(NOT_PD_3X3))
         assert err.value.pivot_index == 3
         assert err.value.pivot_value <= 0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            reference_cholesky([[1.0, 0.5], [0.1, 1.0]])
+            reference_cholesky(CorrelationMatrix([[1.0, 0.5], [0.1, 1.0]]))
 
     def test_pivot_below_tolerance_is_rejected(self):
         # dpotrf alone accepts pivot 2 in (0, TOL_PD]; the tolerance does not
@@ -268,9 +270,9 @@ class TestReferenceCholesky:
         a[:2, :2] = tiny_pivot_block(0.5 * TOL_PD)
         _, info = lapack.dpotrf(a, lower=1)
         assert info == 0
-        for make in (reference_cholesky, CorrelationMatrix):
+        for container in (CorrelationMatrix, CovarianceMatrix):
             with pytest.raises(NotPositiveDefinite) as err:
-                make(a)
+                reference_cholesky(container(a))
             assert err.value.pivot_index == 2
             assert 0.0 < err.value.pivot_value <= TOL_PD
 
@@ -333,7 +335,7 @@ class TestReferenceCholesky:
         a = np.full((n, n), rho)
         np.fill_diagonal(a, 1.0)
         with pytest.raises(NotPositiveDefinite) as err:
-            reference_cholesky(a)
+            reference_cholesky(CorrelationMatrix(a))
         expected = (1.0 - rho) * (1.0 + (k - 1) * rho) / (1.0 + (k - 2) * rho)
         assert err.value.pivot_index == k
         assert abs(err.value.pivot_value - expected) <= 1e-9
@@ -348,8 +350,15 @@ class TestReferenceCholesky:
         r = random_correlation(3, seed=9)
         sig = np.array([1.0, 2.0, 0.5])
         cov = r.values * np.outer(sig, sig)
-        out = reference_cholesky(cov)
+        out = reference_cholesky(CovarianceMatrix(cov))
         assert np.max(np.abs(out.reconstruct() - cov)) <= 1e-9
+
+    @pytest.mark.parametrize("container,sig", [
+        (CorrelationMatrix, np.ones(5)), (CovarianceMatrix, np.array([0.5, 1.0, 3.0, 2.0, 0.1]))])
+    def test_oracle_and_minors_read_what_the_container_holds(self, container, sig):
+        m = container(random_correlation(5, seed=3).values * np.outer(sig, sig))
+        assert reference_cholesky(m).entries.tobytes() == m._lower.tobytes()
+        assert leading_minor_determinants(m).tobytes() == np.cumprod(m._pivots).tobytes()
 
 
 class TestLeadingMinors:
@@ -377,6 +386,28 @@ class TestLeadingMinors:
         minors = leading_minor_determinants(r)
         assert np.all(minors > 0)
         assert np.all(np.diff(minors) <= 1e-12)
+
+
+class TestSchurSteps:
+    """The ladder invariant that ``chol_detratio`` and
+    ``verify_ratio_differences`` read, bit for bit."""
+
+    @pytest.mark.parametrize("definite", [True, False])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_each_rung_is_the_previous_minus_its_step(self, seed, definite):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        if definite:
+            sig = rng.uniform(0.1, 10.0, n)
+            a = random_correlation(n, seed).values * np.outer(sig, sig)
+        else:
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a = 0.5 * (a + a.T)
+        d, steps = matrix_core._schur_steps(a)
+        assert definite == bool(np.all(d.diagonal() > 0))
+        assert d[0].tobytes() == a.diagonal().tobytes()
+        for i in range(n - 1):
+            assert d[i + 1, i + 1:].tobytes() == (d[i, i + 1:] - steps[i + 1:, i]).tobytes()
 
 
 class TestBanachiewiczInverse:

@@ -137,12 +137,12 @@ class TestCholSemipartial:
 
 class TestExtractSigns:
     def test_identity_factor_all_positive(self):
-        signs = extract_signs(reference_cholesky(np.eye(4)))
+        signs = extract_signs(reference_cholesky(CorrelationMatrix(np.eye(4))))
         low = signs[np.tril_indices(4, -1)]
         assert np.all(low == 1)
 
     def test_negative_correlation(self):
-        factor = reference_cholesky([[1.0, -0.3], [-0.3, 1.0]])
+        factor = reference_cholesky(CorrelationMatrix([[1.0, -0.3], [-0.3, 1.0]]))
         assert extract_signs(factor)[1, 0] == -1
 
     def test_roundtrip_on_random_factor(self):
