@@ -16,7 +16,6 @@ from .errors import (
     DegenerateColumn,
     NearSingular,
     NotPositiveDefinite,
-    SchurNonPositive,
 )
 from .identities import (
     ALL_VERIFIERS,
@@ -53,7 +52,6 @@ __all__ = [
     "NearSingular",
     "NotPositiveDefinite",
     "SampleMatrix",
-    "SchurNonPositive",
     "StageResult",
     "TestReport",
     "ALL_VERIFIERS",

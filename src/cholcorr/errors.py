@@ -19,14 +19,6 @@ class NotPositiveDefinite(ValueError):
         )
 
 
-class SchurNonPositive(ValueError):
-    """Blockwise inversion was handed a non-positive Schur complement."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-        super().__init__(f"Schur complement {self.value:.6e} is not positive")
-
-
 class DegenerateColumn(ValueError):
     """A data column has (numerically) zero sample variance."""
 

@@ -2,34 +2,31 @@
 make the two factor constructions interchangeable.
 
 Each verifier computes both sides of an identity through deliberately
-different code paths (explicit blockwise inverses or Schur-elimination
-ladders against the semi-partial recursion) and reports the worst
-absolute residual with its location, so a shared bug cannot cancel.
-The three inverse-based verifiers read one walk of the chain of
-leading-block inverses, made once per matrix by the first of them to be
-called and kept by the container. Beside each inverse R_i^{-1} the walk
-carries the n x n matrix of bordered quadratic forms
-G_i = A_{:i}^T R_i^{-1} A_{:i}, holding only the current and previous
-pair. The one- and two-column recursions are checked on the difference
-of successive G; ``verify_recursion`` is one column of the two-column
-recursion that ``verify_general_recursion`` checks. The walk does not
-read the semi-partial factor C: ``verify_product_sums`` compares the rows
-of G the walk keeps with all running sums of products at once, as the
-one triangular product tril(C, -1) C^T. The semi-partial factor is built
-once per matrix as well.
+different code paths (LU solves against leading blocks, or
+Schur-elimination ladders, against the semi-partial recursion) and
+reports the worst absolute residual with its location, so a shared bug
+cannot cancel. The three solve-based verifiers read one walk of the
+leading blocks, made once per matrix by the first of them to be called
+and kept by the container. For each leading block R_i the walk makes one
+LAPACK ``gesv`` solve (LU with partial pivoting, no code shared with
+``potrf`` or the semi-partial recursion) and from it the bordered
+quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i}, holding only the current
+and previous G. The one- and two-column recursions are checked on the
+difference of successive G; ``verify_recursion`` is one column of the
+two-column recursion that ``verify_general_recursion`` checks. The walk
+does not read the semi-partial factor C: ``verify_product_sums``
+compares the rows of G the walk keeps with all running sums of products
+at once, as the one triangular product tril(C, -1) C^T. The semi-partial
+factor is built once per matrix as well.
 
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
 condition number kappa every report's ``max_residual`` is at most
-n * kappa * eps. On random orthogonal spectra log-spaced from 1 to
-1/kappa (n in {12, 64}, kappa up to 1e10, 20 seeds each) the smallest
-margin is about 50x; ``verify_ratio_differences`` builds no inverse and
-stays near eps. Known limit: the chain's Schur complement
-1 - rho R^{-1} rho^T is formed through an explicit inverse, so near
-kappa = 1e10 it can round to at most ``TOL_PD`` and the three chain
-verifiers raise ``SchurNonPositive`` on input ``CorrelationMatrix``
-accepted (n = 64, kappa = 1e10: seeds 5 and 7, among others, of that
-family).
+n * kappa * eps. Every matrix ``CorrelationMatrix`` accepts is
+evaluated. On random orthogonal spectra log-spaced from 1 to 1/kappa
+(n in {12, 64}, kappa in {1e2, 1e6, 1e10}, 20 seeds each) the smallest
+margin is about 470x, and on AR(1) near |rho| = 1, equicorrelation near
+-1/(n-1) and planted tiny entries it is about 100x.
 
 ``check_order_conditions`` is the odd one out: it does not assume
 positive-definiteness. It evaluates the two determinant orderings that
@@ -43,7 +40,6 @@ import numpy as np
 
 from .matrix_core import (
     CorrelationMatrix,
-    _banachiewicz_inverse,
     _Record,
     _schur_steps,
     _symmetrized,
@@ -72,16 +68,16 @@ class IdentityReport(_Record):
 
 
 def _chain(r: CorrelationMatrix):
-    """One walk of the chain of leading-block inverses: ``q`` and the
-    ``recursion`` and ``general_recursion`` reports; reach it through
-    ``r._once`` so one walk serves all three chain verifiers.
+    """One walk of the leading blocks: ``q`` and the ``recursion`` and
+    ``general_recursion`` reports; reach it through ``r._once`` so one
+    walk serves all three chain verifiers.
 
-    For i = 1..n-1 the inverse of the leading i-block is grown from that of
-    the (i-1)-block by blockwise extension, and with it the n x n matrix of
-    bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i} (G_0 = 0, the
-    empty block). Only the current and previous inverse and G are held.
-    Row i of G_{i-1} (1-based) holds q_ij, so with rest_j = rho_ij - q_ij,
-    whose entry j = i is 1 - q_ii, the two-column residual at step i is
+    For i = 1..n-1 one LAPACK solve (``gesv``) against the leading i-block
+    gives the bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i} on
+    indices i..n (1-based), the only ones the step reads; G_0 = 0, the
+    empty block. Only the previous G is held. Its row i holds q_ij, so
+    with rest_j = rho_ij - q_ij, whose entry j = i is 1 - q_ii, the
+    two-column residual at step i is
     |G_i - G_{i-1} - rest^T rest / (1 - q_ii)| over j >= l >= i+1, and the
     one-column ``recursion`` residual is its l = i+1 column. ``q[i, j-1]``
     (0-based row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is
@@ -90,19 +86,20 @@ def _chain(r: CorrelationMatrix):
     (i, j, l) order, 1-based; l is 0 for the one-column identity.
     """
     a, n = r.values, r.n
-    inv, g = np.zeros((0, 0)), np.zeros((n, n))
+    prev = np.zeros((n + 1, n + 1))  # G_0 on indices 0..n
     q, rec = np.zeros((n, n)), np.zeros((n, n))
     general = (-1.0, (0, 0, 0))
     for i in range(1, n):
-        prev, g_prev, rho = inv, g, a[: i - 1, i - 1]
-        inv = _banachiewicz_inverse(prev, rho, a[i - 1, i - 1] - rho @ prev @ rho)
-        g = a[:i].T @ (inv @ a[:i])
-        rest = a[i - 1] - g_prev[i - 1]  # rho_ij - q_ij; 1 - q_ii at j = i
-        res = np.tril(np.abs(g - g_prev - np.multiply.outer(rest, rest) / rest[i - 1])[i:, i:])
-        q[i, i:], rec[i, i:] = g[i, i:], res[:, 0]
+        border = a[:i, i - 1:]
+        g = border.T @ np.linalg.solve(a[:i, :i], border)  # G_i on indices i..n
+        rest = a[i - 1, i - 1:] - prev[1, 1:]  # rho_ij - q_ij; 1 - q_ii first
+        step = np.multiply.outer(rest[1:], rest[1:]) / rest[0]
+        res = np.tril(np.abs(g[1:, 1:] - prev[2:, 2:] - step))
+        q[i, i:], rec[i, i:] = g[1, 1:], res[:, 0]
         j, l = divmod(int(np.argmax(res)), n - i)
         if res[j, l] > general[0]:
             general = (float(res[j, l]), (i, j + i + 1, l + i + 1))
+        prev = g
     return q, _worst("recursion", rec[1:], 1), IdentityReport("general_recursion", *general)
 
 
@@ -121,8 +118,8 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
 
         rho_{i+1}^{*j} R_i^{-1} rho_{i+1}^T = sum_{k<=i} c[k, i+1] c[k, j],
 
-    for 1 <= i < j <= n. Left side via blockwise inverses, right side via
-    the semi-partial factor.
+    for 1 <= i < j <= n. Left side via one LU solve per leading block,
+    right side via the semi-partial factor.
     """
     if r.n < 2:
         raise ValueError("need n >= 2")

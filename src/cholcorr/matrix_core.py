@@ -23,9 +23,7 @@ Schur elimination (``_schur_steps``) that shares no code with LAPACK.
 Beside the ladder of each column's bordered-minor ratios it returns the
 steps between them, s_ji^2 / s_ii, the diagonal of the rank-one update
 that step i subtracts: the squared factor entries, read where they are
-formed rather than as a difference of two ratios of order 1. The
-blockwise inverse (``_banachiewicz_inverse``) that grows the
-``identities`` chain is private as well.
+formed rather than as a difference of two ratios of order 1.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
@@ -33,8 +31,8 @@ are immutable and safe to share across threads. ``CorrelationMatrix`` and
 which ``reference_cholesky`` and ``leading_minor_determinants`` read (both
 take only a container, so every matrix they see has been validated), and
 keep every value derived from them through ``_once`` (a factor route, the
-verifiers' inverse chain): each is built once per container. Two threads
-may each build the same value, but the results are equal.
+verifiers' walk of the leading blocks): each is built once per container.
+Two threads may each build the same value, but the results are equal.
 
 The one validation path takes a stack: each check, and the ``potrf``
 factorization, reads one n x n matrix or a (k, n, n) stack alike, so a
@@ -55,7 +53,7 @@ import functools
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SchurNonPositive
+from .errors import NotPositiveDefinite
 
 TOL_SYM = 1e-10  # max absolute asymmetry, and max |a_ii - 1| of a correlation matrix
 TOL_PD = 1e-12   # minimum accepted pivot (Schur complement)
@@ -351,27 +349,3 @@ def _schur_steps(a):
         s[i + 1:, i + 1:] -= update
         steps[i + 1:, i] = update.diagonal()
     return d, steps
-
-
-def _banachiewicz_inverse(inv: np.ndarray, rho: np.ndarray, c: float) -> np.ndarray:
-    """Extend a block inverse by one row and column.
-
-    Given ``inv``, the inverse B of the leading block ``A``, the border
-    row ``rho``, and its Schur complement ``c = 1 - rho B rho^T`` (which
-    must be positive), returns the inverse of::
-
-        [[ A    rho^T ],     namely   1/c * [[ c B + B rho^T rho B,  -B rho^T ],
-         [ rho  1     ]]                     [ -rho B,                1        ]]
-    """
-    m = rho.shape[0]
-    if inv.shape != (m, m):
-        raise ValueError(f"inverse block is {inv.shape}, border has length {m}")
-    if not c > TOL_PD:
-        raise SchurNonPositive(c)
-    v = inv @ rho
-    out = np.empty((m + 1, m + 1))
-    out[:m, :m] = inv + np.outer(v, v) / c
-    out[:m, m] = -v / c
-    out[m, :m] = -v / c
-    out[m, m] = 1.0 / c
-    return out

@@ -29,8 +29,8 @@ rank-one update that step i subtracts, and the kernel returns these
 ``steps`` beside the ladders: the second route reads its squared entries
 there, where a small one keeps its digits, instead of subtracting two
 ratios of order 1. ``identities.verify_ratio_differences`` checks the
-subtracted form. Explicit blockwise inverses live in the ``identities``
-verifiers.
+subtracted form. The ``identities`` verifiers solve against the leading
+blocks instead.
 
 Accuracy contract (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 10): on a correlation matrix of 2-norm condition number

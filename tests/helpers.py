@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
-Everything here is deliberately naive (cofactor expansions, adjugates,
-quadrature, per-cell parsing) so it shares no code path with the library
-internals it checks.
+Everything here is deliberately naive (cofactor expansions, quadrature,
+per-cell parsing) so it shares no code path with the library internals
+it checks.
 """
 
 import math
@@ -72,6 +72,13 @@ def hard_correlations(n):
     }
 
 
+def contract_bound(r):
+    """n * kappa * eps, kappa the 2-norm condition number of ``r``: the
+    accuracy that the factor routes and the identity verifiers state
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10)."""
+    return r.n * np.linalg.cond(r.values) * np.finfo(float).eps
+
+
 def one_tiny_eigenvalue(t):
     """Unit-diagonal matrix from seed [11, t]: n in 3..79, a random
     orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of
@@ -98,6 +105,8 @@ def per_cell_csv(text):
         cells = [[float(v) for v in row] for row in rows]
     except ValueError as exc:
         return f"cannot parse as csv: {exc}"
+    if not cells:
+        return "the table has no rows"
     if len({len(row) for row in cells}) != 1:
         return "rows have inconsistent lengths"
     a = np.array(cells, dtype=float)
@@ -118,20 +127,6 @@ def cofactor_det(a):
         minor = np.delete(np.delete(a, 0, axis=0), c, axis=1)
         total += (-1.0) ** c * a[0, c] * cofactor_det(minor)
     return total
-
-
-def adjugate_inverse(a):
-    """Matrix inverse via the adjugate and the cofactor determinant."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    det = cofactor_det(a)
-    adj = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
-            cof = (-1.0) ** (i + j) * (cofactor_det(minor) if n > 1 else 1.0)
-            adj[j, i] = cof
-    return adj / det
 
 
 def t_cdf_quadrature(x, df):

@@ -198,8 +198,8 @@ class TestLoadTable:
         "1,,2\n3,4,5\n": "cannot parse as csv: could not convert string to float: ''",
         "1,0.5\n0.5\nx,1\n": "cannot parse as csv: could not convert string to float: 'x'",
         "1,0.5\n0.5,1,2\n": "rows have inconsistent lengths",
-        "": "rows have inconsistent lengths",
-        "\n  \n\t\n": "rows have inconsistent lengths",
+        "": "the table has no rows",
+        "\n  \n\t\n": "the table has no rows",
         "1,inf\ninf,1\n": "values must be finite",
         "1,0x10\n0.5,1\n": "cannot parse as csv: could not convert string to float: '0x10'",
         "\ufeff1,0.5\n0.5,1\n": "cannot parse as csv: could not convert string to float: '\\ufeff1'",
@@ -250,7 +250,7 @@ class TestLoadTable:
         src = tmp_path / "m.csv"
         src.write_text(text)
         if shape is None:
-            with pytest.raises(ValueError, match="rows have inconsistent lengths"):
+            with pytest.raises(ValueError, match="the table has no rows"):
                 load_table(str(src), None)
         else:
             assert load_table(str(src), None).shape == shape
@@ -276,6 +276,7 @@ class TestLoadTable:
         ('[[1, 0.5], [0.5, 1]]', "expected an object with a 'rows' field"),
         ('{"n": 2}', "expected an object with a 'rows' field"),
         ('{"rows": null}', "cannot parse as json: 'NoneType' object is not iterable"),
+        ('{"rows": []}', "the table has no rows"),
         ('{"rows": [[1, "x"]]}', "cannot parse as json: could not convert string to float: 'x'"),
     ])
     def test_json_failure_messages(self, tmp_path, capsys, text, message):
@@ -634,24 +635,25 @@ class TestVerify:
         assert "ratio-order: ok" in out
         assert out.count("residual=0\n") == 4
 
-    def test_chain_rounding_on_accepted_input_fails_the_check(self, tmp_path, capsys):
-        # n = 64, kappa = 1e10, seed 5: the chain's Schur complement rounds below
-        # TOL_PD although the container accepts the matrix, so exit 1, not 3
+    def test_ill_conditioned_accepted_input_is_evaluated(self, tmp_path, capsys):
+        # n = 64, kappa = 1e10, seed 5: every verifier reports a residual
+        # within the default --tol
         src = tmp_path / "k.csv"
         write_csv(src, kappa_correlation(64, 1e10, 5).values)
-        assert main(["verify", str(src)]) == 1
+        assert main(["verify", str(src)]) == 0
         captured = capsys.readouterr()
-        assert "det-order: ok\nratio-order: ok\nproduct_sums: not evaluated\n" in captured.out
-        assert "failed: product_sums (Schur complement" in captured.err
+        assert captured.out.startswith("det-order: ok\nratio-order: ok\n")
+        assert captured.out.count("residual=") == 4
+        assert captured.err == ""
 
     def test_walks_the_inverse_chain_once(self, tmp_path, monkeypatch):
-        # the three chain verifiers share one walk (n - 1 extensions) and the
+        # the three chain verifiers share one walk (n - 1 solves) and the
         # two semi-partial readers share one factor; each is counted where
         # the identities module looks it up
         import cholcorr.identities as identities
         src = tmp_path / "r.csv"
         write_csv(src, generate_batch(GeneratorConfig(n=25, seed=4), 1)[0].values)
-        calls = dict.fromkeys(("_banachiewicz_inverse", "chol_semipartial"), 0)
+        calls = dict.fromkeys(("solve", "chol_semipartial"), 0)
 
         def counting(name, fn):
             def wrapped(*args):
@@ -659,10 +661,11 @@ class TestVerify:
                 return fn(*args)
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(identities, name, counting(name, getattr(identities, name)))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(identities, "chol_semipartial",
+                            counting("chol_semipartial", identities.chol_semipartial))
         assert main(["verify", str(src)]) == 0
-        assert calls == {"_banachiewicz_inverse": 24, "chol_semipartial": 1}
+        assert calls == {"solve": 24, "chol_semipartial": 1}
 
     def test_non_positive_definite_names_ordering(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

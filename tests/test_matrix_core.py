@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 import scipy
-from helpers import adjugate_inverse, cofactor_det, one_tiny_eigenvalue, random_correlation
+from helpers import cofactor_det, one_tiny_eigenvalue, random_correlation
 from scipy.linalg import lapack
 
 import cholcorr.matrix_core as matrix_core
-from cholcorr.errors import NotPositiveDefinite, SchurNonPositive
+from cholcorr.errors import NotPositiveDefinite
 from cholcorr.matrix_core import (
     TOL_PD,
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
-    _banachiewicz_inverse,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -408,43 +407,3 @@ class TestSchurSteps:
         assert d[0].tobytes() == a.diagonal().tobytes()
         for i in range(n - 1):
             assert d[i + 1, i + 1:].tobytes() == (d[i, i + 1:] - steps[i + 1:, i]).tobytes()
-
-
-class TestBanachiewiczInverse:
-    def test_two_by_two_formula(self):
-        rho = 0.37
-        c = 1.0 - rho**2
-        out = _banachiewicz_inverse(np.array([[1.0]]), np.array([rho]), c)
-        expected = np.array([[1.0, -rho], [-rho, 1.0]]) / c
-        np.testing.assert_allclose(out, expected, atol=1e-15)
-
-    def test_zero_border_extends_block_diagonally(self):
-        r = random_correlation(3, seed=4)
-        inv = np.linalg.inv(r.values)
-        out = _banachiewicz_inverse(inv, np.zeros(3), 1.0)
-        np.testing.assert_allclose(out[:3, :3], inv, atol=1e-15)
-        np.testing.assert_allclose(out[3, :], [0, 0, 0, 1], atol=1e-15)
-
-    def test_ar1_against_adjugate_oracle(self):
-        rho = 0.5
-        a = rho ** np.abs(np.subtract.outer(np.arange(3), np.arange(3)))
-        prev_inv = adjugate_inverse(a[:2, :2])
-        border = a[:2, 2]
-        c = 1.0 - border @ prev_inv @ border
-        out = _banachiewicz_inverse(prev_inv, border, c)
-        np.testing.assert_allclose(out, adjugate_inverse(a), atol=1e-12)
-
-    @pytest.mark.parametrize("n,seed", [(5, 0), (12, 1), (20, 2)])
-    def test_chain_inverts(self, n, seed):
-        r = random_correlation(n, seed)
-        a = r.values
-        inv = np.array([[1.0]])
-        for i in range(2, n + 1):
-            rho = a[: i - 1, i - 1]
-            c = 1.0 - rho @ inv @ rho
-            inv = _banachiewicz_inverse(inv, rho, c)
-        assert np.max(np.abs(inv @ a - np.eye(n))) <= 1e-10
-
-    def test_nonpositive_schur_raises(self):
-        with pytest.raises(SchurNonPositive):
-            _banachiewicz_inverse(np.array([[1.0]]), np.array([0.9]), -0.1)

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import ar1_correlation, hard_correlations, kappa_correlation, random_correlation
+from helpers import (
+    ar1_correlation,
+    contract_bound,
+    hard_correlations,
+    kappa_correlation,
+    random_correlation,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +29,6 @@ from cholcorr.parametrizations import (
 )
 
 TOL_EQ = 1e-9  # entrywise agreement between factor routes, as in acceptance gate 1
-EPS = np.finfo(float).eps
 
 
 def covariance_factor(s):
@@ -204,7 +209,7 @@ class TestCholDetratio:
         b = chol_detratio(r, flipped).entries
         np.testing.assert_array_equal(np.diag(a), np.diag(b))
 
-    def test_exact_zero_entry_survives_clamp(self):
+    def test_exact_zero_entry_stays_exactly_zero(self):
         r = CorrelationMatrix([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
         signs = extract_signs(chol_semipartial(r))
         out = chol_detratio(r, signs)
@@ -273,13 +278,6 @@ def route_error(route, r):
     semi = chol_semipartial(r)
     out = semi if route == "semipartial" else chol_detratio(r, extract_signs(semi))
     return float(np.max(np.abs(out.entries - reference_cholesky(r).entries)))
-
-
-def contract_bound(r):
-    """n * kappa * eps, kappa the 2-norm condition number of ``r``: the
-    accuracy every route's docstring states (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 10)."""
-    return r.n * np.linalg.cond(r.values) * EPS
 
 
 ROUTES = ["semipartial", "detratio", "covariance"]
