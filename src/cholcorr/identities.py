@@ -29,9 +29,12 @@ margin is about 470x, and on AR(1) near |rho| = 1, equicorrelation near
 -1/(n-1) and planted tiny entries it is about 100x.
 
 ``check_order_conditions`` is the odd one out: it does not assume
-positive-definiteness. It evaluates the two determinant orderings that
-hold exactly when the matrix is positive-definite, which makes it a
-diagnostic usable on arbitrary symmetric unit-diagonal input.
+positive-definiteness, so it is a diagnostic usable on arbitrary
+symmetric unit-diagonal input. It decides the paper's two determinant
+orderings, which hold exactly when the matrix is positive-definite, with
+one test on the Schur pivots: in the elimination every ratio ladder
+starts at exactly 1 and falls by squared steps to its pivot, so positive
+pivots imply the ratio ordering and the two orderings cannot disagree.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ from .matrix_core import (
     _symmetrized,
     _unit_diagonal,
     as_array,
-    leading_minor_determinants,
 )
 from .parametrizations import chol_semipartial
 
-TOL_ORD = 1e-10  # slack for order comparisons; exact ties are legitimate
+TOL_ORD = 1e-10  # floor every Schur pivot must exceed for the order conditions
 
 
 class IdentityReport(_Record):
@@ -152,16 +154,15 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
 
     for j >= i+1 >= 3. Left side from the ladders of one right-looking
     Schur elimination, right side from the left-looking semi-partial
-    recursion and the reference's pivot-product minors.
+    recursion and the reference's pivots: |R_i| / |R_{i-1}| is pivot i,
+    read as such because the minors themselves underflow at moderate n.
     """
     if r.n < 3:
         raise ValueError("need n >= 3")
     d = _schur_steps(r.values)[0]
-    minors = leading_minor_determinants(r)
-    prev = np.concatenate(([1.0], minors[:-1]))
     coeffs = r._once(chol_semipartial).entries
     num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
-    rhs = num[:-1] ** 2 * (prev / minors)[:-1, None]
+    rhs = num[:-1] ** 2 / r._pivots[:-1, None]
     return _worst("ratio_differences", np.abs(d[:-1] - d[1:] - rhs)[1:], 2)  # i = 1 is excluded
 
 
@@ -187,41 +188,29 @@ ALL_VERIFIERS = (
 )
 
 
-def check_order_conditions(m):
-    """Evaluate the two determinant orderings on a symmetric unit-diagonal
-    matrix without assuming positive-definiteness.
+def check_order_conditions(m) -> bool:
+    """Whether a symmetric unit-diagonal matrix meets the two determinant
+    orderings, without assuming positive-definiteness: True when every
+    Schur pivot (the ratio of successive leading minors) exceeds
+    ``TOL_ORD``, which holds exactly when the matrix is positive-definite,
+    up to the tolerance band around zero. The pivots are judged, not the
+    minors: those shrink geometrically with n, so an absolute floor on
+    them would fail well-conditioned input.
 
-    Returns ``(det_order_ok, ratio_order_ok, ladders)`` where the first
-    flag asserts that the leading-minor sequence stays positive and
-    non-increasing, judged on the ratios of successive minors (the Schur
-    pivots), each in (``TOL_ORD``, 1 + ``TOL_ORD``]: the minors themselves
-    shrink geometrically with n, so an absolute floor on them would fail
-    well-conditioned input. The second asserts that every per-column
-    ladder of bordered-minor ratios lies in (0, 1] and never increases
-    (within ``TOL_ORD``), and ``ladders`` lists the ladders of
-    columns j = 2..n as plain arrays: ``ladders[j-2]`` is a read-only
-    array of length j whose element i-1 is |B_i^j| / |R_{i-1}|, starting
-    at 1 and ending at |R_j| / |R_{j-1}|. For a positive-definite matrix
-    successive differences of a ladder are squared factor entries. The
-    two flags are both true exactly when the matrix is positive-definite,
-    up to the tolerance band around zero.
-
-    Ladders and pivots come from one Schur elimination without pivoting,
-    so the diagnostic works on indefinite input; an exactly zero pivot
-    gives inf or nan, failing both flags. The input passes the containers'
-    finite, symmetry and unit-diagonal checks (``TOL_SYM``) or raises
-    ``ValueError``.
+    One bool serves both orderings. The leading-minor ordering is the
+    pivots' own: positive, and each at most 1 because it is the foot of
+    a ladder that starts at 1. The ratio ordering asks each column's
+    ladder of bordered-minor ratios |B_i^j| / |R_{i-1}| to lie in (0, 1]
+    and never increase. The pivots come from one Schur elimination
+    without pivoting (``_schur_steps``), in which the ladder of column j
+    starts at exactly 1 and each step subtracts s_ji^2 / s_ii, which is
+    >= 0 while the pivots are positive, with one rounding; rounding is
+    monotone, so the ladder never increases and stays between its foot,
+    pivot j, and 1. The elimination works on indefinite input; an exactly
+    zero pivot gives inf or nan, which fails. The input passes the
+    containers' finite, symmetry and unit-diagonal checks (``TOL_SYM``)
+    or raises ``ValueError``.
     """
-    with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails every comparison
+    with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails the comparison
         d = _schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0]
-        pivots = d.diagonal()
-        det_ok = bool(np.all(pivots > TOL_ORD) and np.all(pivots <= 1.0 + TOL_ORD))
-        upper = np.triu(np.ones(d.shape, dtype=bool))
-        ratios = d[upper]
-        ratio_ok = bool(
-            np.all(ratios > TOL_ORD)
-            and np.all(ratios <= 1.0 + TOL_ORD)
-            and np.all(np.diff(d, axis=0)[upper[1:]] <= TOL_ORD)
-        )
-    d.flags.writeable = False
-    return det_ok, ratio_ok, [d[:j, j - 1] for j in range(2, d.shape[0] + 1)]
+        return bool(np.all(d.diagonal() > TOL_ORD))

@@ -320,7 +320,10 @@ def leading_minor_determinants(m) -> np.ndarray:
     Computed as running products of the squared factorization pivots that
     the ``CorrelationMatrix`` or ``CovarianceMatrix`` ``m`` holds. For a
     correlation matrix the first element is exactly 1 and the sequence is
-    positive and non-increasing.
+    positive and non-increasing, but it shrinks geometrically with n and
+    underflows to 0 at moderate n on ill-conditioned input (from about
+    n = 120 at kappa = 1e8), so a ratio of two minors is read as a pivot,
+    not formed from the minors.
     """
     return np.cumprod(m._pivots)
 
@@ -338,14 +341,18 @@ def _schur_steps(a):
     One right-looking symmetric elimination, O(n^3), with no pivoting, no
     square root and no definiteness assumed (Golub & Van Loan, *Matrix
     Computations*, 4.2); an exactly zero pivot leaves inf or nan below it.
+    Step i writes only below and right of pivot i, so the elimination
+    runs in place and both arrays are read off its result: ``steps``
+    from each column below its pivot, and ``d`` by subtracting the steps
+    from the input's diagonal one at a time, the same roundings in the
+    same order as the elimination.
     """
     s = np.array(a, dtype=float)
     n = s.shape[0]
-    d, steps = np.zeros((n, n)), np.zeros((n, n))
+    top = s.diagonal().copy()
     for i in range(n):
-        d[i, i:] = s.diagonal()[i:]
         col = s[i + 1:, i]
-        update = np.outer(col, col / s[i, i])
-        s[i + 1:, i + 1:] -= update
-        steps[i + 1:, i] = update.diagonal()
-    return d, steps
+        s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
+    low = np.tril(s, -1)  # column i below pivot i, as step i read it
+    steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
+    return np.triu(np.subtract.accumulate(np.vstack((top, steps.T[:-1])))), steps

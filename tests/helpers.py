@@ -95,6 +95,23 @@ def one_tiny_eigenvalue(t):
     return 0.5 * (a + a.T)
 
 
+def schur_steps_reference(a):
+    """``matrix_core._schur_steps`` as a plain loop that writes each ladder
+    row and each step as the elimination forms it: row i of ``d`` is the
+    diagonal before step i, and column i of ``steps`` is the diagonal of
+    the rank-one update that step i subtracts."""
+    s = np.array(a, dtype=float)
+    n = s.shape[0]
+    d, steps = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        d[i, i:] = s.diagonal()[i:]
+        col = s[i + 1:, i]
+        update = np.outer(col, col / s[i, i])
+        s[i + 1:, i + 1:] -= update
+        steps[i + 1:, i] = update.diagonal()
+    return d, steps
+
+
 def per_cell_csv(text):
     """The table ``cholcorr.cli.load_table`` reads from CSV ``text``, or the
     message it raises after the path, by a loop of ``float()`` per cell:

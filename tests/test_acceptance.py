@@ -79,14 +79,14 @@ def test_criterion_3_order_conditions_match_positive_definiteness():
             raw = rng.uniform(-1.0, 1.0, size=(n, n))
             a = 0.5 * (raw + raw.T)
             np.fill_diagonal(a, 1.0)
-        det_ok, ratio_ok, _ = check_order_conditions(a)
+        ok = check_order_conditions(a)
         try:
             _cholesky_pivots(a, 1e-12)
             succeeded = True
         except NotPositiveDefinite:
             succeeded = False
         valid += succeeded
-        if (det_ok and ratio_ok) != succeeded:
+        if ok != succeeded:
             disagreements += 1
             margin = min(
                 abs(float(np.linalg.det(a[:k, :k]))) for k in range(1, n + 1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
+    contract_bound,
     kappa_correlation,
     one_tiny_eigenvalue,
     per_cell_csv,
@@ -25,6 +26,7 @@ import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, load_table, main, render_table
+from cholcorr.matrix_core import leading_minor_determinants
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
@@ -645,6 +647,25 @@ class TestVerify:
         assert captured.out.startswith("det-order: ok\nratio-order: ok\n")
         assert captured.out.count("residual=") == 4
         assert captured.err == ""
+
+    @pytest.mark.parametrize("n, kappa", [(120, 1e8), (200, 1e6)])
+    def test_underflowing_minors_leave_every_residual_in_contract(self, tmp_path, capsys,
+                                                                  n, kappa):
+        # the last leading minors underflow to 0; ratio_differences scales
+        # by the pivots, not by ratios of minors, so it stays finite
+        r = kappa_correlation(n, kappa, 0)
+        assert leading_minor_determinants(r)[-1] == 0.0
+        src = tmp_path / "k.csv"
+        write_csv(src, r.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(src)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        residuals = [float(line.split("=")[1]) for line in captured.out.splitlines()
+                     if "residual=" in line]
+        assert len(residuals) == 4
+        assert all(np.isfinite(x) and x <= contract_bound(r) for x in residuals)
 
     def test_walks_the_inverse_chain_once(self, tmp_path, monkeypatch):
         # the three chain verifiers share one walk (n - 1 solves) and the

@@ -29,6 +29,7 @@ from cholcorr.identities import (
 )
 from cholcorr.matrix_core import (
     CorrelationMatrix,
+    _schur_steps,
     leading_minor_determinants,
     reference_cholesky,
 )
@@ -311,10 +312,10 @@ class TestOneWalkPerMatrix:
 def bordered_minors(a, j):
     """Bordered minors toward column j (1-based, j >= 2): element i-1 is the
     determinant of the principal submatrix on {1, ..., i-1, j}, read as
-    the ``check_order_conditions`` ladder of column j times the LU
-    determinant of each leading (i-1)-block (the empty block's is 1)."""
+    the ``_schur_steps`` ladder of column j times the LU determinant of
+    each leading (i-1)-block (the empty block's is 1)."""
     a = np.asarray(getattr(a, "values", a))
-    ladder = check_order_conditions(a)[2][j - 2]
+    ladder = _schur_steps(a)[0][:j, j - 1]
     return ladder * np.array([np.linalg.det(a[:i, :i]) for i in range(j)])
 
 
@@ -402,7 +403,66 @@ def indefinite_input(kind, n, param):
     return a
 
 
+ORDER_FAMILIES = ("noise", "perturbed", "equicorrelation", "rank_deficient", "zero_pivot")
+
+
+def order_input(family, n, seed):
+    """Symmetric unit-diagonal n x n matrix of one family, from ``seed``:
+    scaled uniform noise; a log-spaced spectrum from 1 down to
+    10^-U(1, 12), rescaled to unit diagonal, plus noise of scale
+    10^-U(1, 14); equicorrelation within 10^-U(1, 15) of -1/(n-1) on
+    either side; a Gram matrix of rank below n; or scaled noise in which
+    variable k repeats variable k-1, so that pivot k is exactly 0 (or nan
+    after an earlier zero)."""
+    rng = np.random.default_rng(seed)
+    if family in ("noise", "zero_pivot"):
+        a = rng.uniform(-1.0, 1.0, (n, n)) * rng.uniform(0.02, 1.0)
+    elif family == "perturbed":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.logspace(0.0, -rng.uniform(1.0, 12.0), n)) @ q.T
+        a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
+        a += rng.standard_normal((n, n)) * 10.0 ** -rng.uniform(1.0, 14.0)
+    elif family == "equicorrelation":
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 15.0)
+        a = np.full((n, n), -(1.0 - gap) / (n - 1))
+    else:
+        f = rng.standard_normal((n, int(rng.integers(1, n))))
+        f /= np.linalg.norm(f, axis=1)[:, None]
+        a = f @ f.T
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 1.0)
+    if family == "zero_pivot":
+        k = int(rng.integers(1, n))
+        a[k], a[:, k] = a[k - 1], a[:, k - 1]
+        a[k, k - 1] = a[k - 1, k] = 1.0
+    return a
+
+
 class TestCheckOrderConditions:
+    @pytest.mark.parametrize("family", ORDER_FAMILIES)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    def test_positive_pivots_imply_the_ratio_ordering(self, family, n, seed):
+        # the one decision stands for both orderings: once every pivot
+        # passes, each rung of a ladder is the one above minus a step >= 0,
+        # rounded once, so the ladder starts at 1 and never increases down
+        # to its pivot
+        a = order_input(family, n, seed)
+        with np.errstate(all="ignore"):
+            d, steps = _schur_steps(a)
+        ok = check_order_conditions(a)
+        assert ok == bool(np.all(d.diagonal() > TOL_ORD))
+        if family == "zero_pivot":
+            assert not ok
+        if ok:
+            assert np.all(steps >= 0.0)
+            for j in range(n):
+                ladder = d[: j + 1, j]
+                assert ladder[1:].tobytes() == (ladder[:-1] - steps[j, :j]).tobytes()
+                assert ladder[0] == 1.0
+                assert np.all((d[j, j] <= ladder) & (ladder <= 1.0))
+                assert np.all(np.diff(ladder) <= 0.0)
+
     @pytest.mark.parametrize(
         "kind,n,param",
         [("noise", n, seed) for n in (8, 25) for seed in range(3)]
@@ -410,14 +470,14 @@ class TestCheckOrderConditions:
     )
     def test_ladders_match_lu_determinants(self, kind, n, param):
         a = indefinite_input(kind, n, param)
-        _, _, ladders = check_order_conditions(a)
+        d = _schur_steps(a)[0]
         for j in range(2, n + 1):
             col = bordered_minors(a, j)
             for i in range(1, j + 1):
                 det = lu_bordered(a, i, j)
                 assert abs(col[i - 1] - det) <= 1e-12 * max(1.0, abs(det))
                 ratio = det / np.linalg.det(a[: i - 1, : i - 1])  # the empty block's det is 1
-                assert abs(ladders[j - 2][i - 1] - ratio) <= 1e-12 * max(1.0, abs(ratio))
+                assert abs(d[i - 1, j - 1] - ratio) <= 1e-12 * max(1.0, abs(ratio))
 
     def test_bordered_minors_of_known_indefinite_matrix(self):
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
@@ -430,28 +490,22 @@ class TestCheckOrderConditions:
         a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            det_ok, ratio_ok, _ = check_order_conditions(a)
-        assert (det_ok, ratio_ok) == (False, False)
+            ok = check_order_conditions(a)
+        assert ok is False
 
     def test_identity(self):
-        det_ok, ratio_ok, ladders = check_order_conditions(np.eye(5))
-        assert det_ok and ratio_ok
-        assert [ladder.shape for ladder in ladders] == [(2,), (3,), (4,), (5,)]
-        for ladder in ladders:
-            np.testing.assert_array_equal(ladder, np.ones(ladder.size))
-            assert not ladder.flags.writeable
+        assert check_order_conditions(np.eye(5)) is True
+        np.testing.assert_array_equal(_schur_steps(np.eye(5))[0], np.triu(np.ones((5, 5))))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_matrices_pass(self, seed):
         r = random_correlation(6, seed)
-        det_ok, ratio_ok, _ = check_order_conditions(r.values)
-        assert det_ok and ratio_ok
+        assert check_order_conditions(r.values) is True
 
     def test_known_indefinite_matrix_fails(self):
         bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         assert cofactor_det(bad) < 0
-        det_ok, ratio_ok, _ = check_order_conditions(bad)
-        assert not (det_ok and ratio_ok)
+        assert check_order_conditions(bad) is False
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
@@ -459,8 +513,7 @@ class TestCheckOrderConditions:
         # from n = 12, kappa = 1e4 (about 3e-13) the determinant lies far below
         # TOL_ORD, while each ratio of successive leading minors stays above it
         for seed in range(5):
-            det_ok, ratio_ok, _ = check_order_conditions(kappa_correlation(n, kappa, seed).values)
-            assert det_ok and ratio_ok
+            assert check_order_conditions(kappa_correlation(n, kappa, seed).values) is True
 
     @pytest.mark.parametrize(
         "kind,n,param",
@@ -470,8 +523,7 @@ class TestCheckOrderConditions:
     def test_indefinite_input_violates_both_orderings(self, kind, n, param):
         a = indefinite_input(kind, n, param)
         assert np.linalg.eigvalsh(a)[0] < 0.0
-        det_ok, ratio_ok, _ = check_order_conditions(a)
-        assert (det_ok, ratio_ok) == (False, False)
+        assert check_order_conditions(a) is False
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
@@ -495,10 +547,10 @@ class TestCheckOrderConditions:
             a = rng.uniform(-1, 1, size=(n, n))
             a = 0.5 * (a + a.T)
             np.fill_diagonal(a, 1.0)
-        det_ok, ratio_ok, _ = check_order_conditions(a)
+        ok = check_order_conditions(a)
         try:
             reference_cholesky(CorrelationMatrix(a))
             succeeded = True
         except NotPositiveDefinite:
             succeeded = False
-        assert (det_ok and ratio_ok) == succeeded
+        assert ok == succeeded

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy
-from helpers import cofactor_det, one_tiny_eigenvalue, random_correlation
+from helpers import cofactor_det, one_tiny_eigenvalue, random_correlation, schur_steps_reference
 from scipy.linalg import lapack
 
 import cholcorr.matrix_core as matrix_core
@@ -407,3 +407,26 @@ class TestSchurSteps:
         assert d[0].tobytes() == a.diagonal().tobytes()
         for i in range(n - 1):
             assert d[i + 1, i + 1:].tobytes() == (d[i, i + 1:] - steps[i + 1:, i]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "zero_pivot"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 120])
+    def test_matches_the_reference_loop_bit_for_bit(self, kind, n):
+        # the in-place elimination reads its ladders and steps off the
+        # result; the reference writes each as it is formed. nan and inf
+        # below a zero pivot land in the same places
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(4):
+            if kind == "definite":
+                a = random_correlation(n, int(rng.integers(1000))).values
+            else:
+                a = rng.uniform(-1.0, 1.0, (n, n))
+                a = 0.5 * (a + a.T)
+                np.fill_diagonal(a, 1.0)
+            if kind == "zero_pivot":  # variable k repeats k-1, or the one pivot is 0
+                k = int(rng.integers(1, n)) if n > 1 else 0
+                a[k], a[:, k] = a[k - 1], a[:, k - 1]
+                a[k, k - 1] = a[k - 1, k] = a[k, k] = float(n > 1)
+            with np.errstate(all="ignore"):
+                got, want = matrix_core._schur_steps(a), schur_steps_reference(a)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
