@@ -45,7 +45,7 @@ from .matrix_core import (
     reference_cholesky,
 )
 from .parametrizations import chol_covariance, chol_detratio, chol_semipartial, extract_signs
-from .randcorr import GeneratorConfig, generate_batch
+from .randcorr import GeneratorConfig, _chunks, generate_batch
 
 
 def format_value(v: float) -> str:
@@ -61,11 +61,15 @@ def format_value(v: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def render_table(a: np.ndarray, fmt: str) -> str:
-    """``a`` as CSV (``format_value`` per cell) or as a JSON object.
+def render_table(a: np.ndarray, fmt: str) -> str | list[str]:
+    """``a`` as CSV (``format_value`` per cell) or as a JSON object; a
+    (k, r, c) stack of tables gives the list of their k texts.
 
-    The CSV branch formats each distinct value once, keyed by bit pattern
-    so that -0.0 and 0.0 stay apart: the matrices cholcorr writes are
+    A 1-D or 2-D ``a`` is one table and gives one text, rendered as a
+    stack of one. Each text is what rendering its table alone gives: the
+    JSON branch makes one ``json.dumps`` per table. The CSV branch formats
+    each distinct value of the whole stack once, keyed by bit pattern so
+    that -0.0 and 0.0 stay apart: the matrices cholcorr writes are
     symmetric or triangular, so this halves their shortest round-trip
     conversions. Each distinct value is first written by ``repr``, which
     is already ``format_value``'s string for every finite v with
@@ -74,18 +78,26 @@ def render_table(a: np.ndarray, fmt: str) -> str:
     integral v, including -0.0, 0.0 and every |v| >= 1e16 (``repr`` ends in
     ``.0`` or writes an exponent), and inf and nan. The bytes are the same
     as formatting every cell with ``format_value``.
+
+    Every cell's string and every text of the stack are held at once, so
+    a caller with a long batch passes it one ``randcorr._chunks`` stack
+    at a time, as ``generate`` does: at most 2^16 cells, or one table,
+    per call.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    stack = a if a.ndim == 3 else np.atleast_2d(a)[None]
     if fmt == "csv":
-        bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+        bits, inverse = np.unique(stack.view(np.int64), return_inverse=True)
         u = bits.view(float)
         text = np.array(list(map(repr, u.tolist())), dtype=object)
         odd = ~(np.abs(u) >= 1e-4) | (u == np.trunc(u)) | ~np.isfinite(u)
         text[odd] = [format_value(v) for v in u[odd].tolist()]
-        rows = text[inverse.reshape(a.shape)].tolist()
-        return "\n".join(map(",".join, rows)) + "\n"
-    obj = {"n": a.shape[1], "rows": a.tolist()}
-    return json.dumps(obj, indent=2) + "\n"
+        tables = text[inverse.reshape(stack.shape)].tolist()
+        texts = ["\n".join(map(",".join, rows)) + "\n" for rows in tables]
+    else:
+        texts = [json.dumps({"n": stack.shape[2], "rows": rows}, indent=2) + "\n"
+                 for rows in stack.tolist()]
+    return texts if a.ndim == 3 else texts[0]
 
 
 def infer_format(path: str | None, flag: str | None) -> str:
@@ -220,11 +232,12 @@ def cmd_generate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     fmt = args.format or "csv"
     ext = "json" if fmt == "json" else "csv"
-    names = []
-    for k, r in enumerate(matrices):
-        name = f"corr_{k:04d}.{ext}"
-        (outdir / name).write_text(render_table(r.values, fmt))
-        names.append(name)
+    names = [f"corr_{k:04d}.{ext}" for k in range(args.count)]
+    for chunk in _chunks(args.n, args.count):
+        texts = render_table(np.stack([matrices[k].values for k in chunk]), fmt)
+        for k, text in zip(chunk, texts):
+            (outdir / names[k]).write_text(text)
+        del texts  # one chunk's strings at a time set the command's peak memory
     write_manifest(
         outdir / "manifest.json",
         "generate",
@@ -255,7 +268,7 @@ def cmd_verify(args) -> int:
             continue
         report = fn(r)
         print(f"{name}: residual={format_value(report.max_residual)}")
-        if report.max_residual > args.tol:
+        if not report.max_residual <= args.tol:  # true for nan
             failed = True
             print(f"failed: {name} residual exceeds {args.tol}", file=sys.stderr)
     return 1 if failed else 0

@@ -88,6 +88,15 @@ def stream(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _chunks(n: int, count: int) -> list[range]:
+    """The index ranges, in order, that cut a batch of ``count`` n x n
+    arrays into stacks of at most ``_CHUNK_FLOATS`` floats (at least one
+    array each): the chunks the batch is generated on, and rendered on by
+    the CLI's ``generate``."""
+    step = max(1, _CHUNK_FLOATS // n**2)
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
     """The (k, n, n) stack of factor entries built from a (k, n(n-1))
     stack of uniforms, row k holding one matrix's draws in contract order."""
@@ -145,9 +154,7 @@ def generate_batch(cfg: GeneratorConfig, count: int) -> list[CorrelationMatrix]:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    step = max(1, _CHUNK_FLOATS // cfg.n**2)
     out = []
-    for start in range(0, count, step):
-        rngs = [stream(cfg.seed, k) for k in range(start, min(start + step, count))]
-        out += _generate(cfg, rngs)[1]
+    for chunk in _chunks(cfg.n, count):
+        out += _generate(cfg, [stream(cfg.seed, k) for k in chunk])[1]
     return out

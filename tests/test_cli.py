@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, load_table, main, render_table
+from cholcorr.identities import IdentityReport
 from cholcorr.matrix_core import leading_minor_determinants
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
@@ -120,11 +122,29 @@ def tables(draw):
     return {"random": a, "transposed": a.T, "1-D": a[0], "1x1": a[:1, :1]}[kind]
 
 
+@st.composite
+def stacks(draw):
+    """k >= 2 same-shape tables, 0.0 in the first and -0.0 in the second,
+    so that values repeat across tables and the signed zeros meet."""
+    k, r, c = draw(st.integers(2, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(cells, min_size=k * r * c, max_size=k * r * c))).reshape(k, r, c)
+    a[0].flat[draw(st.integers(0, r * c - 1))] = 0.0
+    a[1].flat[draw(st.integers(0, r * c - 1))] = -0.0
+    return a
+
+
 class TestRenderTable:
     @settings(max_examples=300, deadline=None)
     @given(a=tables())
     def test_csv_matches_per_value_formatting(self, a):
         assert render_table(a, "csv") == per_value_csv(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=stacks())
+    def test_stack_renders_each_table_as_alone(self, a):
+        for fmt in ("csv", "json"):
+            assert render_table(a, fmt) == [render_table(t, fmt) for t in a]
+        assert render_table(a, "csv") == [per_value_csv(t) for t in a]
 
     def test_signed_zeros_stay_apart(self):
         assert render_table(np.array([[0.0, -0.0], [-0.0, 0.0]]), "csv") == "0,-0\n-0,0\n"
@@ -548,6 +568,35 @@ class TestGenerate:
         assert digest.hexdigest() == (
             "e3c1e18d04f5e617a973d82675111084e2c399157786fac063539114dc3e214f")
 
+    def test_json_output_bytes_are_pinned(self, tmp_path):
+        outdir = tmp_path / "golden"
+        assert main(["generate", "--n", "25", "--count", "100", "--seed", "42",
+                     "--format", "json", "--out", str(outdir)]) == 0
+        digest = hashlib.sha256()
+        for k in range(100):
+            digest.update((outdir / f"corr_{k:04d}.json").read_bytes())
+        assert digest.hexdigest() == (
+            "ae635f77c62cd4d14d2eb97ffcb95814918c71551e5d0ad688d5e9a3252cea60")
+
+    def test_strings_held_stay_within_one_chunk(self, tmp_path):
+        # 100 matrices are one chunk at n = 25 and 400 are four: the larger
+        # batch may hold its 300 extra containers' arrays, but only one
+        # chunk's strings at a time (the whole batch's would add ~16 MB)
+        def peak(count):
+            argv = ["generate", "--n", "25", "--count", str(count), "--seed", "3",
+                    "--out", str(tmp_path / str(count))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["generate", "--n", "25", "--count", "2", "--out", str(tmp_path / "warm")])
+        extra = generate_batch(GeneratorConfig(n=25, seed=3), 400)[100:]
+        arrays = sum(m.values.nbytes + m._lower.nbytes + m._pivots.nbytes for m in extra)
+        assert peak(400) - peak(100) <= arrays + 2**20
+
     def test_bad_count(self, tmp_path):
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(tmp_path / "x")]) == 2
 
@@ -687,6 +736,16 @@ class TestVerify:
                             counting("chol_semipartial", identities.chol_semipartial))
         assert main(["verify", str(src)]) == 0
         assert calls == {"solve": 24, "chol_semipartial": 1}
+
+    def test_nan_residual_fails(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "r.csv"
+        write_csv(src, generate_batch(GeneratorConfig(n=6, seed=2), 1)[0].values)
+        monkeypatch.setattr(cli, "ALL_VERIFIERS", (
+            ("product_sums", lambda r: IdentityReport("product_sums", float("nan"), (1, 2, 0)), 2),))
+        assert main(["verify", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert "product_sums: residual=nan\n" in captured.out
+        assert "failed: product_sums residual exceeds" in captured.err
 
     def test_non_positive_definite_names_ordering(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
