@@ -13,8 +13,9 @@ objects {"n": <int>, "rows": [[...], ...]}. Sample files for ``test`` are
 rectangular CSV/JSON blocks, one row per observation. All numbers are
 printed in shortest round-trip form, so parse -> print -> parse is
 lossless for 64-bit floats. Whenever a command writes files, a manifest
-recording the command, flags, seed, library version and tolerances is
-written alongside them.
+is written alongside them. It records the command, every parsed option
+except --out as the command resolved it (the inferred format, test's
+default target), the library version and the tolerances.
 
 Run as the program (``main()`` with no argv), ``main`` freezes the objects
 left by the imports, so that the collections at interpreter exit skip them.
@@ -170,19 +171,23 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
-def write_output(text: str, out: str | None, command: str, options: dict) -> None:
+def write_output(text: str, out: str | None, args) -> None:
     """``text`` to stdout, or to the file ``out`` with the manifest of
-    ``command`` and its ``options`` beside it, at ``<out>.manifest.json``."""
+    ``args`` beside it, at ``<out>.manifest.json``."""
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-        write_manifest(Path(out + ".manifest.json"), command, options, [out])
+        write_manifest(Path(out + ".manifest.json"), args, [out])
 
 
-def write_manifest(path: Path, command: str, options: dict, outputs: list[str]) -> None:
+def write_manifest(path: Path, args, outputs: list[str]) -> None:
+    """The manifest of the command ``args`` ran: every parsed option but
+    ``--out``, as the command resolved it (a command stores a value it
+    infers, such as ``format``, on ``args`` before it writes)."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     payload = {
-        "command": command,
+        "command": args.command,
         "options": options,
         "outputs": outputs,
         "version": __version__,
@@ -205,13 +210,12 @@ def cmd_decompose(args) -> int:
     routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
               "detratio": lambda m: ladder(m, extract_signs(m._once(chol_semipartial)))}
     factor = m._once(routes[args.method])
-    fmt = infer_format(args.out, args.format)
-    write_output(render_table(factor.entries, fmt), args.out, "decompose",
-                 {"input": args.input, "method": args.method, "covariance": args.covariance,
-                  "check": args.check, "format": fmt, "tol": args.tol})
+    # every route the command reports is built before anything is written
+    factors = [m._once(route).entries for route in routes.values()] if args.check else []
+    args.format = infer_format(args.out, args.format)
+    write_output(render_table(factor.entries, args.format), args.out, args)
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
-        factors = [m._once(route).entries for route in routes.values()]
         cross = max(
             float(np.max(np.abs(fa - fb)))
             for x, fa in enumerate(factors)
@@ -230,21 +234,14 @@ def cmd_generate(args) -> int:
     matrices = generate_batch(cfg, args.count)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or "csv"
-    ext = "json" if fmt == "json" else "csv"
-    names = [f"corr_{k:04d}.{ext}" for k in range(args.count)]
+    args.format = args.format or "csv"
+    names = [f"corr_{k:04d}.{args.format}" for k in range(args.count)]
     for chunk in _chunks(args.n, args.count):
-        texts = render_table(np.stack([matrices[k].values for k in chunk]), fmt)
+        texts = render_table(np.stack([matrices[k].values for k in chunk]), args.format)
         for k, text in zip(chunk, texts):
             (outdir / names[k]).write_text(text)
         del texts  # one chunk's strings at a time set the command's peak memory
-    write_manifest(
-        outdir / "manifest.json",
-        "generate",
-        {"n": args.n, "count": args.count, "seed": args.seed,
-         "sign_bias": args.sign_bias, "format": fmt},
-        names,
-    )
+    write_manifest(outdir / "manifest.json", args, names)
     return 0
 
 
@@ -275,15 +272,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_test(args) -> int:
+    args.format = infer_format(args.data, args.format)
     a = load_table(args.data, args.format)
     try:
         x = SampleMatrix(a)
     except ValueError as exc:
         raise ValueError(f"{args.data}: {exc}") from exc
-    target = args.target if args.target is not None else x.p
-    report = sequential_test(x, target, args.alpha)
-    write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out, "test",
-                 {"data": args.data, "target": target, "alpha": args.alpha})
+    args.target = args.target if args.target is not None else x.p
+    report = sequential_test(x, args.target, args.alpha)
+    write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out, args)
     return 0
 
 
@@ -295,10 +292,8 @@ def cmd_ar1(args) -> int:
         payload = ar1_cholesky(spec).entries
     else:
         payload = sample_mvn(ar1_cholesky(spec), args.count, args.seed)
-    fmt = infer_format(args.out, args.format)
-    write_output(render_table(payload, fmt), args.out, "ar1",
-                 {"n": args.n, "rho": args.rho, "emit": args.emit,
-                  "count": args.count, "seed": args.seed, "format": fmt})
+    args.format = infer_format(args.out, args.format)
+    write_output(render_table(payload, args.format), args.out, args)
     return 0
 
 

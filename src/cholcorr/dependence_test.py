@@ -48,9 +48,14 @@ class SampleMatrix(_Record):
     below the rounding that centering leaves in a constant column,
     (N eps)^2 times the column's mean square, so neither the units nor a
     large offset of a column decide degeneracy.
+
+    Equality and hash go by identity, as for the matrix containers: the
+    block is an array, which has no single truth value to compare by.
     """
 
     __slots__ = ("data",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, data: np.ndarray):
         a = np.array(data, dtype=float)

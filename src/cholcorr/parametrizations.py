@@ -40,6 +40,19 @@ kappa taken on its correlation matrix. ``tests/test_parametrizations.py``
 pins the bound on AR(1) with |rho| up to 1 - 1e-5, equicorrelation within
 1e-10 of its floor -1/(n-1), factors with one planted entry down to 1e-12,
 and spectra of kappa up to 1e12, at n = 12 and 64.
+
+Backward-error contract (Higham, Thm 10.3): each route's factor L of the
+matrix A it was given, correlation or covariance, meets
+
+    |L L^T - A| <= gamma_{n+1} |L| |L^T|   entrywise,
+    gamma_{n+1} = (n + 1) eps / (1 - (n + 1) eps).
+
+The bound does not depend on kappa, and A -> D A D leaves it unchanged,
+so it has no units. The same tests pin it on the same families for every
+route, the reference included; the worst ratio of the two sides is about
+0.17. It is the sharper of the two: one entry of the kappa = 1e12 detratio
+factor moved by 1e-10 relative takes the ratio to 11.6, while the entry
+stays within the forward contract.
 """
 
 from __future__ import annotations

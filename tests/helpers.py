@@ -79,6 +79,17 @@ def contract_bound(r):
     return r.n * np.linalg.cond(r.values) * np.finfo(float).eps
 
 
+def backward_ratio(l, a):
+    """max |L L^T - A| / (gamma_{n+1} |L| |L^T|) entrywise, with
+    gamma_{n+1} = (n + 1) eps / (1 - (n + 1) eps): at most 1 when the factor
+    ``l`` of ``a`` meets the Cholesky backward-error bound (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3), which
+    does not depend on kappa or on the units of ``a``. The residual is
+    formed in double precision."""
+    u = (len(l) + 1) * np.finfo(float).eps
+    return float(np.max(np.abs(l @ l.T - a) / (u / (1 - u) * (np.abs(l) @ np.abs(l).T))))
+
+
 def one_tiny_eigenvalue(t):
     """Unit-diagonal matrix from seed [11, t]: n in 3..79, a random
     orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of

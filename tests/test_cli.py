@@ -528,6 +528,27 @@ class TestDecompose:
             assert pivot in capsys.readouterr().err
         assert main(["verify", str(src)]) == 1
 
+    @pytest.mark.parametrize("seed", [837, 2345])
+    def test_check_writes_nothing_when_a_route_rejects(self, tmp_path, capsys, seed):
+        # the reference route accepts and the semi-partial route rejects:
+        # --check builds every route before it writes anything
+        src = tmp_path / "edge.csv"
+        np.savetxt(src, one_tiny_eigenvalue(seed), fmt="%.17g", delimiter=",")
+        for out in ([], ["--out", str(tmp_path / "L.csv")]):
+            assert main(["decompose", str(src), "--method", "reference", "--check", *out]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not positive-definite" in captured.err
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_covariance_zero_variance_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "cov.csv"
+        src.write_text("1,0\n0,0\n")
+        assert main(["decompose", str(src), "--covariance"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: covariance diagonal must be strictly positive\n"
+
 
 class TestGenerate:
     def test_dimension_one(self, tmp_path):
@@ -755,6 +776,17 @@ class TestVerify:
         assert "violated" in captured.out
         assert "ordering" in captured.err
 
+    def test_positive_definite_construction_failure(self, tmp_path, capsys, monkeypatch):
+        # orderings judged to pass on a matrix the container then rejects
+        src = tmp_path / "bad.csv"
+        src.write_text("1,0.9,0.9\n0.9,1,0.1\n0.9,0.1,1\n")
+        monkeypatch.setattr(cli, "check_order_conditions", lambda a: True)
+        assert main(["verify", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "det-order: ok\nratio-order: ok\n"
+        assert captured.err == ("failed: positive-definite construction "
+                                "(matrix is not positive-definite: pivot 3 is -2.463158e+00)\n")
+
     def test_asymmetric_is_usage_error(self, tmp_path):
         src = tmp_path / "asym.csv"
         src.write_text("1,0.5\n0.2,1\n")
@@ -798,6 +830,13 @@ class TestTolerance:
         assert f"argument --tol: expected a number >= 0, got {tol!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_non_number_is_a_usage_error(self, matrix, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], matrix, "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected a number >= 0, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_negative_in_exponent_form_is_a_usage_error(self, matrix, capsys, command):
         # argparse reads "-1e-9" as an option, not as the value of --tol
         with pytest.raises(SystemExit) as exc:
@@ -828,6 +867,44 @@ class TestParser:
                        if action.dest not in ("help", "func")
                        and f"args.{action.dest}" not in source]
         assert unread == []
+
+
+class TestManifest:
+    """A manifest's options are every option its subcommand parsed but
+    --out, as the command resolved it."""
+
+    @staticmethod
+    def dests(command):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        return {a.dest for a in subparsers.choices[command]._actions} - {"help", "out"}
+
+    def test_options_are_the_resolved_arguments(self, tmp_path):
+        matrix, block = tmp_path / "r.csv", tmp_path / "x.json"
+        matrix.write_text("1,0.5\n0.5,1\n")
+        block.write_text(render_table(np.random.default_rng(1).standard_normal((30, 3)), "json"))
+        runs = {
+            "decompose": (["decompose", str(matrix), "--out", str(tmp_path / "L.json")],
+                          tmp_path / "L.json.manifest.json",
+                          {"input": str(matrix), "method": "semipartial", "covariance": False,
+                           "check": False, "tol": 1e-9, "format": "json"}),
+            "generate": (["generate", "--n", "3", "--out", str(tmp_path / "g")],
+                         tmp_path / "g" / "manifest.json",
+                         {"n": 3, "count": 1, "sign_bias": 0.5, "format": "csv", "seed": 0}),
+            "test": (["test", str(block), "--out", str(tmp_path / "t.txt")],
+                     tmp_path / "t.txt.manifest.json",
+                     {"data": str(block), "target": 3, "alpha": 0.05, "format": "json"}),
+            "ar1": (["ar1", "--n", "3", "--rho", "0.2", "--out", str(tmp_path / "a.out")],
+                    tmp_path / "a.out.manifest.json",
+                    {"n": 3, "rho": 0.2, "emit": "matrix", "count": 1, "format": "csv",
+                     "seed": 0}),
+        }
+        for command, (argv, path, options) in runs.items():
+            assert main(argv) == 0
+            manifest = json.loads(path.read_text())
+            assert manifest["command"] == command
+            assert set(manifest["options"]) == self.dests(command), command
+            assert manifest["options"] == options, command
 
 
 class TestTest:

@@ -187,6 +187,7 @@ BAD_CORRELATIONS = {
 }
 BASE_FACTOR = np.linalg.cholesky(BASE)
 BAD_FACTORS = {  # kind: (factor, the message CholeskyFactor raises)
+    "non-square": (BASE_FACTOR[:, :2], "expected a square factor, got shape (3, 2)"),
     "non-finite": (with_entries(BASE_FACTOR, {(2, 1): np.inf}),
                    "factor entries must be finite"),
     "nonzero upper": (with_entries(BASE_FACTOR, {(1, 2): 1e-300}),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     ar1_correlation,
+    backward_ratio,
     contract_bound,
     hard_correlations,
     kappa_correlation,
@@ -265,19 +266,29 @@ class TestCholDetratio:
         assert "not positive-definite: pivot 3 is" in capsys.readouterr().err
 
 
-def route_error(route, r):
-    """Largest entrywise distance of ``route``'s factor of the correlation
-    matrix ``r`` from the reference factor. The covariance route runs on
-    r scaled by sigmas drawn from seed n, and row j of its distance is
-    divided by sigma_j, the unit-free error that the bound on r governs."""
+def route_factor(route, r):
+    """``route``'s factor, the container it factors and that container's
+    sigmas. The correlation routes factor ``r`` itself (sigmas 1); the
+    covariance route factors r scaled by sigmas drawn from seed n."""
     if route == "covariance":
         sig = np.random.default_rng(r.n).uniform(0.1, 10.0, r.n)
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
-        diff = covariance_factor(s).entries - reference_cholesky(s).entries
-        return float(np.max(np.abs(diff) / sig[:, None]))
+        return covariance_factor(s), s, sig
+    if route == "reference":
+        return reference_cholesky(r), r, np.ones(r.n)
     semi = chol_semipartial(r)
     out = semi if route == "semipartial" else chol_detratio(r, extract_signs(semi))
-    return float(np.max(np.abs(out.entries - reference_cholesky(r).entries)))
+    return out, r, np.ones(r.n)
+
+
+def route_error(route, r):
+    """Largest entrywise distance of ``route``'s factor from the reference
+    factor of the matrix it factors, row j divided by sigma_j: the
+    unit-free error that the bound on the correlation matrix ``r``
+    governs."""
+    factor, m, sig = route_factor(route, r)
+    diff = factor.entries - reference_cholesky(m).entries
+    return float(np.max(np.abs(diff) / sig[:, None]))
 
 
 ROUTES = ["semipartial", "detratio", "covariance"]
@@ -305,6 +316,39 @@ class TestDetratioAccuracy:
         for seed in range(20):
             r = kappa_correlation(n, kappa, seed)
             assert route_error("detratio", r) <= contract_bound(r), seed
+
+
+class TestBackwardErrorContract:
+    """Every route, the reference included, within the backward-error
+    bound |L L^T - A| <= gamma_{n+1} |L| |L^T| on the matrix it factors
+    (module docstring), on the hard families and the kappa sweep. The
+    worst ratio measured over them is about 0.17."""
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("route", ["reference", *ROUTES])
+    @pytest.mark.parametrize("family", ["ar1", "equicorrelation", "planted"])
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_hard_families_within_bound(self, family, route, n, data):
+        factor, m, _ = route_factor(route, data.draw(hard_correlations(n)[family]))
+        assert backward_ratio(factor.entries, m.values) <= 1
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("route", ["reference", *ROUTES])
+    def test_kappa_sweep_within_bound(self, route, n):
+        for kappa in (1e4, 1e6, 1e8, 1e10, 1e12):
+            for seed in range(10):
+                factor, m, _ = route_factor(route, kappa_correlation(n, kappa, seed))
+                assert backward_ratio(factor.entries, m.values) <= 1, (kappa, seed)
+
+    def test_one_entry_off_by_1e_10_relative_breaks_it(self):
+        # the forward contract, n * kappa * eps at kappa = 1e12, lets it pass
+        r = kappa_correlation(64, 1e12, 3)
+        l = chol_detratio(r, extract_signs(chol_semipartial(r))).entries.copy()
+        assert backward_ratio(l, r.values) < 0.1
+        l[40, 20] *= 1 + 1e-10
+        assert backward_ratio(l, r.values) > 10
+        assert np.max(np.abs(l - reference_cholesky(r).entries)) <= contract_bound(r)
 
 
 class TestCholCovariance:

@@ -1,5 +1,5 @@
 """The six record types: construction, validation messages, immutability,
-and equality, hash and repr by field."""
+and equality, hash and repr by field (``SampleMatrix`` by identity)."""
 
 import copy
 import pickle
@@ -105,6 +105,17 @@ def test_sample_matrix_keeps_a_read_only_copy():
         x.data[0, 0] = 1.0
     block[0, 0] = 99.0
     assert x.data[0, 0] != 99.0
+
+
+def test_sample_matrix_compares_and_hashes_by_identity():
+    # its field is an array, which has no single truth value
+    x = SampleMatrix(sample_block())
+    assert x == x and not x != x and hash(x) == hash(x)
+    for other in (SampleMatrix(x.data.copy()), copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+        assert type(other) is SampleMatrix and other != x and not other == x
+        assert np.array_equal(other.data, x.data) and not other.data.flags.writeable
+    assert len({x, x, copy.copy(x)}) == 2
 
 
 @pytest.mark.parametrize("build,message", [
