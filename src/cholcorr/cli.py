@@ -51,15 +51,8 @@ from .randcorr import GeneratorConfig, _chunks, generate_batch
 
 def format_value(v: float) -> str:
     """Shortest decimal string that parses back to the same float, never in
-    exponent form.
-
-    ``repr`` gives the shortest round-trip digits; numpy's positional
-    formatter takes over only where ``repr`` writes an exponent, inf or nan.
-    """
-    s = repr(float(v))
-    if "e" in s or "n" in s:
-        return np.format_float_positional(float(v), unique=True, trim="-")
-    return s[:-2] if s.endswith(".0") else s
+    exponent form."""
+    return np.format_float_positional(float(v), unique=True, trim="-")
 
 
 def render_table(a: np.ndarray, fmt: str) -> str | list[str]:
@@ -151,7 +144,7 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
         if fmt == "json":
             obj = json.loads(source)
             if isinstance(obj, dict) and "rows" in obj:
-                cells = [[float(v) for v in row] for row in obj["rows"]]
+                cells = [_json_row(i, row) for i, row in enumerate(obj["rows"])]
                 widths = [len(row) for row in cells]
         else:
             widths = [line.count(",") + 1 for line in source]
@@ -169,6 +162,17 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
     if fmt == "json" and obj.get("n", widths[0]) != widths[0]:
         raise ValueError(f"{path}: 'n' is {obj['n']!r} but the rows have {widths[0]} columns")
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
+
+
+def _json_row(i: int, row) -> list[float]:
+    """Row ``i`` of a JSON table as floats: an array whose cells are numbers
+    or ``float()`` strings. A string row would be read character by
+    character and ``float(true)`` is 1.0, so both are rejected."""
+    if not isinstance(row, list):
+        raise TypeError(f"rows[{i}] is not an array")
+    if any(isinstance(v, bool) for v in row):
+        raise TypeError(f"rows[{i}] holds a boolean")
+    return [float(v) for v in row]
 
 
 def write_output(text: str, out: str | None, args) -> None:
@@ -223,7 +227,8 @@ def cmd_decompose(args) -> int:
         )
         print(f"check: reconstruction-error={format_value(recon)} "
               f"cross-method-discrepancy={format_value(cross)}", file=sys.stderr)
-        scale = float(np.max(m.values.diagonal())) if args.covariance else 1.0
+        # a correlation matrix's diagonal is exactly 1, so its scale is 1
+        scale = float(np.max(m.values.diagonal()))
         if recon > args.tol * scale or cross > args.tol * scale:
             return 1
     return 0

@@ -76,8 +76,11 @@ class TestFormatting:
         rng = np.random.default_rng(11)
         size = 100_000
         sweep = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-20.0, 20.0, size)
-        for v in edge + sweep.tolist():
-            assert format_value(v) == np.format_float_positional(float(v), unique=True, trim="-")
+        # render_table is where repr's fast path and the formatter meet
+        values = edge + sweep.tolist()
+        cells = render_table(np.array(values), "csv").removesuffix("\n").split(",")
+        assert cells == [np.format_float_positional(float(v), unique=True, trim="-")
+                         for v in values]
 
     def test_json_matches_per_element_floats(self, tmp_path, capsys):
         assert main(["ar1", "--n", "6", "--rho", "-0.7", "--emit", "factor",
@@ -300,6 +303,9 @@ class TestLoadTable:
         ('{"rows": null}', "cannot parse as json: 'NoneType' object is not iterable"),
         ('{"rows": []}', "the table has no rows"),
         ('{"rows": [[1, "x"]]}', "cannot parse as json: could not convert string to float: 'x'"),
+        ('{"rows": ["10", "01"]}', "cannot parse as json: rows[0] is not an array"),
+        ('{"rows": [[1, 0.5], {"0": 1}]}', "cannot parse as json: rows[1] is not an array"),
+        ('{"rows": [[true, 0.5], [0.5, true]]}', "cannot parse as json: rows[0] holds a boolean"),
     ])
     def test_json_failure_messages(self, tmp_path, capsys, text, message):
         src = tmp_path / "m.json"
@@ -316,6 +322,11 @@ class TestLoadTable:
         src = tmp_path / "m.json"
         src.write_text('{' + header + '"rows": [[1, 2, 3], [4, 5, 6]]}')
         assert load_table(str(src), None).tolist() == [[1, 2, 3], [4, 5, 6]]
+
+    def test_json_cells_are_numbers_or_float_strings(self, tmp_path):
+        src = tmp_path / "m.json"
+        src.write_text('{"rows": [[1, "0.5"], [" 5e-1 ", 1e0]]}')
+        assert load_table(str(src), None).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_json_written_by_render_table_reads_back(self, tmp_path):
         a = np.random.default_rng(6).standard_normal((4, 3))

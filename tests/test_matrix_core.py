@@ -103,6 +103,11 @@ class TestContainers:
         assert r.n == 1
         assert leading_minor_determinants(r).tolist() == [1.0]
 
+    def test_repr_names_the_type_and_dimension(self):
+        assert repr(CorrelationMatrix(np.eye(3))) == "CorrelationMatrix(n=3)"
+        assert repr(CovarianceMatrix(np.diag([4.0, 9.0]))) == "CovarianceMatrix(n=2)"
+        assert repr(CholeskyFactor(np.eye(2))) == "CholeskyFactor(n=2)"
+
     def test_covariance_sigmas(self):
         s = CovarianceMatrix([[4.0, 0.0], [0.0, 9.0]])
         np.testing.assert_allclose(np.sqrt(np.diag(s.values)), [2.0, 3.0])
