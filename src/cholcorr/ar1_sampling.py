@@ -33,22 +33,24 @@ class Ar1Spec(_Record):
         self._set(n, rho)
 
 
+def _lags(n: int) -> np.ndarray:
+    """The n x n integer array |i - j|."""
+    idx = np.arange(n)
+    return np.abs(np.subtract.outer(idx, idx))
+
+
 def ar1_matrix(spec: Ar1Spec) -> CorrelationMatrix:
     """Correlation matrix with entries rho^|i-j|."""
-    idx = np.arange(spec.n)
-    lags = np.abs(np.subtract.outer(idx, idx))
-    return CorrelationMatrix(float(spec.rho) ** lags)
+    return CorrelationMatrix(float(spec.rho) ** _lags(spec.n))
 
 
 def ar1_cholesky(spec: Ar1Spec) -> CholeskyFactor:
-    """Closed-form factor of the AR(1) matrix, built in O(n^2)."""
-    n, rho = spec.n, float(spec.rho)
-    powers = rho ** np.arange(n)
-    entries = np.zeros((n, n))
-    entries[:, 0] = powers
-    tail = np.sqrt(1.0 - rho * rho)
-    for i in range(1, n):
-        entries[i:, i] = powers[: n - i] * tail
+    """Closed-form factor of the AR(1) matrix, built in O(n^2): the lower
+    triangle of rho^|i-j| with every column after the first scaled by
+    sqrt(1 - rho^2)."""
+    rho = float(spec.rho)
+    entries = np.tril(rho ** _lags(spec.n))
+    entries[:, 1:] *= np.sqrt(1.0 - rho * rho)
     return CholeskyFactor(entries)
 
 

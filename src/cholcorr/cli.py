@@ -117,7 +117,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     fmt = infer_format(path, fmt)
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     source, a = text, None
     if fmt == "csv":
@@ -151,7 +151,7 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
             # numpy parses each cell with float(): the same syntax, and the
             # same message for the first bad cell, as a per-cell loop
             cells = np.array(",".join(source).split(","), dtype=float) if source else []
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: cannot parse as {fmt}: {exc}") from exc
     if widths is None:
         raise ValueError(f"{path}: expected an object with a 'rows' field")
@@ -159,8 +159,9 @@ def _parse_cells(path: str, fmt: str, source: str | list[str]) -> np.ndarray:
         raise ValueError(f"{path}: the table has no rows")
     if len(set(widths)) != 1:
         raise ValueError(f"{path}: rows have inconsistent lengths")
-    if fmt == "json" and obj.get("n", widths[0]) != widths[0]:
-        raise ValueError(f"{path}: 'n' is {obj['n']!r} but the rows have {widths[0]} columns")
+    n = obj.get("n", widths[0]) if fmt == "json" else widths[0]
+    if type(n) is not int or n != widths[0]:  # a bool or a float is no count
+        raise ValueError(f"{path}: 'n' is {n!r} but the rows have {widths[0]} columns")
     return np.reshape(np.asarray(cells, dtype=float), (len(widths), widths[0]))
 
 
@@ -220,11 +221,7 @@ def cmd_decompose(args) -> int:
     write_output(render_table(factor.entries, args.format), args.out, args)
     if args.check:
         recon = float(np.max(np.abs(factor.reconstruct() - m.values)))
-        cross = max(
-            float(np.max(np.abs(fa - fb)))
-            for x, fa in enumerate(factors)
-            for fb in factors[x + 1:]
-        )
+        cross = float(np.ptp(np.stack(factors), axis=0).max())
         print(f"check: reconstruction-error={format_value(recon)} "
               f"cross-method-discrepancy={format_value(cross)}", file=sys.stderr)
         # a correlation matrix's diagonal is exactly 1, so its scale is 1

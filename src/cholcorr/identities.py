@@ -162,7 +162,7 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
     d = _schur_steps(r.values)[0]
     coeffs = r._once(chol_semipartial).entries
     num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
-    rhs = num[:-1] ** 2 / r._pivots[:-1, None]
+    rhs = num[:-1] ** 2 / np.diagonal(r._lower)[:-1, None] ** 2
     return _worst("ratio_differences", np.abs(d[:-1] - d[1:] - rhs)[1:], 2)  # i = 1 is excluded
 
 
@@ -211,6 +211,5 @@ def check_order_conditions(m) -> bool:
     containers' finite, symmetry and unit-diagonal checks (``TOL_SYM``)
     or raises ``ValueError``.
     """
-    with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan, which fails the comparison
-        d = _schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0]
-        return bool(np.all(d.diagonal() > TOL_ORD))
+    d = _schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0]
+    return bool(np.all(d.diagonal() > TOL_ORD))

@@ -27,12 +27,13 @@ formed rather than as a difference of two ratios of order 1.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
-``CovarianceMatrix`` keep the factor and pivots they were validated with,
-which ``reference_cholesky`` and ``leading_minor_determinants`` read (both
-take only a container, so every matrix they see has been validated), and
-keep every value derived from them through ``_once`` (a factor route, the
-verifiers' walk of the leading blocks): each is built once per container.
-Two threads may each build the same value, but the results are equal.
+``CovarianceMatrix`` keep the factor they were validated with, which
+``reference_cholesky`` returns and whose squared diagonal, the pivots,
+``leading_minor_determinants`` reads (both take only a container, so every
+matrix they see has been validated), and keep every value derived from
+them through ``_once`` (a factor route, the verifiers' walk of the leading
+blocks): each is built once per container. Two threads may each build the
+same value, but the results are equal.
 
 The one validation path takes a stack: each check, and the ``potrf``
 factorization, reads one n x n matrix or a (k, n, n) stack alike, so a
@@ -133,7 +134,7 @@ class _Record:
 
 class _FactoredMatrix:
     """Immutable symmetric positive-definite n x n matrix that keeps the
-    factor and pivots it was validated with.
+    factor it was validated with.
 
     The one validation path of both containers, ``_validated``, takes one
     matrix or a (k, n, n) stack: ``_symmetrized``, then the subclass's
@@ -147,16 +148,16 @@ class _FactoredMatrix:
 
     @classmethod
     def _validated(cls, a: np.ndarray):
-        """Frozen symmetrized values, lower factor and pivots of ``a``."""
+        """Frozen symmetrized values and lower factor of ``a``."""
         sym = _symmetrized(a)
         cls._check(sym)
-        lower, pivots = _cholesky_pivots(sym, TOL_PD)
-        for x in (sym, lower, pivots):
+        lower = _reference_factor(sym)
+        for x in (sym, lower):
             x.flags.writeable = False
-        return sym, lower, pivots
+        return sym, lower
 
-    def _hold(self, values, lower, pivots):
-        self._values, self._lower, self._pivots = values, lower, pivots
+    def _hold(self, values, lower):
+        self._values, self._lower = values, lower
         self._memo = {}
 
     def _once(self, build):
@@ -244,14 +245,13 @@ class CholeskyFactor:
         return f"CholeskyFactor(n={self.n})"
 
 
-def _cholesky_pivots(a: np.ndarray, tol_pd: float):
-    """Lower factor and pivot sequence of a symmetric matrix, or of each
-    matrix of a (k, n, n) stack (lower triangle read), from LAPACK
-    ``potrf``.
+def _reference_factor(a: np.ndarray) -> np.ndarray:
+    """Lower factor of a symmetric matrix, or of each matrix of a
+    (k, n, n) stack (lower triangle read), from LAPACK ``potrf``.
 
-    Pivot i is the Schur complement ``a_ii - sum_k l_ik^2`` (the squared
-    diagonal entry). The factor comes from ``numpy.linalg.cholesky`` and
-    is kept when every pivot exceeds ``tol_pd * a_ii``. Otherwise raises
+    Pivot i is the Schur complement ``a_ii - sum_k l_ik^2``, the squared
+    diagonal entry. The factor comes from ``numpy.linalg.cholesky`` and
+    is kept when every pivot exceeds ``TOL_PD * a_ii``. Otherwise raises
     ``NotPositiveDefinite`` at the first 1-based index whose pivot fails
     that test, reading the pivots of ``potrf``'s own factor or, when
     ``potrf`` stops, the pivots of ``_schur_steps``. Where ``potrf``
@@ -264,17 +264,16 @@ def _cholesky_pivots(a: np.ndarray, tol_pd: float):
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        lower = None
+        pivots = None
     else:
         pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
-        if np.all(pivots > tol_pd * np.diagonal(a, axis1=-2, axis2=-1)):  # NaN fails too
-            return lower, pivots
+        if np.all(pivots > TOL_PD * np.diagonal(a, axis1=-2, axis2=-1)):  # NaN fails too
+            return lower
     if a.ndim > 2:  # _stack builds the elements again one at a time
         raise ValueError("a matrix of the stack is not positive-definite")
-    if lower is None:
-        with np.errstate(all="ignore"):
-            pivots = _schur_steps(a)[0].diagonal()
-    ok = pivots > tol_pd * a.diagonal()
+    if pivots is None:
+        pivots = _schur_steps(a)[0].diagonal()
+    ok = pivots > TOL_PD * a.diagonal()
     k = int(np.argmin(ok)) if not ok.all() else int(np.argmin(pivots / a.diagonal()))
     raise NotPositiveDefinite(k + 1, pivots[k])
 
@@ -317,15 +316,15 @@ def leading_minor_determinants(m) -> np.ndarray:
     """Determinants of every leading principal block, element j (1-based)
     being the determinant of the leading j x j block.
 
-    Computed as running products of the squared factorization pivots that
-    the ``CorrelationMatrix`` or ``CovarianceMatrix`` ``m`` holds. For a
-    correlation matrix the first element is exactly 1 and the sequence is
-    positive and non-increasing, but it shrinks geometrically with n and
-    underflows to 0 at moderate n on ill-conditioned input (from about
-    n = 120 at kappa = 1e8), so a ratio of two minors is read as a pivot,
-    not formed from the minors.
+    Computed as running products of the pivots, the squared diagonal of
+    the factor that the ``CorrelationMatrix`` or ``CovarianceMatrix`` ``m``
+    holds. For a correlation matrix the first element is exactly 1 and the
+    sequence is positive and non-increasing, but it shrinks geometrically
+    with n and underflows to 0 at moderate n on ill-conditioned input (from
+    about n = 120 at kappa = 1e8), so a ratio of two minors is read as a
+    pivot, not formed from the minors.
     """
-    return np.cumprod(m._pivots)
+    return np.cumprod(np.diagonal(m._lower) ** 2)
 
 
 def _schur_steps(a):
@@ -350,9 +349,10 @@ def _schur_steps(a):
     s = np.array(a, dtype=float)
     n = s.shape[0]
     top = s.diagonal().copy()
-    for i in range(n):
-        col = s[i + 1:, i]
-        s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
-    low = np.tril(s, -1)  # column i below pivot i, as step i read it
-    steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
-    return np.triu(np.subtract.accumulate(np.vstack((top, steps.T[:-1])))), steps
+    with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan below it
+        for i in range(n):
+            col = s[i + 1:, i]
+            s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
+        low = np.tril(s, -1)  # column i below pivot i, as step i read it
+        steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
+        return np.triu(np.subtract.accumulate(np.vstack((top, steps.T[:-1])))), steps

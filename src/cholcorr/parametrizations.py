@@ -117,8 +117,7 @@ def extract_signs(l: CholeskyFactor) -> np.ndarray:
     """Signs of the strictly-lower factor entries as a read-only integer
     (n, n) array: -1 or +1 below the diagonal (zeros map to +1, so the
     extraction is total and reconstruction is unaffected), 0 elsewhere."""
-    low = np.tril(np.ones((l.n, l.n), dtype=int), -1)
-    s = np.where(l.entries < 0.0, -1, 1) * low
+    s = np.tril(np.where(l.entries < 0.0, -1, 1), -1)
     s.flags.writeable = False
     return s
 

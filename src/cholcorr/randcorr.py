@@ -81,10 +81,7 @@ class GeneratorConfig(_Record):
 def stream(seed: int, index: int | None = None) -> np.random.Generator:
     """Deterministic PCG64 stream for ``seed``; with ``index`` given, the
     per-element substream ``SeedSequence(seed, spawn_key=(index,))``."""
-    if index is None:
-        ss = np.random.SeedSequence(seed)
-    else:
-        ss = np.random.SeedSequence(seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(seed, spawn_key=() if index is None else (index,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -108,16 +105,16 @@ def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
         draws = np.sort(1.0 - u[:, : n - 1], axis=-1)[:, ::-1]
         targets = np.concatenate((np.ones((count, 1)), draws), axis=-1)  # D_1 = 1, D_j = U_(j)
         ljj_sq = (targets[:, 1:] / targets[:, :-1])[..., None]  # row j-2 is l_jj^2
-        # row j-2 holds the j-2 interior draws of row j, padded with -1 so
-        # that the descending sort leaves the pads behind them; the pads turn
-        # into l_jj^2 only after the sort, as a draw can round a hair below it
+        # row j-2 holds the j-2 raw interior draws of row j, padded with 2 so
+        # that the ascending sort leaves the pads behind them; the map onto
+        # (l_jj^2, 1] is non-increasing under rounding, so it turns the sorted
+        # draws into the decreasing ladder, and the pads become l_jj^2
         lower = np.broadcast_to(np.tri(n - 1, k=-1, dtype=bool), (count, n - 1, n - 1))
-        inner = np.zeros(lower.shape)
+        inner = np.full(lower.shape, 2.0)
         inner[lower] = u[:, n - 1 : half].ravel()
-        inner = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, -1.0)
         inner.sort(axis=-1)
         ladders = np.ones((count, n - 1, n))
-        ladders[..., 1:] = np.where(lower, inner[..., ::-1], ljj_sq)
+        ladders[..., 1:] = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, ljj_sq)
         del inner  # a chunk's live temporaries set the batch's peak memory
         entries[:, 1:, :-1] = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
         del ladders

@@ -306,6 +306,8 @@ class TestLoadTable:
         ('{"rows": ["10", "01"]}', "cannot parse as json: rows[0] is not an array"),
         ('{"rows": [[1, 0.5], {"0": 1}]}', "cannot parse as json: rows[1] is not an array"),
         ('{"rows": [[true, 0.5], [0.5, true]]}', "cannot parse as json: rows[0] holds a boolean"),
+        ('{"n": true, "rows": [[1]]}', "'n' is True but the rows have 1 columns"),
+        ('{"n": 1.0, "rows": [[1]]}', "'n' is 1.0 but the rows have 1 columns"),
     ])
     def test_json_failure_messages(self, tmp_path, capsys, text, message):
         src = tmp_path / "m.json"
@@ -315,6 +317,26 @@ class TestLoadTable:
         assert str(err.value) == f"{src}: {message}"
         assert main(["decompose", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+    # an integer beyond float range, nesting past the recursion limit, and
+    # bytes that are not UTF-8
+    MALFORMED = {
+        "huge.json": ('{"rows": [[1' + "0" * 400 + ']]}').encode(),
+        "deep.json": ('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}").encode(),
+        "latin.csv": b"1,0.5\n0.5,1\xe9\n",
+    }
+
+    @pytest.mark.parametrize("command", ["decompose", "verify", "test"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_is_a_usage_error_naming_it(self, tmp_path, capsys, command, name):
+        src = tmp_path / name
+        src.write_bytes(self.MALFORMED[name])
+        assert main([command, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "cannot read {}: " if name.endswith(".csv") else "{}: cannot parse as json: "
+        assert captured.err.startswith("error: " + message.format(src))
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("header", ['"n": 3, ', ""])
     def test_json_n_equal_to_the_width_or_missing_is_accepted(self, tmp_path, header):
@@ -626,7 +648,7 @@ class TestGenerate:
 
         main(["generate", "--n", "25", "--count", "2", "--out", str(tmp_path / "warm")])
         extra = generate_batch(GeneratorConfig(n=25, seed=3), 400)[100:]
-        arrays = sum(m.values.nbytes + m._lower.nbytes + m._pivots.nbytes for m in extra)
+        arrays = sum(m.values.nbytes + m._lower.nbytes for m in extra)
         assert peak(400) - peak(100) <= arrays + 2**20
 
     def test_bad_count(self, tmp_path):
@@ -647,8 +669,9 @@ def stdout_digest(capsys, argv):
 
 class TestPinnedBytes:
     """Output bytes pinned by sha256 on each kind of table the renderer
-    writes: symmetric (``generate``), triangular with many zeros
-    (``decompose``) and with no repeated value (``ar1`` samples)."""
+    writes: symmetric (``generate``, ``ar1`` matrix), triangular with many
+    zeros (``decompose``, ``ar1`` factor) and with no repeated value
+    (``ar1`` samples); and the line ``decompose --check`` prints."""
 
     GENERATE = {
         (1, "csv"): "406b56cb84cb1d73807fef0915cc9f5d6710fd82f78b507c3e5fc616e378b0f4",
@@ -670,6 +693,26 @@ class TestPinnedBytes:
         ("detratio", True): "29cc7cc9766e02e743cc1ad71bf6ccce6cf5986be7fc7704940e9bc3feff6ae2",
     }
 
+    # the stderr line of ``decompose --check`` on the DECOMPOSE inputs
+    CHECK = {
+        ("reference", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
+        ("semipartial", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
+        ("detratio", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
+        ("reference", True): "ec51c73218746870e31e7a36f07bddb91691ec5d68b82c847ad5d5dfbb2eacc0",
+        ("semipartial", True): "e1fca140d415e9185fb194d5ca668a1f3e363b5578fd095f28208277fa8d0015",
+        ("detratio", True): "406e46ad96ce5e0b45a13f736e725813278f136240e48f24b8f8e2dcfcbc914f",
+    }
+
+    # elementwise only, so the bytes do not depend on the BLAS build
+    AR1 = {
+        ("matrix", "-0.9"): "2935e89e4c044655ae2a148eeadf539feab9f7d415fe5a7c4d3f5022fc3f6f1d",
+        ("matrix", "0"): "06898f873e3148666e2ff5b341bb33a2907fb1dc9ba9377cbf00c5d59ac39218",
+        ("matrix", "0.5"): "8b5b488d79f2bfa4beb5753919a404859fd6ee9c47747997c847bc9bc855da46",
+        ("factor", "-0.9"): "c4a36dc7b1e4c2b64465585626e0e61e356a04f8d206b85c694814eba5428e3a",
+        ("factor", "0"): "06898f873e3148666e2ff5b341bb33a2907fb1dc9ba9377cbf00c5d59ac39218",
+        ("factor", "0.5"): "0570e66543f03e4a6297a448eac174366f86b398afbeeb782b36be6fe09aa162",
+    }
+
     AR1_SAMPLES = "72250ef5ec0380139f0638856fbdc80487739a45d5d74e9c6475a40f849ca081"
 
     @pytest.mark.parametrize("n, fmt", sorted(GENERATE))
@@ -683,14 +726,29 @@ class TestPinnedBytes:
                 digest.update((outdir / f"corr_{k:04d}.{fmt}").read_bytes())
         assert digest.hexdigest() == self.GENERATE[n, fmt]
 
-    @pytest.mark.parametrize("method, covariance", sorted(DECOMPOSE))
-    def test_decompose_n64(self, tmp_path, capsys, method, covariance):
+    @staticmethod
+    def decompose_argv(tmp_path, method, covariance):
         r = generate_batch(GeneratorConfig(n=64, seed=2024), 1)[0]
         sig = np.random.default_rng(2024).uniform(0.1, 10.0, 64) if covariance else np.ones(64)
         src = tmp_path / "m.csv"
         write_csv(src, r.values * np.outer(sig, sig))
-        argv = ["decompose", str(src), "--method", method] + ["--covariance"] * covariance
+        return ["decompose", str(src), "--method", method] + ["--covariance"] * covariance
+
+    @pytest.mark.parametrize("method, covariance", sorted(DECOMPOSE))
+    def test_decompose_n64(self, tmp_path, capsys, method, covariance):
+        argv = self.decompose_argv(tmp_path, method, covariance)
         assert stdout_digest(capsys, argv) == self.DECOMPOSE[method, covariance]
+
+    @pytest.mark.parametrize("method, covariance", sorted(CHECK))
+    def test_decompose_check_line_n64(self, tmp_path, capsys, method, covariance):
+        assert main(self.decompose_argv(tmp_path, method, covariance) + ["--check"]) == 0
+        err = capsys.readouterr().err
+        assert hashlib.sha256(err.encode()).hexdigest() == self.CHECK[method, covariance]
+
+    @pytest.mark.parametrize("emit, rho", sorted(AR1))
+    def test_ar1_matrix_and_factor(self, capsys, emit, rho):
+        argv = ["ar1", "--n", "40", "--rho", rho, "--emit", emit]
+        assert stdout_digest(capsys, argv) == self.AR1[emit, rho]
 
     def test_ar1_samples(self, capsys):
         argv = ["ar1", "--n", "12", "--rho", "-0.6", "--emit", "samples",

@@ -54,7 +54,7 @@ def dpotrf_reject_index(a):
 
 def reject_index(a):
     try:
-        matrix_core._cholesky_pivots(a, TOL_PD)
+        matrix_core._reference_factor(a)
     except NotPositiveDefinite as err:
         return err.pivot_index
     return None
@@ -136,7 +136,7 @@ class TestContainers:
         def refuse(*args, **kwargs):
             raise AssertionError("a validated container was factored again")
 
-        monkeypatch.setattr(matrix_core, "_cholesky_pivots", refuse)
+        monkeypatch.setattr(matrix_core, "_reference_factor", refuse)
         for m in (r, s):
             np.testing.assert_allclose(reference_cholesky(m).entries, expected[m], atol=1e-12)
             minors = leading_minor_determinants(m)
@@ -230,13 +230,13 @@ class TestStackedValidation:
         good = np.stack([random_correlation(3, seed).values for seed in range(8)])
         stack = planted(good, NOT_PD_3X3, at=3)
         calls = []
-        pivots = matrix_core._cholesky_pivots
+        factor = matrix_core._reference_factor
 
-        def counting(a, tol_pd):
+        def counting(a):
             calls.append(a.shape)
-            return pivots(a, tol_pd)
+            return factor(a)
 
-        monkeypatch.setattr(matrix_core, "_cholesky_pivots", counting)
+        monkeypatch.setattr(matrix_core, "_reference_factor", counting)
         with pytest.raises(NotPositiveDefinite):
             matrix_core._correlation_stack(stack)
         assert calls == [(8, 3, 3)] + [(3, 3)] * 4
@@ -300,18 +300,17 @@ class TestReferenceCholesky:
             g = g @ g.T
             d = 1.0 / np.sqrt(np.diag(g))
             a = CorrelationMatrix(g * np.outer(d, d)).values
-        lower, pivots = matrix_core._cholesky_pivots(a, TOL_PD)
+        lower = matrix_core._reference_factor(a)
         expected, info = lapack.dpotrf(a, lower=1, clean=1)
         assert info == 0
         assert np.max(np.abs(lower - expected)) <= 1e-14 * np.max(np.abs(expected))
-        np.testing.assert_array_equal(pivots, lower.diagonal() ** 2)
 
     def test_pivot_accepted_by_potrf_is_still_reported(self):
         a = np.eye(6)
         a[2:4, 2:4] = tiny_pivot_block(0.5 * TOL_PD)
         np.linalg.cholesky(a)  # potrf accepts pivot 4
         with pytest.raises(NotPositiveDefinite) as err:
-            matrix_core._cholesky_pivots(a, TOL_PD)
+            matrix_core._reference_factor(a)
         assert err.value.pivot_index == 4
         assert 0.0 < err.value.pivot_value <= TOL_PD
 
@@ -363,7 +362,7 @@ class TestReferenceCholesky:
     def test_oracle_and_minors_read_what_the_container_holds(self, container, sig):
         m = container(random_correlation(5, seed=3).values * np.outer(sig, sig))
         assert reference_cholesky(m).entries.tobytes() == m._lower.tobytes()
-        assert leading_minor_determinants(m).tobytes() == np.cumprod(m._pivots).tobytes()
+        assert leading_minor_determinants(m).tobytes() == np.cumprod(np.diagonal(m._lower) ** 2).tobytes()
 
 
 class TestLeadingMinors:

@@ -109,7 +109,7 @@ class TestCholSemipartial:
 
         # wherever a library module binds the reference
         for module in (matrix_core, parametrizations):
-            monkeypatch.setattr(module, "_cholesky_pivots", refuse, raising=False)
+            monkeypatch.setattr(module, "_reference_factor", refuse, raising=False)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         assert np.max(np.abs(chol_semipartial(r).entries - expected)) <= TOL_EQ
 
@@ -233,7 +233,7 @@ class TestCholDetratio:
             raise AssertionError("the ratio route used the reference factorization")
 
         # the containers are built; from here on the oracle must not run
-        monkeypatch.setattr(matrix_core, "_cholesky_pivots", refuse)
+        monkeypatch.setattr(matrix_core, "_reference_factor", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         assert np.max(np.abs(chol_detratio(r, signs).entries - expected)) <= TOL_EQ
         scaled = sig[:, None] * expected

@@ -137,13 +137,12 @@ class TestGenerateBatch:
 
 def assert_elements_match_single_generation(cfg, batch):
     """Element k equals ``generate`` on substream k bit for bit, and holds
-    the factor and pivots of its values validated alone."""
+    the factor of its values validated alone."""
     for k, r in enumerate(batch):
         _, alone = generate(cfg, rng=stream(cfg.seed, k))
         assert r.values.tobytes() == alone.values.tobytes()
         rebuilt = CorrelationMatrix(r.values)
         assert r._lower.tobytes() == rebuilt._lower.tobytes()
-        assert r._pivots.tobytes() == rebuilt._pivots.tobytes()
 
 
 class TestBatchStacks:
@@ -161,7 +160,7 @@ class TestBatchStacks:
 
     def test_containers_are_frozen(self):
         for r in generate_batch(GeneratorConfig(n=4, seed=2), 3):
-            for a in (r.values, r._lower, r._pivots):
+            for a in (r.values, r._lower):
                 assert not a.flags.writeable
 
     # tracemalloc peaks of the element-by-element generator, in MB
