@@ -118,7 +118,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"{path}: cannot read: {exc}") from exc
     source, a = text, None
     if fmt == "csv":
         source = [line for line in text.splitlines() if line.strip()]

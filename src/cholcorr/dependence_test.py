@@ -23,9 +23,12 @@ every per-k decision plus the largest rejected k.
 
 The correlation estimator is the product-moment estimator with mean
 centering; the variance divisor cancels in the ratio, so the N vs N-1
-choice is immaterial. The estimator and the inverse-t quantile are
-private helpers of ``sequential_test``; the public names are the sample
-container, the test and its report.
+choice is immaterial. The inverse-t quantile takes the tail mass
+alpha/2 itself, not the probability 1 - alpha/2, which rounds: the
+critical value is within 2e-14 relative for 5e-13 <= alpha/2 < 1/2 and
+N - 2 <= 10^6, and finite for every normal alpha in (0, 1). The
+estimator and the quantile are private helpers of ``sequential_test``;
+the public names are the sample container, the test and its report.
 """
 
 from __future__ import annotations
@@ -131,79 +134,57 @@ def _sample_correlation(data: np.ndarray) -> CorrelationMatrix:
         raise NearSingular(f"sample correlation is not positive-definite: {exc}") from exc
 
 
-def _t_quantile(prob: float, df: int) -> float:
-    """Inverse CDF of the t distribution with ``df`` degrees of freedom.
+_EPS = sys.float_info.epsilon
+_NEWTON_STEPS = 20  # the normal start leaves at most 5
+_FRACTION_TERMS = 1000  # at most about 150 are needed, at t near 1
 
-    Imports only ``math``. The upper tail P(T > t) = I_x(df/2, 1/2) / 2,
-    with x = df / (df + t^2), is inverted with the sign taken from
-    ``prob``, so ``_t_quantile(p, df) == -_t_quantile(1 - p, df)`` holds
-    exactly wherever ``1 - p`` is exact.
+
+def _t_quantile(tail: float, df: int) -> float:
+    """The t > 0 with P(T > t) = ``tail`` under the t distribution with
+    ``df`` degrees of freedom, for 0 < tail < 1/2.
+
+    Imports only ``math``. The caller passes the tail mass itself, so no
+    probability is formed as 1 minus a small number.
 
     - df = 1 and df = 2 have closed forms.
-    - Otherwise the start is the Cornish-Fisher expansion to order df^-4
-      (Hill, "Algorithm 396: Student's t-quantiles", CACM 1970) in an
-      approximate normal quantile (see ``_upper_quantile``), refined by
-      Newton's method on s = log t against the log of the tail mass
-      beyond t, or of the central mass P(0 < T < t) when t < 1, so that
-      no mass is formed by subtracting from 1/2.
+    - Otherwise Newton's method on s = log t starts at the normal quantile
+      z of ``tail``: the rational approximation of Abramowitz & Stegun
+      26.2.23, within 4.5e-4 of z, or the lower bound sqrt(2 pi)
+      (1/2 - tail) where that is larger, as near tail = 1/2 the
+      approximation goes negative. Each step matches the log of the tail
+      mass beyond t, or of the central mass P(0 < T < t) when t < 1, so
+      that no mass is formed by subtracting from 1/2; P(T > t) =
+      I_x(df/2, 1/2) / 2 with x = df / (df + t^2).
     - I_x comes from the continued fraction of DiDonato & Morris
       (TOMS 708, 1992, BFRAC), which takes x and 1 - x separately, and
       log B(df/2, 1/2) from an asymptotic series for large df, so that
       no large log-gamma values cancel.
 
     Accuracy contract: within 2e-14 relative of a 40-digit reference
-    for df <= 10^6 and 1e-12 <= prob <= 1 - 1e-12. Measured with mpmath:
-    at most 9.7e-15 over 1,500 random (prob, df), the worst near t = 1
-    where the continued fraction is longest, and 2e-15 on the grid that
-    ``TestTQuantile`` checks. Both loops are capped; an evaluation takes
-    at most about 150 continued-fraction terms at any df.
+    for df <= 10^6 and 5e-13 <= tail < 1/2, and finite and positive for
+    every tail from the smallest normal double up; below it only the
+    df = 1 quantile, about 1 / (pi tail), passes the largest double.
+    Measured with mpmath: at most 6.0e-15 over 300 random (tail, df),
+    the worst near t = 1 where the continued fraction is longest. Both
+    loops are capped; an evaluation takes at most about 150
+    continued-fraction terms at any df.
     """
-    if not 0.0 < prob < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {prob}")
+    if not 0.0 < tail < 0.5:
+        raise ValueError(f"tail must lie in (0, 1/2), got {tail}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if prob == 0.5:
-        return 0.0
-    tail = prob if prob < 0.5 else 1.0 - prob
     if df == 1:
-        q = 1.0 / math.tan(math.pi * tail) if tail < 0.25 else math.tan(math.pi * (0.5 - tail))
-    elif df == 2:
-        q = (1.0 - 2.0 * tail) / math.sqrt(2.0 * tail * (1.0 - tail))
-    else:
-        q = _upper_quantile(tail, df)
-    return -q if prob < 0.5 else q
-
-
-_EPS = sys.float_info.epsilon
-_NEWTON_STEPS = 20  # the Cornish-Fisher start leaves 1 to 4
-_FRACTION_TERMS = 1000  # at most about 150 are needed, at t near 1
-
-
-def _upper_quantile(tail: float, df: int) -> float:
-    """The t > 0 with P(T > t) = ``tail``, for df >= 3 and tail < 1/2.
-
-    The normal quantile z that starts the expansion is the rational
-    approximation of Abramowitz & Stegun 26.2.23, within 4.5e-4 of z, or
-    the lower bound sqrt(2 pi) (1/2 - tail) where that is larger: near
-    tail = 1/2 the approximation goes negative. Newton's method removes
-    the difference, so only ``math`` is imported.
-    """
+        return 1.0 / math.tan(math.pi * tail) if tail < 0.25 else math.tan(math.pi * (0.5 - tail))
+    if df == 2:
+        return (1.0 - 2.0 * tail) / math.sqrt(2.0 * tail * (1.0 - tail))
     a = 0.5 * df
     log_beta = 0.5 * math.log(math.pi) - _log_gamma_half_ratio(a)  # log B(a, 1/2)
     log_df = math.log(df)
     log_tail, log_centre = math.log(tail), math.log(0.5 - tail)
     w = math.sqrt(-2.0 * log_tail)
-    z = max(w - (2.515517 + w * (0.802853 + w * 0.010328))
-            / (1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))),
-            math.sqrt(2.0 * math.pi) * (0.5 - tail))
-    z2 = z * z
-    v = 1.0 / df
-    t = z * (1.0 + v * ((z2 + 1.0) / 4.0
-                        + v * (((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
-                               + v * ((((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
-                                      + v * (((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2
-                                               - 1920.0) * z2 - 945.0) / 92160.0)))))
-    s = math.log(t)
+    s = math.log(max(w - (2.515517 + w * (0.802853 + w * 0.010328))
+                     / (1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))),
+                     math.sqrt(2.0 * math.pi) * (0.5 - tail)))
     for _ in range(_NEWTON_STEPS):
         t = math.exp(s)
         u = t * t / df
@@ -289,7 +270,7 @@ def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
     order = [c for c in range(1, x.p + 1) if c != target] + [target]
     factor = chol_semipartial(_sample_correlation(x.data[:, [c - 1 for c in order]]))
     df = x.N - 2
-    critical = _t_quantile(1.0 - alpha / 2.0, df)
+    critical = _t_quantile(alpha / 2.0, df)
     stages = []
     largest = None
     for k in range(1, x.p):

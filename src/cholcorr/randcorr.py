@@ -100,27 +100,26 @@ def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
     count = u.shape[0]
     entries = np.zeros((count, n, n))
     entries[:, 0, 0] = 1.0
-    if n > 1:
-        half = n * (n - 1) // 2
-        draws = np.sort(1.0 - u[:, : n - 1], axis=-1)[:, ::-1]
-        targets = np.concatenate((np.ones((count, 1)), draws), axis=-1)  # D_1 = 1, D_j = U_(j)
-        ljj_sq = (targets[:, 1:] / targets[:, :-1])[..., None]  # row j-2 is l_jj^2
-        # row j-2 holds the j-2 raw interior draws of row j, padded with 2 so
-        # that the ascending sort leaves the pads behind them; the map onto
-        # (l_jj^2, 1] is non-increasing under rounding, so it turns the sorted
-        # draws into the decreasing ladder, and the pads become l_jj^2
-        lower = np.broadcast_to(np.tri(n - 1, k=-1, dtype=bool), (count, n - 1, n - 1))
-        inner = np.full(lower.shape, 2.0)
-        inner[lower] = u[:, n - 1 : half].ravel()
-        inner.sort(axis=-1)
-        ladders = np.ones((count, n - 1, n))
-        ladders[..., 1:] = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, ljj_sq)
-        del inner  # a chunk's live temporaries set the batch's peak memory
-        entries[:, 1:, :-1] = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
-        del ladders
-        np.einsum("...ii->...i", entries[:, 1:, 1:])[...] = np.sqrt(ljj_sq[..., 0])
-        strict = np.broadcast_to(np.tri(n, k=-1, dtype=bool), entries.shape)
-        entries[strict] *= np.where(u[:, half:] < sign_bias, 1.0, -1.0).ravel()
+    half = n * (n - 1) // 2
+    draws = np.sort(1.0 - u[:, : n - 1], axis=-1)[:, ::-1]
+    targets = np.concatenate((np.ones((count, 1)), draws), axis=-1)  # D_1 = 1, D_j = U_(j)
+    ljj_sq = (targets[:, 1:] / targets[:, :-1])[..., None]  # row j-2 is l_jj^2
+    # row j-2 holds the j-2 raw interior draws of row j, padded with 2 so
+    # that the ascending sort leaves the pads behind them; the map onto
+    # (l_jj^2, 1] is non-increasing under rounding, so it turns the sorted
+    # draws into the decreasing ladder, and the pads become l_jj^2
+    lower = np.broadcast_to(np.tri(n - 1, k=-1, dtype=bool), (count, n - 1, n - 1))
+    inner = np.full(lower.shape, 2.0)
+    inner[lower] = u[:, n - 1 : half].ravel()
+    inner.sort(axis=-1)
+    ladders = np.ones((count, n - 1, n))
+    ladders[..., 1:] = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, ljj_sq)
+    del inner  # a chunk's live temporaries set the batch's peak memory
+    entries[:, 1:, :-1] = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
+    del ladders
+    np.einsum("...ii->...i", entries[:, 1:, 1:])[...] = np.sqrt(ljj_sq[..., 0])
+    strict = np.broadcast_to(np.tri(n, k=-1, dtype=bool), entries.shape)
+    entries[strict] *= np.where(u[:, half:] < sign_bias, 1.0, -1.0).ravel()
     return entries
 
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -334,8 +335,8 @@ class TestLoadTable:
         assert main([command, str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        message = "cannot read {}: " if name.endswith(".csv") else "{}: cannot parse as json: "
-        assert captured.err.startswith("error: " + message.format(src))
+        message = "cannot read" if name.endswith(".csv") else "cannot parse as json"
+        assert captured.err.startswith(f"error: {src}: {message}: ")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("header", ['"n": 3, ', ""])
@@ -1061,6 +1062,17 @@ class TestTest:
         assert len(critical(ours)) == shape[1] - 1
         for got, want in zip(critical(ours), critical(theirs)):
             assert abs(got - want) <= 1e-13 * want
+
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2000, 10)])
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    def test_tiny_alpha_has_a_finite_critical_value(self, tmp_path, capsys, shape, alpha):
+        # 1 - alpha/2 rounds to 1 here, so only the tail alpha/2 names the quantile
+        src = tmp_path / "x.csv"
+        write_csv(src, np.random.default_rng(list(shape)).standard_normal(shape))
+        assert main(["test", str(src), "--alpha", alpha]) == 0
+        for row in json.loads(capsys.readouterr().out)["per_k"]:
+            assert math.isfinite(row["critical"]) and row["critical"] > 0.0
 
 
 class TestAr1:

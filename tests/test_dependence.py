@@ -77,75 +77,69 @@ class TestSampleCorrelation:
 
 
 class TestTQuantile:
-    def test_median_is_zero(self):
-        for df in (1, 2, 17, 200):
-            assert _t_quantile(0.5, df) == 0.0
-
     def test_table_value(self):
-        assert abs(_t_quantile(0.975, 10) - 2.2281) <= 5e-5
+        assert abs(_t_quantile(0.025, 10) - 2.2281) <= 5e-5
 
     def test_cauchy_quartile(self):
-        assert abs(_t_quantile(0.75, 1) - 1.0) <= 1e-12
-
-    def test_symmetry(self):
-        for df in (1, 3, 12):
-            for p in (0.6, 0.9, 0.99):
-                assert abs(_t_quantile(p, df) + _t_quantile(1.0 - p, df)) <= 1e-12
+        assert abs(_t_quantile(0.25, 1) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("df", [1, 2, 5, 30, 200, 1999, 100000])
-    @pytest.mark.parametrize("p", [0.1, 0.25, 0.6, 0.9, 0.975, 0.999])
-    def test_cdf_roundtrip_against_quadrature(self, df, p):
-        q = _t_quantile(p, df)
-        assert abs(t_cdf_quadrature(q, df) - p) <= 1e-10
+    @pytest.mark.parametrize("tail", [0.001, 0.025, 0.1, 0.25, 0.4, 0.45])
+    def test_cdf_roundtrip_against_quadrature(self, df, tail):
+        q = _t_quantile(tail, df)
+        assert abs(t_cdf_quadrature(-q, df) - tail) <= 1e-10
 
     ACCURACY_DF = [1, 2, 3, 5, 10, 30, 200, 1999, 10**4, 10**5, 10**6]
-    ACCURACY_PROB = [1e-12, 1e-8, 1e-3, 0.025, 0.3, 0.49, 0.51, 0.7, 0.975,
-                     1 - 1e-8, 1 - 1e-12]
+    ACCURACY_TAIL = [1e-12, 1e-8, 1e-3, 0.025, 0.3, 0.49]
 
     @pytest.mark.parametrize("df", ACCURACY_DF)
     def test_matches_betaincinv_oracle(self, df):
         # log B(df/2, 1/2) taken as a difference of lgamma values misses
         # this bound at df = 1999 and 10^4
-        for p in self.ACCURACY_PROB:
-            q = _t_quantile(p, df)
-            assert abs(q - t_quantile_betaincinv(p, df)) <= 1e-13 * abs(q), p
-
-    @pytest.mark.parametrize("df", ACCURACY_DF)
-    def test_exact_odd_symmetry(self, df):
-        # pairs are formed from the side above 1/2, where 1 - p is exact
-        for p in self.ACCURACY_PROB:
-            upper = max(p, 1.0 - p)
-            assert _t_quantile(upper, df) == -_t_quantile(1.0 - upper, df)
+        for tail in self.ACCURACY_TAIL:
+            q = _t_quantile(tail, df)
+            assert abs(q - t_quantile_betaincinv(tail, df)) <= 1e-13 * q, tail
 
     @pytest.mark.parametrize("n_samples", [12, 50, 2000, 10**5])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
     def test_critical_values_of_sequential_test(self, n_samples, alpha):
-        # the grid `sequential_test` reads: df = N - 2, prob = 1 - alpha/2
-        prob, df = 1.0 - alpha / 2.0, n_samples - 2
-        q = _t_quantile(prob, df)
-        assert abs(q - t_quantile_betaincinv(prob, df)) <= 2e-14 * q
+        # the grid `sequential_test` reads: df = N - 2, tail = alpha/2
+        tail, df = alpha / 2.0, n_samples - 2
+        q = _t_quantile(tail, df)
+        assert abs(q - t_quantile_betaincinv(tail, df)) <= 2e-14 * q
+
+    @pytest.mark.parametrize("n_samples", [3, 4, 12, 2000])
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-12])
+    def test_small_alpha_critical_is_exact(self, n_samples, alpha):
+        # 1 - alpha/2 rounds, by 4.4e-5 relative in the quantile at N = 4,
+        # alpha = 1e-12 (exactly 1e6): the tail alpha/2 must be passed as is
+        data = np.random.default_rng(n_samples).standard_normal((n_samples, 2))
+        critical = sequential_test(SampleMatrix(data), target=2, alpha=alpha).per_k[0].critical
+        want = t_quantile_betaincinv(alpha / 2.0, n_samples - 2)
+        assert abs(critical - want) <= 2e-14 * want
 
     @pytest.mark.parametrize("df", [3, 30, 10**6])
-    def test_just_above_the_median(self, df):
+    def test_just_below_half(self, df):
         # the rational start for the normal quantile is negative here, and
         # the lower bound sqrt(2 pi) (1/2 - tail) starts Newton instead
-        for p in (0.5 + 2.0**-40, 0.5 + 1e-8):
-            q = _t_quantile(p, df)
-            assert 0.0 < q and abs(q - t_quantile_betaincinv(p, df)) <= 2e-14 * q
+        for tail in (0.5 - 2.0**-40, 0.5 - 1e-8):
+            q = _t_quantile(tail, df)
+            assert 0.0 < q and abs(q - t_quantile_betaincinv(tail, df)) <= 2e-14 * q
 
     def test_large_df_is_bounded(self):
-        _t_quantile(0.975, 10)
+        _t_quantile(0.025, 10)
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            q = _t_quantile(0.975, 10**6)
+            q = _t_quantile(0.025, 10**6)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) <= 0.010
-        assert abs(q - t_quantile_betaincinv(0.975, 10**6)) <= 1e-10 * q
+        assert abs(q - t_quantile_betaincinv(0.025, 10**6)) <= 1e-10 * q
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            _t_quantile(0.0, 5)
+        for tail in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                _t_quantile(tail, 5)
         with pytest.raises(ValueError):
             _t_quantile(0.4, 0)
 
