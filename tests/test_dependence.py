@@ -126,6 +126,21 @@ class TestTQuantile:
             q = _t_quantile(tail, df)
             assert 0.0 < q and abs(q - t_quantile_betaincinv(tail, df)) <= 2e-14 * q
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 17, 30, 200])
+    def test_vanishes_at_the_median(self, df):
+        # at the largest tail below 1/2 the quantile is (1/2 - tail) / f(0),
+        # f the t density, up to a relative O(t^2) far below rounding
+        tail = math.nextafter(0.5, 0.0)
+        f0 = math.gamma(0.5 * (df + 1)) / (math.gamma(0.5 * df) * math.sqrt(df * math.pi))
+        want = (0.5 - tail) / f0
+        assert abs(_t_quantile(tail, df) - want) <= 2e-14 * want
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 30, 1999, 10**6])
+    def test_decreases_in_the_tail(self, df):
+        # across the switch between the tail mass and the central mass at t = 1
+        qs = [_t_quantile(tail, df) for tail in np.geomspace(1e-12, 0.49, 400)]
+        assert all(a > b > 0.0 for a, b in zip(qs, qs[1:]))
+
     def test_large_df_is_bounded(self):
         _t_quantile(0.025, 10)
         elapsed = []
