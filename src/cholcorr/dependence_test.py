@@ -261,12 +261,15 @@ def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
     k others (in their given order), rejecting each stage at level alpha.
 
     ``target`` is the 1-based column to test; columns are permuted so it
-    comes last and the permutation is recorded in the report.
+    comes last and the permutation is recorded in the report. ``alpha``
+    lies in [``sys.float_info.min``, 1): from the smallest normal double
+    up every critical value is finite, below it the df = 1 quantile
+    overflows and alpha/2 can round to 0.
     """
     if not 1 <= target <= x.p:
         raise ValueError(f"target must lie in 1..{x.p}, got {target}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not sys.float_info.min <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [{sys.float_info.min}, 1), got {alpha}")
     order = [c for c in range(1, x.p + 1) if c != target] + [target]
     factor = chol_semipartial(_sample_correlation(x.data[:, [c - 1 for c in order]]))
     df = x.N - 2

@@ -2,10 +2,10 @@
 make the two factor constructions interchangeable.
 
 Each verifier computes both sides of an identity through deliberately
-different code paths (LU solves against leading blocks, or
-Schur-elimination ladders, against the semi-partial recursion) and
-reports the worst absolute residual with its location, so a shared bug
-cannot cancel. The three solve-based verifiers read one walk of the
+different code paths (LU solves against leading blocks, or ladders
+formed from the Schur elimination's steps, against the semi-partial
+recursion) and reports the worst absolute residual with its location,
+so a shared bug cannot cancel. The three solve-based verifiers read one walk of the
 leading blocks, made once per matrix by the first of them to be called
 and kept by the container. For each leading block R_i the walk makes one
 LAPACK ``gesv`` solve (LU with partial pivoting, no code shared with
@@ -32,9 +32,10 @@ margin is about 470x, and on AR(1) near |rho| = 1, equicorrelation near
 positive-definiteness, so it is a diagnostic usable on arbitrary
 symmetric unit-diagonal input. It decides the paper's two determinant
 orderings, which hold exactly when the matrix is positive-definite, with
-one test on the Schur pivots: in the elimination every ratio ladder
-starts at exactly 1 and falls by squared steps to its pivot, so positive
-pivots imply the ratio ordering and the two orderings cannot disagree.
+one test on the Schur pivots, the only part of the elimination it
+reads: every ratio ladder starts at exactly 1 and falls by squared steps
+to its pivot, so positive pivots imply the ratio ordering and the two
+orderings cannot disagree.
 """
 
 from __future__ import annotations
@@ -153,13 +154,16 @@ def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
             = (rho_ij - q_ij)^2 |R_{i-1}| / |R_i|,
 
     for j >= i+1 >= 3. Left side from the ladders of one right-looking
-    Schur elimination, right side from the left-looking semi-partial
-    recursion and the reference's pivots: |R_i| / |R_{i-1}| is pivot i,
-    read as such because the minors themselves underflow at moderate n.
+    Schur elimination, each column's diagonal entry less its steps one
+    at a time, as the elimination rounds them; right side from the
+    left-looking semi-partial recursion and the reference's pivots:
+    |R_i| / |R_{i-1}| is pivot i, read as such because the minors
+    themselves underflow at moderate n.
     """
     if r.n < 3:
         raise ValueError("need n >= 3")
-    d = _schur_steps(r.values)[0]
+    # row i of d: each column's ratio after i steps, a_jj less those steps
+    d = np.subtract.accumulate(np.vstack((r.values.diagonal(), _schur_steps(r.values)[1].T[:-1])))
     coeffs = r._once(chol_semipartial).entries
     num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
     rhs = num[:-1] ** 2 / np.diagonal(r._lower)[:-1, None] ** 2
@@ -211,5 +215,4 @@ def check_order_conditions(m) -> bool:
     containers' finite, symmetry and unit-diagonal checks (``TOL_SYM``)
     or raises ``ValueError``.
     """
-    d = _schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0]
-    return bool(np.all(d.diagonal() > TOL_ORD))
+    return bool(np.all(_schur_steps(_unit_diagonal(_symmetrized(as_array(m))))[0] > TOL_ORD))

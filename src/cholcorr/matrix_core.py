@@ -2,7 +2,7 @@
 (``potrf``) that the rest of the library treats as its reference oracle.
 
 Validation runs ``potrf`` through ``numpy.linalg.cholesky``. A rejected
-matrix is located from ``potrf``'s pivots, or from the Schur ladders
+matrix is located from ``potrf``'s pivots, or from the Schur pivots
 (below) when ``potrf`` stops, so numpy is the only dependency.
 
 Indexing convention
@@ -18,12 +18,15 @@ scaled matrix D^{-1/2} A D^{-1/2}, so the decision does not depend on the
 units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
 identity directly; the recursion itself is exercised by the
-``identities`` module as a cross-check. Bordered minors come from one
-Schur elimination (``_schur_steps``) that shares no code with LAPACK.
-Beside the ladder of each column's bordered-minor ratios it returns the
-steps between them, s_ji^2 / s_ii, the diagonal of the rank-one update
-that step i subtracts: the squared factor entries, read where they are
-formed rather than as a difference of two ratios of order 1.
+``identities`` module as a cross-check. One Schur elimination
+(``_schur_steps``) that shares no code with LAPACK returns its pivots
+and its steps, s_ji^2 / s_ii, the diagonal of the rank-one update that
+step i subtracts: the squared factor entries, read where they are
+formed rather than as a difference of two ratios of order 1. Pivot j is
+a_jj less the steps of column j, so the ratios of bordered minors, the
+partial sums on the way, follow from the steps;
+``identities.verify_ratio_differences`` is the one caller that forms
+them.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
@@ -56,7 +59,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite
 
-TOL_SYM = 1e-10  # max absolute asymmetry, and max |a_ii - 1| of a correlation matrix
+TOL_SYM = 1e-10  # max |a_ij - a_ji| / sqrt(|a_ii a_jj|), and max |a_ii - 1| of a correlation matrix
 TOL_PD = 1e-12   # minimum accepted pivot (Schur complement)
 TOL_REC = 1e-9   # factor reconstruction tolerance
 
@@ -72,11 +75,23 @@ def as_array(m) -> np.ndarray:
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """Finite square matrix or (k, n, n) stack, symmetric within
-    ``TOL_SYM``, averaged with its transpose (a fresh array)."""
+    ``TOL_SYM`` relative to its diagonal, averaged with its transpose (a
+    fresh array).
+
+    |a_ij - a_ji| may be at most ``TOL_SYM * sqrt(|a_ii a_jj|)``: the
+    asymmetry of |D|^{-1/2} A |D|^{-1/2}, D the diagonal, is judged, so
+    rescaling a variable does not change the decision, and the error
+    reports the largest such ratio. A pair with a zero diagonal entry is
+    not judged: every caller rejects a zero diagonal next, with the error
+    that names it.
+    """
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     at = np.swapaxes(a, -1, -2)
-    err = float(np.max(np.abs(a - at)))
+    root = np.sqrt(np.abs(np.diagonal(a, axis1=-2, axis2=-1)))
+    scale = root[..., :, None] * root[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 and 0/0, left out by where=
+        err = float(np.max(np.abs(a - at) / scale, where=scale > 0, initial=0.0))
     if err > TOL_SYM:
         raise ValueError(f"matrix is not symmetric: max asymmetry {err:.3e}")
     return 0.5 * (a + at)
@@ -272,7 +287,7 @@ def _reference_factor(a: np.ndarray) -> np.ndarray:
     if a.ndim > 2:  # _stack builds the elements again one at a time
         raise ValueError("a matrix of the stack is not positive-definite")
     if pivots is None:
-        pivots = _schur_steps(a)[0].diagonal()
+        pivots = _schur_steps(a)[0]
     ok = pivots > TOL_PD * a.diagonal()
     k = int(np.argmin(ok)) if not ok.all() else int(np.argmin(pivots / a.diagonal()))
     raise NotPositiveDefinite(k + 1, pivots[k])
@@ -328,31 +343,30 @@ def leading_minor_determinants(m) -> np.ndarray:
 
 
 def _schur_steps(a):
-    """The ladders ``d`` and the steps between them, as ``(d, steps)``.
+    """The pivots and the steps of one Schur elimination, as
+    ``(pivots, steps)``.
 
-    ``d`` is upper-triangular (n, n): ``d[i, j]`` (0-based, j >= i) is
-    diagonal entry j of the Schur complement left after eliminating 0..i-1,
-    i.e. the ratio |B_{i+1}^{j+1}| / |R_i|, and ``d[i, i]`` is pivot i.
-    ``steps`` is strictly lower: ``steps[j, i]`` is s_ji^2 / s_ii, the
-    diagonal entry j of the rank-one update that step i subtracts, so
-    ``d[i + 1, j]`` is ``d[i, j] - steps[j, i]`` rounded once.
+    ``pivots[i]`` (0-based) is the diagonal entry i that the elimination
+    leaves: the Schur complement of the leading i-block, the ratio
+    |R_{i+1}| / |R_i| of successive leading minors. ``steps`` is strictly
+    lower: ``steps[j, i]`` is s_ji^2 / s_ii, the diagonal entry j of the
+    rank-one update that step i subtracts, so pivot j is a_jj less
+    ``steps[j, 0]``, ..., ``steps[j, j - 1]``, rounded once per step in
+    that order. The partial sums on the way are the ladder of column j,
+    the bordered-minor ratios |B_{i+1}^{j+1}| / |R_i| for i = 0..j.
 
     One right-looking symmetric elimination, O(n^3), with no pivoting, no
     square root and no definiteness assumed (Golub & Van Loan, *Matrix
     Computations*, 4.2); an exactly zero pivot leaves inf or nan below it.
     Step i writes only below and right of pivot i, so the elimination
-    runs in place and both arrays are read off its result: ``steps``
-    from each column below its pivot, and ``d`` by subtracting the steps
-    from the input's diagonal one at a time, the same roundings in the
-    same order as the elimination.
+    runs in place and both arrays are read off its result: the pivots, a
+    read-only view, from its diagonal, and ``steps`` from each column
+    below its pivot, with the rounding the update used.
     """
     s = np.array(a, dtype=float)
-    n = s.shape[0]
-    top = s.diagonal().copy()
     with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan below it
-        for i in range(n):
+        for i in range(len(s)):
             col = s[i + 1:, i]
             s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
         low = np.tril(s, -1)  # column i below pivot i, as step i read it
-        steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
-        return np.triu(np.subtract.accumulate(np.vstack((top, steps.T[:-1])))), steps
+        return s.diagonal(), np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too

@@ -23,14 +23,15 @@ not different mathematics, and share none of its code: q_ij grows by the
 paper's left-looking rank-one recursion Q_{i+1} = Q_i + c_i c_i^T, and
 each ratio |B_i^j| / |R_{i-1}| is diagonal entry j of the Schur complement
 after eliminating 1..i-1, so one right-looking elimination
-(``matrix_core._schur_steps``) gives every row's ladder. The difference
-of two successive ratios is the diagonal entry s_ji^2 / s_ii of the
-rank-one update that step i subtracts, and the kernel returns these
-``steps`` beside the ladders: the second route reads its squared entries
-there, where a small one keeps its digits, instead of subtracting two
-ratios of order 1. ``identities.verify_ratio_differences`` checks the
-subtracted form. The ``identities`` verifiers solve against the leading
-blocks instead.
+(``matrix_core._schur_steps``) passes through every row's ladder. The
+difference of two successive ratios is the diagonal entry s_ji^2 / s_ii
+of the rank-one update that step i subtracts, and the last ratio is the
+pivot; the kernel returns just these ``pivots`` and ``steps``, and the
+second route reads its squared entries there, where a small one keeps
+its digits, instead of subtracting two ratios of order 1.
+``identities.verify_ratio_differences`` forms the ratios and checks the
+subtracted form. The other ``identities`` verifiers solve against the
+leading blocks instead.
 
 Accuracy contract (Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 10): on a correlation matrix of 2-norm condition number
@@ -127,11 +128,12 @@ def chol_detratio(r: CorrelationMatrix, signs: np.ndarray) -> CholeskyFactor:
     and signs supplied externally.
 
     For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at 1 and
-    ending at |R_j|/|R_{j-1}|) come from one Schur elimination, O(n^3).
-    The last is the squared diagonal entry, and each difference of
-    successive ratios, a squared entry, is read off the elimination's
-    update as it is formed, so it is never negative. A pivot at or below
-    ``TOL_PD`` raises ``NotPositiveDefinite``. The diagonal does not
+    ending at |R_j|/|R_{j-1}|) are the diagonal entries j of one Schur
+    elimination, O(n^3), and this route reads its pivots and steps, not
+    the ratios: the last ratio, pivot j, is the squared diagonal entry,
+    and each difference of successive ratios, a squared entry, is the
+    step the elimination's update forms, so it is never negative. A
+    pivot at or below ``TOL_PD`` raises ``NotPositiveDefinite``. The diagonal does not
     depend on signs; ``decompose`` takes them from the semi-partial factor,
     so the two routes are not independent in sign.
 
@@ -164,16 +166,15 @@ def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
     kernel's pivots, each pivot checked against ``TOL_PD * a_ii``, and
     entry (j, i) below it is the sign times the square root of step
     s_ji^2 / s_ii. ``signs`` is an (n, n) array with +1 or -1 below the
-    diagonal and 0 elsewhere, as ``extract_signs`` returns."""
+    diagonal and 0 elsewhere, as ``extract_signs`` returns: its absolute
+    values must equal the strict-lower indicator."""
     n = m.n
     signs = np.asarray(signs)
     if signs.shape != (n, n):
         raise ValueError(f"sign array is {signs.shape}, matrix has n={n}")
-    below = np.tril(np.ones((n, n), dtype=bool), -1)
-    if np.any(signs[~below] != 0) or not np.all(np.abs(signs[below]) == 1):
+    if np.any(np.abs(signs) != np.tri(n, k=-1)):  # true for nan
         raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
-    d, steps = _schur_steps(m.values)
-    pivots = d.diagonal()
+    pivots, steps = _schur_steps(m.values)
     ok = pivots > TOL_PD * m.values.diagonal()
     if not ok.all():
         k = int(np.argmin(ok))

@@ -106,11 +106,23 @@ def one_tiny_eigenvalue(t):
     return 0.5 * (a + a.T)
 
 
+def schur_ladders(a, steps):
+    """The ladders of the Schur elimination of ``a``, formed from the
+    ``steps`` that ``matrix_core._schur_steps`` returns: an upper-triangular (n, n)
+    ``d`` whose row i is each column's diagonal entry after steps 0..i-1,
+    a_jj less those steps in their order, so ``d[i, j]`` (0-based,
+    j >= i) is the ratio |B_{i+1}^{j+1}| / |R_i| and ``d[j, j]``, the foot
+    of ladder j, is pivot j."""
+    with np.errstate(all="ignore"):  # inf and nan below a zero pivot
+        return np.triu(np.subtract.accumulate(np.vstack((np.diagonal(a), steps.T[:-1]))))
+
+
 def schur_steps_reference(a):
-    """``matrix_core._schur_steps`` as a plain loop that writes each ladder
-    row and each step as the elimination forms it: row i of ``d`` is the
-    diagonal before step i, and column i of ``steps`` is the diagonal of
-    the rank-one update that step i subtracts."""
+    """The Schur elimination of ``matrix_core._schur_steps`` as a plain
+    loop that writes each ladder row and each step as the elimination
+    forms it, as ``(d, steps)``: row i of ``d`` is the diagonal before
+    step i, so ``d[i, i]`` is pivot i, and column i of ``steps`` is the
+    diagonal of the rank-one update that step i subtracts."""
     s = np.array(a, dtype=float)
     n = s.shape[0]
     d, steps = np.zeros((n, n)), np.zeros((n, n))

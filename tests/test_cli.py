@@ -1065,14 +1065,31 @@ class TestTest:
 
 
     @pytest.mark.parametrize("shape", [(3, 2), (2000, 10)])
-    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300"])
+    @pytest.mark.parametrize("alpha", ["1e-17", "1e-300", "2.2250738585072014e-308"])
     def test_tiny_alpha_has_a_finite_critical_value(self, tmp_path, capsys, shape, alpha):
-        # 1 - alpha/2 rounds to 1 here, so only the tail alpha/2 names the quantile
+        # 1 - alpha/2 rounds to 1 here, so only the tail alpha/2 names the
+        # quantile; down to the smallest normal alpha the output is strict JSON
         src = tmp_path / "x.csv"
         write_csv(src, np.random.default_rng(list(shape)).standard_normal(shape))
         assert main(["test", str(src), "--alpha", alpha]) == 0
-        for row in json.loads(capsys.readouterr().out)["per_k"]:
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        for row in json.loads(capsys.readouterr().out, parse_constant=refuse)["per_k"]:
             assert math.isfinite(row["critical"]) and row["critical"] > 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2000, 10)])
+    @pytest.mark.parametrize("alpha", ["1e-320", "5e-324"])
+    def test_alpha_below_the_smallest_normal_is_usage_error(self, tmp_path, capsys, shape, alpha):
+        # the df = 1 quantile would overflow, and 5e-324 / 2 rounds to 0
+        src = tmp_path / "x.csv"
+        write_csv(src, np.random.default_rng(list(shape)).standard_normal(shape))
+        assert main(["test", str(src), "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        smallest = "2.2250738585072014e-308"
+        assert captured.err == f"error: alpha must lie in [{smallest}, 1), got {alpha}\n"
 
 
 class TestAr1:

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -260,6 +261,11 @@ class TestSequentialTest:
             sequential_test(x, target=0, alpha=0.05)
         with pytest.raises(ValueError):
             sequential_test(x, target=1, alpha=1.0)
+        for alpha in (1e-320, 5e-324):  # below the smallest normal double
+            with pytest.raises(ValueError, match=f"got {alpha}$"):
+                sequential_test(x, target=1, alpha=alpha)
+        critical = sequential_test(x, target=1, alpha=sys.float_info.min).per_k[0].critical
+        assert math.isfinite(critical)
 
     def test_report_dict_shape(self):
         rng = np.random.default_rng(6)

@@ -13,6 +13,7 @@ from helpers import (
     hard_correlations,
     kappa_correlation,
     random_correlation,
+    schur_ladders,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,10 +313,10 @@ class TestOneWalkPerMatrix:
 def bordered_minors(a, j):
     """Bordered minors toward column j (1-based, j >= 2): element i-1 is the
     determinant of the principal submatrix on {1, ..., i-1, j}, read as
-    the ``_schur_steps`` ladder of column j times the LU determinant of
-    each leading (i-1)-block (the empty block's is 1)."""
+    the ladder of column j, formed from the ``_schur_steps`` steps, times
+    the LU determinant of each leading (i-1)-block (the empty block's is 1)."""
     a = np.asarray(getattr(a, "values", a))
-    ladder = _schur_steps(a)[0][:j, j - 1]
+    ladder = schur_ladders(a, _schur_steps(a)[1])[:j, j - 1]
     return ladder * np.array([np.linalg.det(a[:i, :i]) for i in range(j)])
 
 
@@ -449,9 +450,10 @@ class TestCheckOrderConditions:
         # to its pivot
         a = order_input(family, n, seed)
         with np.errstate(all="ignore"):
-            d, steps = _schur_steps(a)
+            pivots, steps = _schur_steps(a)
+        d = schur_ladders(a, steps)
         ok = check_order_conditions(a)
-        assert ok == bool(np.all(d.diagonal() > TOL_ORD))
+        assert ok == bool(np.all(pivots > TOL_ORD))
         if family == "zero_pivot":
             assert not ok
         if ok:
@@ -470,7 +472,7 @@ class TestCheckOrderConditions:
     )
     def test_ladders_match_lu_determinants(self, kind, n, param):
         a = indefinite_input(kind, n, param)
-        d = _schur_steps(a)[0]
+        d = schur_ladders(a, _schur_steps(a)[1])
         for j in range(2, n + 1):
             col = bordered_minors(a, j)
             for i in range(1, j + 1):
@@ -495,7 +497,9 @@ class TestCheckOrderConditions:
 
     def test_identity(self):
         assert check_order_conditions(np.eye(5)) is True
-        np.testing.assert_array_equal(_schur_steps(np.eye(5))[0], np.triu(np.ones((5, 5))))
+        pivots, steps = _schur_steps(np.eye(5))
+        np.testing.assert_array_equal(pivots, np.ones(5))
+        np.testing.assert_array_equal(schur_ladders(np.eye(5), steps), np.triu(np.ones((5, 5))))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_matrices_pass(self, seed):

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 import scipy
-from helpers import cofactor_det, one_tiny_eigenvalue, random_correlation, schur_steps_reference
+from helpers import (
+    cofactor_det,
+    one_tiny_eigenvalue,
+    random_correlation,
+    schur_ladders,
+    schur_steps_reference,
+)
 from scipy.linalg import lapack
 
 import cholcorr.matrix_core as matrix_core
 from cholcorr.errors import NotPositiveDefinite
 from cholcorr.matrix_core import (
     TOL_PD,
+    TOL_SYM,
     CholeskyFactor,
     CorrelationMatrix,
     CovarianceMatrix,
@@ -148,6 +155,50 @@ class TestContainers:
         s = CovarianceMatrix(r.values * np.outer(sig, sig))
         sigmas = np.sqrt(np.diag(s.values))
         np.testing.assert_allclose(s.values / np.outer(sigmas, sigmas), r.values, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e8, 1e10, 1e-6])
+    def test_one_ulp_of_asymmetry_is_accepted_at_every_scale(self, scale):
+        # the relative asymmetry is about 1.5e-17 at every scale; an
+        # absolute TOL_SYM rejected it from scale 1e8 up
+        a = np.cov(np.random.default_rng(0).standard_normal((40, 5)), rowvar=False) * scale
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        assert CovarianceMatrix(a).values[0, 1] == 0.5 * (a[0, 1] + a[1, 0])
+
+    @pytest.mark.parametrize("rel", [0.0, 2e-17, 0.5 * TOL_SYM, 2.0 * TOL_SYM, 1e-6])
+    @pytest.mark.parametrize("k", range(4))
+    def test_rescaling_a_variable_keeps_the_symmetry_decision(self, k, rel):
+        base = np.cov(np.random.default_rng(k).standard_normal((30, 4)), rowvar=False)
+        base[1, 2] += rel * np.sqrt(base[1, 1] * base[2, 2])
+
+        def symmetric(a):
+            try:
+                CovarianceMatrix(a)
+            except ValueError as exc:
+                assert "not symmetric" in str(exc)
+                return False
+            return True
+
+        want = symmetric(base)
+        assert want == (rel < TOL_SYM)
+        for factor in (1e-6, 1e6):
+            d = np.ones(4)
+            d[k] = factor
+            assert symmetric(base * np.outer(d, d)) == want
+
+    @pytest.mark.parametrize("diagonal,asymmetry,message", [
+        (0.0, 0.0, "diagonal"), (0.0, 1e-300, "diagonal"), (0.0, 0.5, "diagonal"),
+        (-1.0, 1e-300, "diagonal"), (-1.0, 0.5, "not symmetric"),
+        (-1e-20, 1e-31, "diagonal"), (-1e-20, 1e-12, "not symmetric"),
+    ])
+    def test_non_positive_diagonal_after_symmetry(self, diagonal, asymmetry, message):
+        # a negative diagonal entry is judged by its size; a pair with a
+        # zero diagonal entry is left to the diagonal check, which names it
+        a = np.array([[1.0, 0.0, 0.3], [0.0, diagonal, 0.0], [0.3, 0.0, 1.0]])
+        a[0, 1] = asymmetry
+        for container in (CovarianceMatrix, CorrelationMatrix):
+            with pytest.raises(ValueError) as err:
+                container(a)
+            assert message in str(err.value)
 
     def test_factor_rejects_nonzero_upper(self):
         with pytest.raises(ValueError):
@@ -393,8 +444,9 @@ class TestLeadingMinors:
 
 
 class TestSchurSteps:
-    """The ladder invariant that ``chol_detratio`` and
-    ``verify_ratio_differences`` read, bit for bit."""
+    """The pivots and steps that ``_reference_factor``, ``chol_detratio``,
+    ``check_order_conditions`` and ``verify_ratio_differences`` read, and
+    the ladders they imply, bit for bit."""
 
     @pytest.mark.parametrize("definite", [True, False])
     @pytest.mark.parametrize("seed", range(20))
@@ -407,31 +459,55 @@ class TestSchurSteps:
         else:
             a = rng.uniform(-1.0, 1.0, (n, n))
             a = 0.5 * (a + a.T)
-        d, steps = matrix_core._schur_steps(a)
-        assert definite == bool(np.all(d.diagonal() > 0))
+        pivots, steps = matrix_core._schur_steps(a)
+        d = schur_ladders(a, steps)
+        assert definite == bool(np.all(pivots > 0))
         assert d[0].tobytes() == a.diagonal().tobytes()
         for i in range(n - 1):
             assert d[i + 1, i + 1:].tobytes() == (d[i, i + 1:] - steps[i + 1:, i]).tobytes()
 
     @pytest.mark.parametrize("kind", ["definite", "indefinite", "zero_pivot"])
     @pytest.mark.parametrize("n", [1, 2, 5, 31, 120])
-    def test_matches_the_reference_loop_bit_for_bit(self, kind, n):
-        # the in-place elimination reads its ladders and steps off the
-        # result; the reference writes each as it is formed. nan and inf
-        # below a zero pivot land in the same places
-        rng = np.random.default_rng([n, len(kind)])
-        for _ in range(4):
-            if kind == "definite":
-                a = random_correlation(n, int(rng.integers(1000))).values
-            else:
-                a = rng.uniform(-1.0, 1.0, (n, n))
-                a = 0.5 * (a + a.T)
-                np.fill_diagonal(a, 1.0)
-            if kind == "zero_pivot":  # variable k repeats k-1, or the one pivot is 0
-                k = int(rng.integers(1, n)) if n > 1 else 0
-                a[k], a[:, k] = a[k - 1], a[:, k - 1]
-                a[k, k - 1] = a[k - 1, k] = a[k, k] = float(n > 1)
+    def test_pivots_are_the_foot_of_each_ladder(self, kind, n):
+        # the pivots are read off the elimination's diagonal, the ladders
+        # formed from its steps: the two meet bit for bit, nan and inf
+        # below a zero pivot included
+        for a in schur_inputs(kind, n):
             with np.errstate(all="ignore"):
-                got, want = matrix_core._schur_steps(a), schur_steps_reference(a)
-            for x, y in zip(got, want):
-                assert x.tobytes() == y.tobytes()
+                pivots, steps = matrix_core._schur_steps(a)
+            assert pivots.tobytes() == schur_ladders(a, steps).diagonal().tobytes()
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "zero_pivot"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 31, 120])
+    def test_matches_the_reference_loop_bit_for_bit(self, kind, n):
+        # the in-place elimination reads its pivots and steps off the
+        # result; the reference writes each ladder row and step as it is
+        # formed. nan and inf below a zero pivot land in the same places
+        for a in schur_inputs(kind, n):
+            with np.errstate(all="ignore"):
+                (pivots, steps), (d, want) = matrix_core._schur_steps(a), schur_steps_reference(a)
+            assert pivots.tobytes() == d.diagonal().tobytes()
+            assert steps.tobytes() == want.tobytes()
+            assert schur_ladders(a, steps).tobytes() == d.tobytes()
+
+
+def schur_inputs(kind, n):
+    """Four symmetric n x n inputs of one kind: generated correlation
+    matrices, unit-diagonal uniform noise, or that noise with variable k
+    a copy of k-1, which leaves an exact zero pivot (for n = 1 the one
+    diagonal entry is 0)."""
+    rng = np.random.default_rng([n, len(kind)])
+    out = []
+    for _ in range(4):
+        if kind == "definite":
+            a = random_correlation(n, int(rng.integers(1000))).values
+        else:
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            a = 0.5 * (a + a.T)
+            np.fill_diagonal(a, 1.0)
+        if kind == "zero_pivot":  # variable k repeats k-1, or the one pivot is 0
+            k = int(rng.integers(1, n)) if n > 1 else 0
+            a[k], a[:, k] = a[k - 1], a[:, k - 1]
+            a[k, k - 1] = a[k - 1, k] = a[k, k] = float(n > 1)
+        out.append(a)
+    return out

@@ -171,6 +171,26 @@ class TestExtractSigns:
         with pytest.raises(ValueError):
             chol_detratio(random_correlation(2, seed=0), np.array([[0, 0], [2, 0]]))
 
+    @pytest.mark.parametrize("at,value,accepted", [
+        ((1, 0), 1, True), ((1, 0), -1, True), ((1, 0), 1.0, True), ((1, 0), -1.0, True),
+        ((0, 1), -0.0, True), ((1, 1), -0.0, True), ((1, 0), 0, False), ((1, 0), 0.0, False),
+        ((1, 1), 1, False), ((0, 2), -1, False), ((2, 2), 1.0, False), ((0, 1), -1.0, False),
+        ((2, 1), 2, False), ((2, 1), 0.5, False), ((2, 1), np.nan, False), ((0, 2), np.nan, False),
+    ])
+    def test_sign_check_table(self, at, value, accepted):
+        # one comparison of |signs| with the strict-lower indicator accepts
+        # what a mask of the band and a mask of the rest accept
+        r = random_correlation(3, seed=0)
+        signs = np.tril(-np.ones((3, 3), dtype=int if isinstance(value, int) else float), -1)
+        signs[at] = value
+        below = np.tril(np.ones((3, 3), dtype=bool), -1)
+        assert accepted == (np.all(signs[~below] == 0) and np.all(np.abs(signs[below]) == 1))
+        if accepted:
+            assert chol_detratio(r, signs).entries[2, 1] < 0.0 or at == (2, 1)
+        else:
+            with pytest.raises(ValueError, match="signs must be"):
+                chol_detratio(r, signs)
+
     def test_signs_are_frozen_integers(self):
         signs = extract_signs(chol_semipartial(random_correlation(4, seed=2)))
         assert signs.dtype.kind == "i"
@@ -250,9 +270,10 @@ class TestCholDetratio:
         original = parametrizations._schur_steps
 
         def low_pivot(a):
-            d, steps = original(a)
-            d[2, 2] = scale * TOL_PD * a[2, 2]
-            return d, steps
+            pivots, steps = original(a)
+            pivots = pivots.copy()  # the kernel's pivots are a read-only view
+            pivots[2] = scale * TOL_PD * a[2, 2]
+            return pivots, steps
 
         monkeypatch.setattr(parametrizations, "_schur_steps", low_pivot)
         for route, m in ((chol_detratio, r), (chol_covariance, s)):
