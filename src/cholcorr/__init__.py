@@ -34,7 +34,6 @@ from .matrix_core import (
     reference_cholesky,
 )
 from .parametrizations import (
-    chol_covariance,
     chol_detratio,
     chol_semipartial,
     extract_signs,
@@ -58,7 +57,6 @@ __all__ = [
     "ar1_cholesky",
     "ar1_matrix",
     "check_order_conditions",
-    "chol_covariance",
     "chol_detratio",
     "chol_semipartial",
     "extract_signs",

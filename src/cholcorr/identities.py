@@ -22,10 +22,16 @@ factor is built once per matrix as well.
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
 condition number kappa every report's ``max_residual`` is at most
-n * kappa * eps. Every matrix ``CorrelationMatrix`` accepts is
-evaluated. On random orthogonal spectra log-spaced from 1 to 1/kappa
-(n in {12, 64}, kappa in {1e2, 1e6, 1e10}, 20 seeds each) the smallest
-margin is about 470x, and on AR(1) near |rho| = 1, equicorrelation near
+n * kappa * eps. The verifiers evaluate every matrix
+``CorrelationMatrix`` accepts, but ``cholcorr verify`` runs them only
+after ``check_order_conditions`` passes: a matrix with a Schur pivot
+between ``TOL_PD`` (1e-12) and ``TOL_ORD`` (1e-10) is accepted, yet
+``verify`` stops at the order check and exits 1. One is
+``kappa_correlation(12, 1e12, 2)`` of ``tests/helpers.py``, with pivot
+2.6e-11 and every residual at most 1.04e-14. On random orthogonal
+spectra log-spaced from 1 to 1/kappa (n in {12, 64}, kappa in {1e2,
+1e6, 1e10}, 20 seeds each) the smallest margin is about 470x, and on
+AR(1) near |rho| = 1, equicorrelation near
 -1/(n-1) and planted tiny entries it is about 100x.
 
 ``check_order_conditions`` is the odd one out: it does not assume

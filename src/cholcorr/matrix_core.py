@@ -65,9 +65,8 @@ TOL_REC = 1e-9   # factor reconstruction tolerance
 
 
 def as_array(m) -> np.ndarray:
-    """Return the square 2-d float array behind a container or array-like."""
-    values = getattr(m, "values", m)
-    a = np.asarray(values, dtype=float)
+    """Return the square 2-d float array of an array-like."""
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a

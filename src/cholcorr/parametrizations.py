@@ -123,60 +123,44 @@ def extract_signs(l: CholeskyFactor) -> np.ndarray:
     return s
 
 
-def chol_detratio(r: CorrelationMatrix, signs: np.ndarray) -> CholeskyFactor:
+def chol_detratio(r: CorrelationMatrix | CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
     """Cholesky factor with magnitudes from determinant-ratio differences
     and signs supplied externally.
 
-    For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at 1 and
-    ending at |R_j|/|R_{j-1}|) are the diagonal entries j of one Schur
+    For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at a_jj
+    and ending at |R_j|/|R_{j-1}|) are the diagonal entries j of one Schur
     elimination, O(n^3), and this route reads its pivots and steps, not
     the ratios: the last ratio, pivot j, is the squared diagonal entry,
     and each difference of successive ratios, a squared entry, is the
-    step the elimination's update forms, so it is never negative. A
-    pivot at or below ``TOL_PD`` raises ``NotPositiveDefinite``. The diagonal does not
-    depend on signs; ``decompose`` takes them from the semi-partial factor,
-    so the two routes are not independent in sign.
+    step s_ji^2 / s_ii that the elimination's update forms, so it is
+    never negative. A pivot at or below ``TOL_PD * a_ii`` raises
+    ``NotPositiveDefinite``. ``signs`` is an (n, n) array with +1 or -1
+    below the diagonal and 0 elsewhere, as ``extract_signs`` returns. The
+    diagonal does not depend on signs; ``decompose`` takes them from the
+    semi-partial factor, so the two routes are not independent in sign.
+    On a covariance matrix row j equals sigma_j times row j of the
+    correlation factor.
 
-    Accurate to n * kappa * eps (module docstring); over 200 draws per
-    tested family at n = 12 and 64 the smallest margin is about 50x.
+    Accurate to n * kappa * eps, row j to sigma_j times that on a
+    covariance matrix (module docstring); over 200 draws per tested
+    family at n = 12 and 64 the smallest margin is about 50x on
+    correlation input and about 120x on covariance input.
     """
-    return _ladder_factor(r, signs)
-
-
-def chol_covariance(s: CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
-    """Cholesky factor of a covariance matrix from determinant ratios.
-
-    Same ladder construction as ``chol_detratio`` with the bordered minors
-    taken on the covariance itself, so the first ratio of row j starts at
-    sigma_j^2 instead of 1, and pivot i is judged against ``TOL_PD * a_ii``.
-    Signs are supplied externally, e.g. from
-    ``extract_signs(chol_semipartial(s))``. Row j equals sigma_j times row
-    j of the correlation factor.
-
-    Row j is accurate to sigma_j * n * kappa * eps (module docstring); over
-    200 draws per tested family at n = 12 and 64 the smallest margin is
-    about 120x.
-    """
-    return _ladder_factor(s, signs)
-
-
-def _ladder_factor(m, signs: np.ndarray) -> CholeskyFactor:
-    """The ladder construction shared by ``chol_detratio`` (unit diagonal)
-    and ``chol_covariance``: the diagonal is the square root of the
-    kernel's pivots, each pivot checked against ``TOL_PD * a_ii``, and
-    entry (j, i) below it is the sign times the square root of step
-    s_ji^2 / s_ii. ``signs`` is an (n, n) array with +1 or -1 below the
-    diagonal and 0 elsewhere, as ``extract_signs`` returns: its absolute
-    values must equal the strict-lower indicator."""
-    n = m.n
+    n = r.n
     signs = np.asarray(signs)
     if signs.shape != (n, n):
         raise ValueError(f"sign array is {signs.shape}, matrix has n={n}")
     if np.any(np.abs(signs) != np.tri(n, k=-1)):  # true for nan
         raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
-    pivots, steps = _schur_steps(m.values)
-    ok = pivots > TOL_PD * m.values.diagonal()
+    pivots, steps = _schur_steps(r.values)
+    ok = pivots > TOL_PD * r.values.diagonal()
     if not ok.all():
         k = int(np.argmin(ok))
         raise NotPositiveDefinite(k + 1, pivots[k])
     return CholeskyFactor(np.diag(np.sqrt(pivots)) + signs * np.sqrt(steps))
+
+
+# Not public: the benchmark's LAYERS (perfbench/spans.py) and the test that
+# resolves them still name it. It goes with ROADMAP item 4 step 1.
+def chol_covariance(s: CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
+    return chol_detratio(s, signs)

@@ -28,8 +28,8 @@ import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, load_table, main, render_table
-from cholcorr.identities import IdentityReport
-from cholcorr.matrix_core import leading_minor_determinants
+from cholcorr.identities import ALL_VERIFIERS, TOL_ORD, IdentityReport
+from cholcorr.matrix_core import TOL_PD, _schur_steps, leading_minor_determinants
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
@@ -466,7 +466,7 @@ class TestDecompose:
         src = tmp_path / "m.csv"
         write_csv(src, r.values * np.outer(sig, sig))
         # each route is counted where the command looks it up
-        routes = ("reference_cholesky", "chol_semipartial", "chol_detratio", "chol_covariance")
+        routes = ("reference_cholesky", "chol_semipartial", "chol_detratio")
         calls = dict.fromkeys(routes, 0)
 
         def counting(name, fn):
@@ -480,8 +480,7 @@ class TestDecompose:
         out = tmp_path / "L.csv"
         argv = ["decompose", str(src), "--method", method, "--out", str(out), "--check"]
         assert main(argv + (["--covariance"] if covariance else [])) == 0
-        assert calls == {"reference_cholesky": 1, "chol_semipartial": 1,
-                         "chol_detratio": int(not covariance), "chol_covariance": int(covariance)}
+        assert calls == {"reference_cholesky": 1, "chol_semipartial": 1, "chol_detratio": 1}
         expected = np.linalg.cholesky(r.values * np.outer(sig, sig))
         np.testing.assert_allclose(read_csv(out), expected, atol=1e-9)
 
@@ -496,7 +495,7 @@ class TestDecompose:
         sig = np.linspace(0.5, 3.0, 6) if covariance else np.ones(6)
         src = tmp_path / "m.csv"
         write_csv(src, r.values * np.outer(sig, sig))
-        routes = {"chol_detratio": 0, "chol_covariance": 0}
+        routes = {"chol_detratio": 0}
 
         def plain(fn, name=None):
             def wrapped(*args, **kwargs):
@@ -517,7 +516,7 @@ class TestDecompose:
                     monkeypatch.setattr(module, key, wrappers[id(value)])
         argv = ["decompose", str(src), "--method", "detratio", "--check"]
         assert main(argv + (["--covariance"] if covariance else [])) == 0
-        assert routes == {"chol_detratio": int(not covariance), "chol_covariance": int(covariance)}
+        assert routes == {"chol_detratio": 1}
 
     @pytest.mark.parametrize("n", [12, 64])
     def test_check_passes_on_planted_tiny_entries(self, tmp_path, capsys, n):
@@ -527,6 +526,26 @@ class TestDecompose:
             src = tmp_path / f"p{seed}.csv"
             write_csv(src, planted_correlation(n, seed).values)
             assert main(["decompose", str(src), "--check"]) == 0, capsys.readouterr().err
+
+    def test_check_decision_does_not_depend_on_units(self, tmp_path, capsys):
+        # kappa = 1e12, n = 12, seed 9 plus an independent 13th variable: the
+        # routes disagree by 2.05e-9 relative to sigma_j; judged against the
+        # largest variance instead, it passed --tol 1e-9 from sigma_13 = 1000 up
+        a = np.eye(13)
+        a[:12, :12] = kappa_correlation(12, 1e12, 9).values
+        lines = set()
+        for sigma in (1e-6, 1.0, 1e6):
+            d = np.ones(13)
+            d[12] = sigma
+            src = tmp_path / "c.csv"
+            write_csv(src, a * np.outer(d, d))
+            argv = ["decompose", str(src), "--covariance", "--method", "detratio", "--check"]
+            assert main(argv + ["--tol", "1e-9"]) == 1
+            lines.add(capsys.readouterr().err)
+            assert main(argv + ["--tol", "3e-9"]) == 0
+            lines.add(capsys.readouterr().err)
+        assert lines == {"check: reconstruction-error=0.00000000000000011102230246251565 "
+                         "cross-method-discrepancy=0.000000002050820315299814\n"}
 
     def test_json_output(self, tmp_path):
         src = tmp_path / "r.csv"
@@ -694,14 +713,15 @@ class TestPinnedBytes:
         ("detratio", True): "29cc7cc9766e02e743cc1ad71bf6ccce6cf5986be7fc7704940e9bc3feff6ae2",
     }
 
-    # the stderr line of ``decompose --check`` on the DECOMPOSE inputs
+    # the stderr line of ``decompose --check`` on the DECOMPOSE inputs; on
+    # covariance input both numbers are taken on D^{-1/2} A D^{-1/2}
     CHECK = {
         ("reference", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
         ("semipartial", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
         ("detratio", False): "f0b5e5fb708a2c472bd5af4ebe7bc497f5f208ba52f6a27c40d8c4171362dd02",
-        ("reference", True): "ec51c73218746870e31e7a36f07bddb91691ec5d68b82c847ad5d5dfbb2eacc0",
-        ("semipartial", True): "e1fca140d415e9185fb194d5ca668a1f3e363b5578fd095f28208277fa8d0015",
-        ("detratio", True): "406e46ad96ce5e0b45a13f736e725813278f136240e48f24b8f8e2dcfcbc914f",
+        ("reference", True): "5cfdcc3a9379a5c76de67473ba32ad1ea003d754e8946bf108857ff5fc116705",
+        ("semipartial", True): "72961ee3ba99277874b49dcfce22cd56e5144216035bdc9443cbf6a7738cdf92",
+        ("detratio", True): "dca76352abbdd1d426d4e33fab5267b352ec6a51abf3a423d11fd17aa66e87e4",
     }
 
     # elementwise only, so the bytes do not depend on the BLAS build
@@ -787,6 +807,23 @@ class TestVerify:
         assert captured.out.startswith("det-order: ok\nratio-order: ok\n")
         assert captured.out.count("residual=") == 4
         assert captured.err == ""
+
+    def test_pivot_between_tol_pd_and_tol_ord_is_not_evaluated(self, tmp_path, capsys):
+        # kappa = 1e12, n = 12, seed 2: the smallest Schur pivot, 2.6e-11, lies
+        # above TOL_PD, so the container accepts the matrix and every identity
+        # residual is small (1.04e-14 at most with OpenBLAS's SkylakeX kernel),
+        # but below TOL_ORD, so verify stops at the order check
+        r = kappa_correlation(12, 1e12, 2)
+        assert TOL_PD < np.min(_schur_steps(r.values)[0]) < TOL_ORD
+        assert max(fn(r).max_residual for _, fn, _ in ALL_VERIFIERS) < 1e-13
+        src = tmp_path / "k.csv"
+        write_csv(src, r.values)
+        assert main(["decompose", str(src), "--check"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "det-order: violated\nratio-order: violated\n"
+        assert captured.err == "failed: leading-minor ordering, ratio-ladder ordering\n"
 
     @pytest.mark.parametrize("n, kappa", [(120, 1e8), (200, 1e6)])
     def test_underflowing_minors_leave_every_residual_in_contract(self, tmp_path, capsys,

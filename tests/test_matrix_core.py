@@ -376,6 +376,21 @@ class TestReferenceCholesky:
             lapack_builds())
         assert 500 < sum(k is not None for k in got.values()) < 1000
 
+    def test_potrf_stop_with_every_schur_pivot_passing_names_the_smallest_relative(
+            self, monkeypatch):
+        # sigma = (10, 1, 0.1), r_12 = 0.9: Schur pivots (100, 0.19, 0.01), all
+        # above TOL_PD * a_ii; relative to a_ii they are (1, 0.19, 1), so pivot
+        # 2 is reported, not pivot 3, the smallest in absolute terms
+        def stop(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        a = np.array([[100.0, 9.0, 0.0], [9.0, 1.0, 0.0], [0.0, 0.0, 0.01]])
+        monkeypatch.setattr(np.linalg, "cholesky", stop)
+        with pytest.raises(NotPositiveDefinite) as err:
+            matrix_core._reference_factor(a)
+        assert err.value.pivot_index == 2
+        assert err.value.pivot_value == pytest.approx(0.19, rel=1e-15)
+
     @pytest.mark.parametrize("n", [3, 10, 64])
     @pytest.mark.parametrize("c", [1.0, 1.5])
     def test_reject_index_matches_dpotrf_on_equicorrelation(self, n, c):
