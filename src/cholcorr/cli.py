@@ -176,14 +176,14 @@ def _json_row(i: int, row) -> list[float]:
     return [float(v) for v in row]
 
 
-def write_output(text: str, out: str | None, args) -> None:
-    """``text`` to stdout, or to the file ``out`` with the manifest of
+def write_output(text: str, args) -> None:
+    """``text`` to stdout, or to the file ``args.out`` with the manifest of
     ``args`` beside it, at ``<out>.manifest.json``."""
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
-        write_manifest(Path(out + ".manifest.json"), args, [out])
+        Path(args.out).write_text(text)
+        write_manifest(Path(args.out + ".manifest.json"), args, [args.out])
 
 
 def write_manifest(path: Path, args, outputs: list[str]) -> None:
@@ -217,7 +217,7 @@ def cmd_decompose(args) -> int:
     # every route the command reports is built before anything is written
     factors = [m._once(route).entries for route in routes.values()] if args.check else []
     args.format = infer_format(args.out, args.format)
-    write_output(render_table(factor.entries, args.format), args.out, args)
+    write_output(render_table(factor.entries, args.format), args)
     if args.check:
         # both numbers are taken on D^{-1/2} A D^{-1/2}, D = diag(A), so they
         # have no units; a correlation matrix's sigmas are exactly 1
@@ -282,7 +282,7 @@ def cmd_test(args) -> int:
         raise ValueError(f"{args.data}: {exc}") from exc
     args.target = args.target if args.target is not None else x.p
     report = sequential_test(x, args.target, args.alpha)
-    write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.out, args)
+    write_output(json.dumps(report.to_dict(), indent=2) + "\n", args)
     return 0
 
 
@@ -295,7 +295,7 @@ def cmd_ar1(args) -> int:
     else:
         payload = sample_mvn(ar1_cholesky(spec), args.count, args.seed)
     args.format = infer_format(args.out, args.format)
-    write_output(render_table(payload, args.format), args.out, args)
+    write_output(render_table(payload, args.format), args)
     return 0
 
 
@@ -323,13 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False, out=True):
+    def add_common(p, out=True):
         p.add_argument("--format", choices=("csv", "json"),
                        help="file format (default: inferred from extension, csv otherwise)")
         if out:
             p.add_argument("--out", help="output path (default: stdout)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
 
     d = sub.add_parser("decompose", help="factor a correlation or covariance matrix")
     d.add_argument("input", help="matrix file")
@@ -373,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rho", type=float, required=True, help="lag-one coefficient, |rho| < 1")
     r.add_argument("--emit", choices=("matrix", "factor", "samples"), default="matrix")
     r.add_argument("--count", type=int, default=1, help="sample rows (emit=samples)")
-    add_common(r, seed=True)
+    add_common(r)
+    r.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     r.set_defaults(func=cmd_ar1)
 
     return parser

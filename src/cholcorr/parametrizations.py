@@ -94,11 +94,14 @@ def chol_semipartial(r: CorrelationMatrix | CovarianceMatrix) -> CholeskyFactor:
 
     Known limit: this recursion and ``potrf`` round a pivot differently,
     so where it lies within rounding of ``TOL_PD * a_ii`` the two can
-    disagree about definiteness. On seed 837 of ``one_tiny_eigenvalue``
-    in ``tests/helpers.py`` (n = 65), written with ``%.17g``,
-    ``CorrelationMatrix`` accepts (``potrf``'s pivot 65 is 1.0004e-12)
-    but this route rejects pivot 65 at 9.989787e-13; on seed 2345
-    (n = 54) it rejects pivot 54 at -5.341949e-12 against 1.195e-11.
+    disagree about definiteness. With OpenBLAS's SkylakeX kernel, on seed
+    837 of ``one_tiny_eigenvalue`` in ``tests/helpers.py`` (n = 65),
+    written with ``%.17g``, ``CorrelationMatrix`` accepts (``potrf``'s
+    pivot 65 is 1.0004e-12) but this route rejects pivot 65 at
+    9.989787e-13; on seed 2345 (n = 54) it rejects pivot 54 at
+    -5.341949e-12 against 1.195e-11. Other kernels round otherwise, so
+    ``TestDecompose::test_routes_split_at_the_tol_pd_edge`` in
+    ``tests/test_cli.py`` builds such a matrix on the running kernel.
     """
     a = r.values
     n = r.n

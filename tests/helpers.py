@@ -95,15 +95,30 @@ def one_tiny_eigenvalue(t):
     orthogonal basis, eigenvalues log-uniform on [1e-3, 1] except one of
     +-10^U(-17, -10). Its last pivots sit at the level of rounding, where
     LAPACK and the Schur kernel can disagree about the sign."""
+    matrix, tiny = tiny_eigenvalue_family(t)
+    return matrix(tiny)
+
+
+def tiny_eigenvalue_family(t):
+    """``(matrix, tiny)``: ``matrix(lam)`` is ``one_tiny_eigenvalue(t)``
+    with its tiny eigenvalue set to ``lam`` before the rescaling to unit
+    diagonal, and ``tiny`` is the value that seed t draws."""
     rng = np.random.default_rng([11, t])
     n = int(rng.integers(3, 80))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     ev = np.exp(rng.uniform(np.log(1e-3), 0.0, n))
-    ev[rng.integers(n)] = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -10)
-    a = (q * ev) @ q.T
-    d = 1.0 / np.sqrt(np.diag(a))
-    a = a * np.outer(d, d)
-    return 0.5 * (a + a.T)
+    tiny = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-17, -10)
+    k = rng.integers(n)
+
+    def matrix(lam):
+        e = ev.copy()
+        e[k] = lam
+        a = (q * e) @ q.T
+        d = 1.0 / np.sqrt(np.diag(a))
+        a = a * np.outer(d, d)
+        return 0.5 * (a + a.T)
+
+    return matrix, tiny
 
 
 def schur_ladders(a, steps):

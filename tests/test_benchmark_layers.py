@@ -4,6 +4,7 @@ and only warns when one is missing, so its per-layer metrics would read
 must behave the same while the tracer's wrappers are in place."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import sys
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import cholcorr.cli as cli
+from cholcorr.identities import ALL_VERIFIERS
+from cholcorr.randcorr import GeneratorConfig, generate_batch
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,25 +44,79 @@ def load_spans(monkeypatch):
     return module
 
 
-def generated_files(outdir):
-    assert cli.main(["generate", "--n", "25", "--count", "20", "--seed", "7",
-                     "--out", str(outdir)]) == 0
-    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+def input_tables():
+    """The input files of ``CASES`` by name, each written to ``<name>.csv``."""
+    r = generate_batch(GeneratorConfig(n=6, seed=3), 1)[0].values
+    sig = np.linspace(0.5, 3.0, 6)
+    return {"correlation": r, "covariance": r * np.outer(sig, sig),
+            "indefinite": np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]]),
+            "samples": np.random.default_rng(3).standard_normal((200, 4))}
 
 
-def test_traced_cli_runs_as_untraced(tmp_path, monkeypatch):
-    """The tracer rebinds every traced name (aliases too) to a plain
-    function; the CLI must run the same through those wrappers."""
+# decompose --check builds every route once, whichever --method it writes
+ROUTES = {"matrix_core.reference_cholesky": 1, "parametrizations.chol_semipartial": 1,
+          "parametrizations.chol_detratio": 1, "parametrizations.extract_signs": 1}
+VERIFIERS = {f"identities.{fn.__name__}": 1 for _, fn, _ in ALL_VERIFIERS}
+
+# case -> (argv, exit code, the spans of one traced run, the input whose
+# Cholesky factor the run writes to L.csv or None); inputs are read from
+# the directory above the one the command runs in
+CASES = {
+    "generate": (["generate", "--n", "25", "--count", "20", "--seed", "7", "--out", "g"], 0,
+                 {"randcorr.generate_batch": 1, "cli.render_table": 1}, None),
+    **{f"decompose-{method}-{kind}": (
+        ["decompose", f"../{kind}.csv", "--method", method, "--check", "--out", "L.csv",
+         *["--covariance"] * (kind == "covariance")], 0,
+        {"cli.load_table": 1, f"matrix_core.{container}": 1, **ROUTES, "cli.render_table": 1},
+        kind)
+       for method in ("reference", "semipartial", "detratio")
+       for kind, container in (("correlation", "CorrelationMatrix"),
+                               ("covariance", "CovarianceMatrix"))},
+    "decompose-indefinite": (["decompose", "../indefinite.csv", "--check"], 3,
+                             {"cli.load_table": 1, "matrix_core.CorrelationMatrix": 1}, None),
+    "verify": (["verify", "../correlation.csv"], 0,
+               {"cli.load_table": 1, "identities.check_order_conditions": 1,
+                "matrix_core.CorrelationMatrix": 1, "parametrizations.chol_semipartial": 1,
+                **VERIFIERS}, None),
+    "test": (["test", "../samples.csv"], 0,
+             {"cli.load_table": 1, "dependence_test.SampleMatrix": 1,
+              "dependence_test.sequential_test": 1, "matrix_core.CorrelationMatrix": 1,
+              "parametrizations.chol_semipartial": 1},
+             None),
+}
+
+
+def run(argv, workdir, capsys, monkeypatch):
+    """Exit code, stdout, stderr and every file written of ``cli.main(argv)``
+    run in the new directory ``workdir``."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    files = {p.relative_to(workdir).as_posix(): p.read_bytes()
+             for p in sorted(workdir.rglob("*")) if p.is_file()}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traced_cli_runs_as_untraced(tmp_path, capsys, monkeypatch, case):
+    """The tracer rebinds every traced name (aliases and ``ALL_VERIFIERS``
+    too) to a plain function in every cholcorr module. The CLI must run
+    the same through those wrappers, and enter each traced layer as often
+    as the command calls it: once per factor route for decompose --check."""
+    argv, code, expected, factored = CASES[case]
+    tables = input_tables()
+    for name, table in tables.items():
+        np.savetxt(tmp_path / f"{name}.csv", table, fmt="%.17g", delimiter=",")
     spans = load_spans(monkeypatch)
-    valid, indefinite = tmp_path / "valid.csv", tmp_path / "indefinite.csv"
-    np.savetxt(valid, [[1.0, 0.5], [0.5, 1.0]], delimiter=",")
-    np.savetxt(indefinite, [[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]], delimiter=",")
-    untraced = generated_files(tmp_path / "untraced")
+    untraced = run(argv, tmp_path / "untraced", capsys, monkeypatch)
     tracer = spans.Tracer()
     with spans.instrument(tracer):
-        traced = generated_files(tmp_path / "traced")
-        assert cli.main(["decompose", str(valid), "--check"]) == 0
-        assert cli.main(["decompose", str(indefinite), "--check"]) == 3
+        traced = run(argv, tmp_path / "traced", capsys, monkeypatch)
     assert traced == untraced
-    assert "randcorr.generate_batch" in {span.name for span in tracer.spans}
+    assert untraced[0] == code
+    assert collections.Counter(span.name for span in tracer.spans) == expected
     assert not tracer.missing
+    if factored:
+        written = np.loadtxt(tmp_path / "traced" / "L.csv", delimiter=",")
+        np.testing.assert_allclose(written, np.linalg.cholesky(tables[factored]), atol=1e-9)

@@ -16,10 +16,10 @@ import pytest
 from helpers import (
     contract_bound,
     kappa_correlation,
-    one_tiny_eigenvalue,
     per_cell_csv,
     planted_correlation,
     t_quantile_betaincinv,
+    tiny_eigenvalue_family,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,7 +29,13 @@ import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, load_table, main, render_table
 from cholcorr.identities import ALL_VERIFIERS, TOL_ORD, IdentityReport
-from cholcorr.matrix_core import TOL_PD, _schur_steps, leading_minor_determinants
+from cholcorr.errors import NotPositiveDefinite
+from cholcorr.matrix_core import (
+    TOL_PD,
+    CorrelationMatrix,
+    _schur_steps,
+    leading_minor_determinants,
+)
 from cholcorr.parametrizations import chol_semipartial
 from cholcorr.randcorr import GeneratorConfig, generate_batch
 
@@ -378,6 +384,38 @@ class TestLoadTable:
             assert got.tobytes() == expected.tobytes()
 
 
+def tol_pd_edge(negative):
+    """A matrix that ``CorrelationMatrix`` (``potrf``) accepts and
+    ``chol_semipartial`` rejects on the running BLAS kernel, and the
+    route's ``NotPositiveDefinite``: its pivot is negative, or in
+    [0, TOL_PD]. The bases of ``one_tiny_eigenvalue`` are tried from seed
+    2345 (negative) or 837. On each, the tiny eigenvalue is bisected down
+    to the smallest value the container accepts, where potrf's last pivot
+    is just above TOL_PD and the recursion's, rounded otherwise, may fall
+    below it. Fails when no basis of 20 splits the routes."""
+    def accepted(a):
+        try:
+            CorrelationMatrix(a)
+        except NotPositiveDefinite:
+            return False
+        return True
+
+    first = 2345 if negative else 837
+    for t in range(first, first + 20):
+        matrix, _ = tiny_eigenvalue_family(t)
+        lo, hi = -1e-8, 1e-8
+        if accepted(matrix(lo)) or not accepted(matrix(hi)):
+            continue
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if accepted(matrix(mid)) else (mid, hi)
+        try:
+            chol_semipartial(CorrelationMatrix(matrix(hi)))
+        except NotPositiveDefinite as exc:
+            if (exc.pivot_value < 0) == negative:
+                return matrix(hi), exc
+    pytest.fail(f"no basis of seeds {first}..{first + 19} splits the routes at TOL_PD")
+
+
 class TestDecompose:
     def test_identity_any_method(self, tmp_path, capsys):
         src = tmp_path / "ident.csv"
@@ -458,66 +496,6 @@ class TestDecompose:
             outputs.add(capsys.readouterr().out)
         assert outputs == {"3.442875787192561,0\n0.5087430544362291,0.0000005087715579622698\n"}
 
-    @pytest.mark.parametrize("covariance", [False, True])
-    @pytest.mark.parametrize("method", ["reference", "semipartial", "detratio"])
-    def test_check_builds_each_route_once(self, tmp_path, monkeypatch, covariance, method):
-        r = generate_batch(GeneratorConfig(n=6, seed=3), 1)[0]
-        sig = np.linspace(0.5, 3.0, 6) if covariance else np.ones(6)
-        src = tmp_path / "m.csv"
-        write_csv(src, r.values * np.outer(sig, sig))
-        # each route is counted where the command looks it up
-        routes = ("reference_cholesky", "chol_semipartial", "chol_detratio")
-        calls = dict.fromkeys(routes, 0)
-
-        def counting(name, fn):
-            def wrapped(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapped
-
-        for name in routes:
-            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-        out = tmp_path / "L.csv"
-        argv = ["decompose", str(src), "--method", method, "--out", str(out), "--check"]
-        assert main(argv + (["--covariance"] if covariance else [])) == 0
-        assert calls == {"reference_cholesky": 1, "chol_semipartial": 1, "chol_detratio": 1}
-        expected = np.linalg.cholesky(r.values * np.outer(sig, sig))
-        np.testing.assert_allclose(read_csv(out), expected, atol=1e-9)
-
-    @pytest.mark.parametrize("covariance", [False, True])
-    def test_check_with_container_names_bound_to_plain_functions(
-            self, tmp_path, monkeypatch, covariance):
-        # a tracer rebinds each public class name, in every cholcorr module
-        # that binds it, to a plain wrapper function; the command must not
-        # rely on those names being classes
-        import cholcorr.matrix_core as matrix_core
-        r = generate_batch(GeneratorConfig(n=6, seed=3), 1)[0]
-        sig = np.linspace(0.5, 3.0, 6) if covariance else np.ones(6)
-        src = tmp_path / "m.csv"
-        write_csv(src, r.values * np.outer(sig, sig))
-        routes = {"chol_detratio": 0}
-
-        def plain(fn, name=None):
-            def wrapped(*args, **kwargs):
-                if name:
-                    routes[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        wrappers = {id(matrix_core.CorrelationMatrix): plain(matrix_core.CorrelationMatrix),
-                    id(matrix_core.CovarianceMatrix): plain(matrix_core.CovarianceMatrix)}
-        for name in routes:
-            wrappers[id(getattr(cli, name))] = plain(getattr(cli, name), name)
-        for modname, module in list(sys.modules.items()):
-            if module is None or not (modname == "cholcorr" or modname.startswith("cholcorr.")):
-                continue
-            for key, value in list(vars(module).items()):
-                if id(value) in wrappers:
-                    monkeypatch.setattr(module, key, wrappers[id(value)])
-        argv = ["decompose", str(src), "--method", "detratio", "--check"]
-        assert main(argv + (["--covariance"] if covariance else [])) == 0
-        assert routes == {"chol_detratio": 1}
-
     @pytest.mark.parametrize("n", [12, 64])
     def test_check_passes_on_planted_tiny_entries(self, tmp_path, capsys, n):
         # one factor entry of 1e-8: its square is read off the elimination's
@@ -566,33 +544,24 @@ class TestDecompose:
         assert manifest["options"]["method"] == "semipartial"
         assert "tol_pd" in manifest["tolerances"]
 
-    # known limit at the TOL_PD edge: potrf puts the last pivot just above
-    # TOL_PD (1.0004e-12 and 1.195e-11), the semi-partial recursion just
-    # below it, so the routes disagree about definiteness on the same file
-    @pytest.mark.parametrize("seed, pivot", [(837, "pivot 65 is 9.989787e-13"),
-                                             (2345, "pivot 54 is -5.341949e-12")])
-    def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, seed, pivot):
+    # known limit (chol_semipartial's docstring): potrf and the semi-partial
+    # recursion round the last pivot differently, so on a matrix built at
+    # the edge of TOL_PD the routes disagree about definiteness
+    @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
+    def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, negative):
+        a, rejected = tol_pd_edge(negative)
         src = tmp_path / "edge.csv"
-        np.savetxt(src, one_tiny_eigenvalue(seed), fmt="%.17g", delimiter=",")
+        np.savetxt(src, a, fmt="%.17g", delimiter=",")
         assert main(["decompose", str(src), "--method", "reference"]) == 0
         capsys.readouterr()
-        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"]):
-            assert main(["decompose", str(src), *flags]) == 3
-            assert pivot in capsys.readouterr().err
-        assert main(["verify", str(src)]) == 1
-
-    @pytest.mark.parametrize("seed", [837, 2345])
-    def test_check_writes_nothing_when_a_route_rejects(self, tmp_path, capsys, seed):
-        # the reference route accepts and the semi-partial route rejects:
         # --check builds every route before it writes anything
-        src = tmp_path / "edge.csv"
-        np.savetxt(src, one_tiny_eigenvalue(seed), fmt="%.17g", delimiter=",")
-        for out in ([], ["--out", str(tmp_path / "L.csv")]):
-            assert main(["decompose", str(src), "--method", "reference", "--check", *out]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "not positive-definite" in captured.err
+        out = ["--out", str(tmp_path / "L.csv")]
+        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"],
+                      ["--method", "reference", "--check", *out], ["--check", *out]):
+            assert main(["decompose", str(src), *flags]) == 3
+            assert capsys.readouterr() == ("", f"error: {rejected}\n")
         assert list(tmp_path.iterdir()) == [src]
+        assert main(["verify", str(src)]) == 1
 
     def test_covariance_zero_variance_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "cov.csv"
@@ -970,6 +939,8 @@ class TestParser:
         unread = []
         for command, parser in subparsers.choices.items():
             source = inspect.getsource(parser.get_default("func"))
+            if "write_output(" in source:  # it reads --out for the command
+                source += inspect.getsource(cli.write_output)
             unread += [(command, action.dest) for action in parser._actions
                        if action.dest not in ("help", "func")
                        and f"args.{action.dest}" not in source]

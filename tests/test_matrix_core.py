@@ -273,7 +273,8 @@ class TestStackedValidation:
     def test_planted_correlation_raises_as_alone(self, kind):
         bad = BAD_CORRELATIONS[kind]
         stack = planted(GOOD, bad)
-        assert raised(matrix_core._correlation_stack, stack) == raised(CorrelationMatrix, bad)
+        assert raised(matrix_core._stack, CorrelationMatrix, stack) == raised(
+            CorrelationMatrix, bad)
 
     def test_rejected_stack_factors_each_element_at_most_once(self, monkeypatch):
         # one stacked factorization, then each element alone once, up to
@@ -289,14 +290,14 @@ class TestStackedValidation:
 
         monkeypatch.setattr(matrix_core, "_reference_factor", counting)
         with pytest.raises(NotPositiveDefinite):
-            matrix_core._correlation_stack(stack)
+            matrix_core._stack(CorrelationMatrix, stack)
         assert calls == [(8, 3, 3)] + [(3, 3)] * 4
 
     def test_first_failing_element_raises(self):
         stack = planted(GOOD, BAD_CORRELATIONS["asymmetric"], at=1)
         stack[3] = with_entries(BASE, {(0, 1): BASE[0, 1] + 1e-3})  # larger asymmetry, later
         stack[4] = BAD_CORRELATIONS["non-finite"]
-        assert raised(matrix_core._correlation_stack, stack) == raised(
+        assert raised(matrix_core._stack, CorrelationMatrix, stack) == raised(
             CorrelationMatrix, BAD_CORRELATIONS["asymmetric"])
 
 
