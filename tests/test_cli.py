@@ -547,21 +547,32 @@ class TestDecompose:
     # known limit (chol_semipartial's docstring): potrf and the semi-partial
     # recursion round the last pivot differently, so on a matrix built at
     # the edge of TOL_PD the routes disagree about definiteness
-    @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
-    def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, negative):
+    @staticmethod
+    def edge_file(tmp_path, capsys, negative):
         a, rejected = tol_pd_edge(negative)
         src = tmp_path / "edge.csv"
         np.savetxt(src, a, fmt="%.17g", delimiter=",")
         assert main(["decompose", str(src), "--method", "reference"]) == 0
         capsys.readouterr()
+        return src, rejected
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
+    def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, negative):
+        src, rejected = self.edge_file(tmp_path, capsys, negative)
+        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"]):
+            assert main(["decompose", str(src), *flags]) == 3
+            assert capsys.readouterr() == ("", f"error: {rejected}\n")
+        assert main(["verify", str(src)]) == 1
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
+    def test_check_writes_nothing_when_a_route_rejects(self, tmp_path, capsys, negative):
         # --check builds every route before it writes anything
+        src, rejected = self.edge_file(tmp_path, capsys, negative)
         out = ["--out", str(tmp_path / "L.csv")]
-        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"],
-                      ["--method", "reference", "--check", *out], ["--check", *out]):
+        for flags in (["--method", "reference", "--check", *out], ["--check", *out]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
         assert list(tmp_path.iterdir()) == [src]
-        assert main(["verify", str(src)]) == 1
 
     def test_covariance_zero_variance_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "cov.csv"
