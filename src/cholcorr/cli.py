@@ -46,7 +46,7 @@ from .matrix_core import (
     reference_cholesky,
 )
 from .parametrizations import chol_detratio, chol_semipartial, extract_signs
-from .randcorr import GeneratorConfig, _chunks, generate_batch
+from .randcorr import GeneratorConfig, _batches
 
 
 def format_value(v: float) -> str:
@@ -73,10 +73,8 @@ def render_table(a: np.ndarray, fmt: str) -> str | list[str]:
     ``.0`` or writes an exponent), and inf and nan. The bytes are the same
     as formatting every cell with ``format_value``.
 
-    Every cell's string and every text of the stack are held at once, so
-    a caller with a long batch passes it one ``randcorr._chunks`` stack
-    at a time, as ``generate`` does: at most 2^16 cells, or one table,
-    per call.
+    Every cell's string and every text of the stack are held at once;
+    ``generate`` passes one chunk of its batch per call.
     """
     a = np.asarray(a, dtype=float)
     stack = a if a.ndim == 3 else np.atleast_2d(a)[None]
@@ -233,16 +231,16 @@ def cmd_decompose(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(n=args.n, seed=args.seed, sign_bias=args.sign_bias)
-    matrices = generate_batch(cfg, args.count)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     args.format = args.format or "csv"
     names = [f"corr_{k:04d}.{args.format}" for k in range(args.count)]
-    for chunk in _chunks(args.n, args.count):
-        texts = render_table(np.stack([matrices[k].values for k in chunk]), args.format)
+    for chunk, matrices in _batches(cfg, args.count):
+        # made once a chunk is built, so a bad --count or --seed makes no directory
+        outdir.mkdir(parents=True, exist_ok=True)
+        texts = render_table(np.stack([m.values for m in matrices]), args.format)
         for k, text in zip(chunk, texts):
             (outdir / names[k]).write_text(text)
-        del texts  # one chunk's strings at a time set the command's peak memory
+        del matrices, texts  # one chunk at a time sets the command's peak memory
     write_manifest(outdir / "manifest.json", args, names)
     return 0
 

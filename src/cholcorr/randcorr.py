@@ -43,13 +43,15 @@ as ``b - (b - a) * u`` with ``u`` on [0, 1). Batch element k uses the
 substream ``SeedSequence(seed, spawn_key=(k,))``, so it does not depend
 on the batch size.
 
-A batch is computed as chunked stacks: each chunk of at most
-``_CHUNK_FLOATS`` floats per stacked array (at least one matrix) draws
-its elements' uniforms, builds their factors with the steps above along
-a leading axis, and validates their correlation matrices in one pass.
-The steps are elementwise, so every byte equals what element-by-element
-generation gives; the chunk bounds peak memory, and at large n a chunk
-is one matrix.
+A batch is streamed as chunked stacks by ``_batches``: each chunk of at
+most ``_CHUNK_FLOATS`` floats per stacked array (at least one matrix)
+draws its elements' uniforms, builds their factors with the steps above
+along a leading axis, and validates their correlation matrices in one
+pass. The steps are elementwise, so every byte equals what
+element-by-element generation gives. ``generate_batch`` lists every
+chunk's matrices; the CLI's ``generate`` writes each chunk's files
+before the next chunk is built, so its memory is one chunk's, and at
+large n a chunk is one matrix.
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ def stream(seed: int, index: int | None = None) -> np.random.Generator:
     per-element substream ``SeedSequence(seed, spawn_key=(index,))``."""
     ss = np.random.SeedSequence(seed, spawn_key=() if index is None else (index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _chunks(n: int, count: int) -> list[range]:
-    """The index ranges, in order, that cut a batch of ``count`` n x n
-    arrays into stacks of at most ``_CHUNK_FLOATS`` floats (at least one
-    array each): the chunks the batch is generated on, and rendered on by
-    the CLI's ``generate``."""
-    step = max(1, _CHUNK_FLOATS // n**2)
-    return [range(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
@@ -142,15 +135,24 @@ def generate(cfg: GeneratorConfig, rng: np.random.Generator | None = None):
     return CholeskyFactor(entries[0]), matrices[0]
 
 
+def _batches(cfg: GeneratorConfig, count: int):
+    """The batch of ``count`` matrices on per-index substreams of
+    ``cfg.seed``, one chunk at a time: yields each chunk's index range
+    and its validated ``CorrelationMatrix`` containers. A chunk's stacked
+    arrays hold at most ``_CHUNK_FLOATS`` floats (at least one matrix),
+    so a consumer that drops each chunk before the next holds one."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    step = max(1, _CHUNK_FLOATS // cfg.n**2)
+    for start in range(0, count, step):
+        chunk = range(start, min(start + step, count))
+        yield chunk, _generate(cfg, [stream(cfg.seed, k) for k in chunk])[1]
+
+
 def generate_batch(cfg: GeneratorConfig, count: int) -> list[CorrelationMatrix]:
     """``count`` matrices on per-index substreams of ``cfg.seed``.
 
     Element k is what ``generate`` produces on substream k, so a longer
     batch with the same seed extends a shorter one elementwise.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    out = []
-    for chunk in _chunks(cfg.n, count):
-        out += _generate(cfg, [stream(cfg.seed, k) for k in chunk])[1]
-    return out
+    return [m for _, matrices in _batches(cfg, count) for m in matrices]

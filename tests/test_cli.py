@@ -175,8 +175,10 @@ class TestRenderTable:
         a = self.FIXED[table]()
         assert render_table(a, "csv") == per_value_csv(a)
 
-    @pytest.mark.parametrize("k, formatted", [(0, [1.0]), (1, [-9.640713378749802e-05, 1.0])])
-    def test_format_value_runs_only_where_repr_differs(self, monkeypatch, k, formatted):
+    # the generated entries are BLAS-rounded, so the values are derived
+    # from the table; element 1 has one entry under 1e-4, element 0 none
+    @pytest.mark.parametrize("k, small", [(0, 0), (1, 1)])
+    def test_format_value_runs_only_where_repr_differs(self, monkeypatch, k, small):
         calls = []
 
         def counted(v):
@@ -184,8 +186,11 @@ class TestRenderTable:
             return format_value(v)
 
         monkeypatch.setattr(cli, "format_value", counted)
-        render_table(generate_batch(GeneratorConfig(n=25, seed=0), 2)[k].values, "csv")
-        assert sorted(calls) == formatted
+        a = generate_batch(GeneratorConfig(n=25, seed=0), 2)[k].values
+        render_table(a, "csv")
+        distinct = np.unique(a.view(np.int64)).view(float).tolist()
+        assert sorted(calls) == sorted(v for v in distinct if repr(v) != format_value(v))
+        assert sum(abs(v) < 1e-4 for v in calls) == small
 
 
 # Cells and line breaks of the differential test: well-formed numbers, and
@@ -507,8 +512,10 @@ class TestDecompose:
 
     def test_check_decision_does_not_depend_on_units(self, tmp_path, capsys):
         # kappa = 1e12, n = 12, seed 9 plus an independent 13th variable: the
-        # routes disagree by 2.05e-9 relative to sigma_j; judged against the
-        # largest variance instead, it passed --tol 1e-9 from sigma_13 = 1000 up
+        # cross-route spread (2.05e-9 under OpenBLAS SkylakeX, 0.34e-9 to
+        # 0.56e-9 under other kernels) is taken relative to sigma_j, so the
+        # line and the --tol where the decision flips do not move with
+        # sigma_13; judged against the largest variance, both did
         a = np.eye(13)
         a[:12, :12] = kappa_correlation(12, 1e12, 9).values
         lines = set()
@@ -518,12 +525,14 @@ class TestDecompose:
             src = tmp_path / "c.csv"
             write_csv(src, a * np.outer(d, d))
             argv = ["decompose", str(src), "--covariance", "--method", "detratio", "--check"]
-            assert main(argv + ["--tol", "1e-9"]) == 1
-            lines.add(capsys.readouterr().err)
-            assert main(argv + ["--tol", "3e-9"]) == 0
-            lines.add(capsys.readouterr().err)
-        assert lines == {"check: reconstruction-error=0.00000000000000011102230246251565 "
-                         "cross-method-discrepancy=0.000000002050820315299814\n"}
+            main(argv)
+            line = capsys.readouterr().err
+            lines.add(line)
+            edge = max(float(field.split("=")[1]) for field in line.split()[1:])
+            assert main(argv + ["--tol", str(edge)]) == 0
+            assert main(argv + ["--tol", str(np.nextafter(edge, 0.0))]) == 1
+            assert {line} == set(capsys.readouterr().err.splitlines(keepends=True))
+        assert len(lines) == 1
 
     def test_json_output(self, tmp_path):
         src = tmp_path / "r.csv"
@@ -634,8 +643,8 @@ class TestGenerate:
 
     def test_strings_held_stay_within_one_chunk(self, tmp_path):
         # 100 matrices are one chunk at n = 25 and 400 are four: the larger
-        # batch may hold its 300 extra containers' arrays, but only one
-        # chunk's strings at a time (the whole batch's would add ~16 MB)
+        # batch holds one chunk's containers and strings at a time (the 300
+        # extra containers would add ~3 MB, their strings ~16 MB)
         def peak(count):
             argv = ["generate", "--n", "25", "--count", str(count), "--seed", "3",
                     "--out", str(tmp_path / str(count))]
@@ -647,9 +656,7 @@ class TestGenerate:
                 tracemalloc.stop()
 
         main(["generate", "--n", "25", "--count", "2", "--out", str(tmp_path / "warm")])
-        extra = generate_batch(GeneratorConfig(n=25, seed=3), 400)[100:]
-        arrays = sum(m.values.nbytes + m._lower.nbytes for m in extra)
-        assert peak(400) - peak(100) <= arrays + 2**20
+        assert peak(400) - peak(100) <= 2**20
 
     def test_bad_count(self, tmp_path):
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(tmp_path / "x")]) == 2
@@ -658,6 +665,12 @@ class TestGenerate:
         outdir = tmp_path / "x"
         assert main(["generate", "--n", "3", "--count", "0", "--out", str(outdir)]) == 2
         assert "count must be at least 1" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_bad_seed_creates_no_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "x"
+        assert main(["generate", "--n", "3", "--seed", "-1", "--out", str(outdir)]) == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
         assert not outdir.exists()
 
 
