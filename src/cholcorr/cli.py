@@ -27,6 +27,7 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -187,8 +188,11 @@ def write_output(text: str, args) -> None:
 def write_manifest(path: Path, args, outputs: list[str]) -> None:
     """The manifest of the command ``args`` ran: every parsed option but
     ``--out``, as the command resolved it (a command stores a value it
-    infers, such as ``format``, on ``args`` before it writes)."""
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    infers, such as ``format``, on ``args`` before it writes). The file is
+    strict JSON: a non-finite option, such as ``--tol inf``, is the string
+    ``"inf"``."""
+    options = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in vars(args).items() if k not in ("command", "func", "out")}
     payload = {
         "command": args.command,
         "options": options,
@@ -201,7 +205,7 @@ def write_manifest(path: Path, args, outputs: list[str]) -> None:
             "tol_ord": TOL_ORD,
         },
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_decompose(args) -> int:
