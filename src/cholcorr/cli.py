@@ -115,7 +115,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     """
     fmt = infer_format(path, fmt)
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: cannot read: {exc}") from exc
     source, a = text, None

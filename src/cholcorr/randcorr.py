@@ -45,9 +45,10 @@ on the batch size.
 
 A batch is streamed as chunked stacks by ``_batches``: each chunk of at
 most ``_CHUNK_FLOATS`` floats per stacked array (at least one matrix)
-draws its elements' uniforms, builds their factors with the steps above
-along a leading axis, and validates their correlation matrices in one
-pass. The steps are elementwise, so every byte equals what
+draws its elements' uniforms, builds their factors one row at a time,
+each row step for all of the chunk's matrices at once (``_factor_entries``
+holds the rows' ladders in one array), and validates their correlation
+matrices in one pass. No step mixes matrices, so every byte equals what
 element-by-element generation gives. ``generate_batch`` lists every
 chunk's matrices; the CLI's ``generate`` writes each chunk's files
 before the next chunk is built, so its memory is one chunk's, and at
@@ -89,30 +90,31 @@ def stream(seed: int, index: int | None = None) -> np.random.Generator:
 
 def _factor_entries(u: np.ndarray, n: int, sign_bias: float) -> np.ndarray:
     """The (k, n, n) stack of factor entries built from a (k, n(n-1))
-    stack of uniforms, row k holding one matrix's draws in contract order."""
+    stack of uniforms, row k holding one matrix's draws in contract order.
+
+    Each matrix gets an (n, n + 1) array of ladders. Its row j (from 1)
+    holds 1, the j - 2 interior rungs of step 2, l_jj^2 and then zeros,
+    so the square roots of the row's successive differences are factor
+    row j, its diagonal sqrt(l_jj^2 - 0) and zero upper part included.
+    One loop step per row fills it for all k matrices at once: the raw
+    draws are sorted ascending, and x -> 1 - (1 - l_jj^2) x, which is
+    non-increasing under rounding, maps them onto the decreasing rungs.
+    """
     count = u.shape[0]
-    entries = np.zeros((count, n, n))
-    entries[:, 0, 0] = 1.0
-    half = n * (n - 1) // 2
     draws = np.sort(1.0 - u[:, : n - 1], axis=-1)[:, ::-1]
     targets = np.concatenate((np.ones((count, 1)), draws), axis=-1)  # D_1 = 1, D_j = U_(j)
     ljj_sq = (targets[:, 1:] / targets[:, :-1])[..., None]  # row j-2 is l_jj^2
-    # row j-2 holds the j-2 raw interior draws of row j, padded with 2 so
-    # that the ascending sort leaves the pads behind them; the map onto
-    # (l_jj^2, 1] is non-increasing under rounding, so it turns the sorted
-    # draws into the decreasing ladder, and the pads become l_jj^2
-    lower = np.broadcast_to(np.tri(n - 1, k=-1, dtype=bool), (count, n - 1, n - 1))
-    inner = np.full(lower.shape, 2.0)
-    inner[lower] = u[:, n - 1 : half].ravel()
-    inner.sort(axis=-1)
-    ladders = np.ones((count, n - 1, n))
-    ladders[..., 1:] = np.where(lower, 1.0 - (1.0 - ljj_sq) * inner, ljj_sq)
-    del inner  # a chunk's live temporaries set the batch's peak memory
-    entries[:, 1:, :-1] = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
-    del ladders
-    np.einsum("...ii->...i", entries[:, 1:, 1:])[...] = np.sqrt(ljj_sq[..., 0])
+    spans = 1.0 - ljj_sq  # row j-2 is the width of (l_jj^2, 1]
+    ladders = np.zeros((count, n, n + 1))
+    ladders[..., 0] = 1.0
+    end = n - 1  # the step-1 draws come first, then j - 2 per row
+    for j in range(2, n + 1):
+        start, end = end, end + j - 2
+        ladders[:, j - 1, 1 : j - 1] = 1.0 - spans[:, j - 2] * np.sort(u[:, start:end], axis=-1)
+        ladders[:, j - 1, j - 1 : j] = ljj_sq[:, j - 2]
+    entries = np.sqrt(ladders[..., :-1] - ladders[..., 1:])
     strict = np.broadcast_to(np.tri(n, k=-1, dtype=bool), entries.shape)
-    entries[strict] *= np.where(u[:, half:] < sign_bias, 1.0, -1.0).ravel()
+    entries[strict] *= 1.0 - 2.0 * (u[:, end:] >= sign_bias).ravel()  # 1 keeps a sign, -1 flips it
     return entries
 
 

@@ -350,6 +350,22 @@ class TestLoadTable:
         assert captured.err.startswith(f"error: {src}: {message}: ")
         assert captured.err.count("\n") == 1
 
+    # float() takes Arabic-Indic digits, so the file parses wherever it is
+    # read as UTF-8; a byte that is not UTF-8 fails under any locale
+    @pytest.mark.parametrize("data, code", [
+        pytest.param("1,\u0660.5\n\u0660.5,1\n".encode(), 0, id="arabic-indic"),
+        pytest.param(b"1,0.5\n0.5,1\xe9\n", 2, id="latin-1")])
+    def test_input_is_utf8_under_an_ascii_locale(self, tmp_path, data, code):
+        src = tmp_path / "m.csv"
+        src.write_bytes(data)
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        runs = [subprocess.run([sys.executable, "-m", "cholcorr.cli", "decompose", str(src)],
+                               capture_output=True, text=True, env={**child_env(), **extra})
+                for extra in (ascii_locale, {"PYTHONUTF8": "1"})]
+        assert [run.returncode for run in runs] == [code, code]
+        assert runs[0].stdout == runs[1].stdout
+        assert ("cannot read" in runs[0].stderr) == (code == 2)
+
     @pytest.mark.parametrize("header", ['"n": 3, ', ""])
     def test_json_n_equal_to_the_width_or_missing_is_accepted(self, tmp_path, header):
         # a 2 x 3 sample block: "n" counts columns, as render_table writes it

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -95,7 +96,7 @@ def stepwise_factor(n, seed, sign_bias):
 
 
 class TestDrawContract:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 25, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 25, 64, 100, 200])
     @pytest.mark.parametrize("sign_bias", [0.0, 0.3, 0.5, 1.0])
     def test_matches_stepwise_draws_bit_for_bit(self, n, sign_bias):
         for seed in range(5):
@@ -104,6 +105,26 @@ class TestDrawContract:
             expected, after = stepwise_factor(n, seed, sign_bias)
             assert factor.entries.tobytes() == expected.tobytes()
             assert rng.random() == after.random()  # n(n-1) uniforms taken, no more
+
+
+class TestPinnedFactorBytes:
+    """sha256 of generated factor entries. L is built by sorts and
+    elementwise arithmetic, with no BLAS call, so the pins hold on every
+    OpenBLAS kernel; R's bytes pass through a gemm and are not pinned here."""
+
+    FACTOR = {
+        1: "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+        2: "f46de1dabe715315247d10f3041c7ea618af1172cece44f4431898a07172c978",
+        3: "94be9a5e565240fcf54c6674d256abf8f843829e1b17453c9d9885029687a2ad",
+        25: "fa9fe3f7f3b2007f70cbcf817703d149d1ac85a889cf1c17b0756f968a5b734e",
+        64: "7e126402c0731b1132f05a92f03ac27442b706b26775fda6694d01aefde6166e",
+        200: "ddd9a0295f35777c305e9e68736aadfa71c2d07117f689388c3a6c50692360f0",
+    }
+
+    @pytest.mark.parametrize("n", sorted(FACTOR))
+    def test_factor_bytes(self, n):
+        factor, _ = generate(GeneratorConfig(n, seed=0, sign_bias=0.3))
+        assert hashlib.sha256(factor.entries.tobytes()).hexdigest() == self.FACTOR[n]
 
 
 class TestGenerateBatch:
