@@ -28,7 +28,7 @@ import cholcorr.cli as cli
 import cholcorr.dependence_test as dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky
 from cholcorr.cli import format_value, load_table, main, render_table
-from cholcorr.identities import ALL_VERIFIERS, TOL_ORD, IdentityReport
+from cholcorr.identities import ALL_VERIFIERS, IdentityReport, check_order_conditions
 from cholcorr.errors import NotPositiveDefinite
 from cholcorr.matrix_core import (
     TOL_PD,
@@ -567,7 +567,7 @@ class TestDecompose:
         manifest = json.loads((tmp_path / "L.csv.manifest.json").read_text())
         assert manifest["command"] == "decompose"
         assert manifest["options"]["method"] == "semipartial"
-        assert "tol_pd" in manifest["tolerances"]
+        assert manifest["tolerances"] == {"tol_sym": 1e-10, "tol_pd": 1e-12, "tol_rec": 1e-9}
 
     # known limit (chol_semipartial's docstring): potrf and the semi-partial
     # recursion round the last pivot differently, so on a matrix built at
@@ -587,7 +587,16 @@ class TestDecompose:
         for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
+        # verify fails at the order check when the file's Schur pivots do,
+        # and otherwise at the semi-partial route, before any verifier runs
         assert main(["verify", str(src)]) == 1
+        if check_order_conditions(load_table(str(src), None)):
+            expected = ("det-order: ok\nratio-order: ok\n",
+                        f"failed: positive-definite construction ({rejected})\n")
+        else:
+            expected = ("det-order: violated\nratio-order: violated\n",
+                        "failed: leading-minor ordering, ratio-ladder ordering\n")
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
     def test_check_writes_nothing_when_a_route_rejects(self, tmp_path, capsys, negative):
@@ -799,8 +808,9 @@ class TestPinnedBytes:
 class TestVerify:
     @pytest.mark.parametrize("n, kappa", [(64, 1e2), (12, 1e4)])
     def test_kappa_family_passes(self, tmp_path, capsys, n, kappa):
-        # their determinants lie far below TOL_ORD; the orderings are judged on
-        # the ratios of successive leading minors
+        # their determinants lie below TOL_PD (5.4e-22 to 5.9e-22 at n = 64,
+        # 7.4e-14 to 8.1e-13 at n = 12); the orderings are judged on the
+        # ratios of successive leading minors
         for seed in range(3):
             src = tmp_path / f"k{seed}.csv"
             write_csv(src, kappa_correlation(n, kappa, seed).values)
@@ -827,22 +837,25 @@ class TestVerify:
         assert captured.out.count("residual=") == 4
         assert captured.err == ""
 
-    def test_pivot_between_tol_pd_and_tol_ord_is_not_evaluated(self, tmp_path, capsys):
-        # kappa = 1e12, n = 12, seed 2: the smallest Schur pivot, 2.6e-11, lies
-        # above TOL_PD, so the container accepts the matrix and every identity
-        # residual is small (1.04e-14 at most with OpenBLAS's SkylakeX kernel),
-        # but below TOL_ORD, so verify stops at the order check
+    def test_pivot_near_tol_pd_passes_decompose_and_verify(self, tmp_path, capsys):
+        # kappa = 1e12, n = 12, seed 2: the smallest Schur pivot, 2.6e-11, is
+        # within two orders of TOL_PD, and decompose --check and verify agree
+        # that the matrix is positive-definite; the largest residual reads
+        # 9.7e-15 to 4.04e-14 under the SkylakeX, Haswell, Sandybridge and
+        # Prescott kernels
         r = kappa_correlation(12, 1e12, 2)
-        assert TOL_PD < np.min(_schur_steps(r.values)[0]) < TOL_ORD
-        assert max(fn(r).max_residual for _, fn, _ in ALL_VERIFIERS) < 1e-13
+        assert TOL_PD < np.min(_schur_steps(r.values)[0]) < 100 * TOL_PD
         src = tmp_path / "k.csv"
         write_csv(src, r.values)
         assert main(["decompose", str(src), "--check"]) == 0
         capsys.readouterr()
-        assert main(["verify", str(src)]) == 1
+        assert main(["verify", str(src)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "det-order: violated\nratio-order: violated\n"
-        assert captured.err == "failed: leading-minor ordering, ratio-ladder ordering\n"
+        assert captured.err == ""
+        assert captured.out.startswith("det-order: ok\nratio-order: ok\n")
+        residuals = [float(line.split("=")[1]) for line in captured.out.splitlines()
+                     if "residual=" in line]
+        assert len(residuals) == 4 and max(residuals) < 1e-13
 
     @pytest.mark.parametrize("n, kappa", [(120, 1e8), (200, 1e6)])
     def test_underflowing_minors_leave_every_residual_in_contract(self, tmp_path, capsys,
@@ -864,9 +877,9 @@ class TestVerify:
         assert all(np.isfinite(x) and x <= contract_bound(r) for x in residuals)
 
     def test_walks_the_inverse_chain_once(self, tmp_path, monkeypatch):
-        # the three chain verifiers share one walk (n - 1 solves) and the
-        # two semi-partial readers share one factor; each is counted where
-        # the identities module looks it up
+        # the three chain verifiers share one walk (n - 1 solves), and
+        # cmd_verify and the two semi-partial readers share one factor; each
+        # is counted where cli and the identities module look it up
         import cholcorr.identities as identities
         src = tmp_path / "r.csv"
         write_csv(src, generate_batch(GeneratorConfig(n=25, seed=4), 1)[0].values)
@@ -879,8 +892,9 @@ class TestVerify:
             return wrapped
 
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-        monkeypatch.setattr(identities, "chol_semipartial",
-                            counting("chol_semipartial", identities.chol_semipartial))
+        semipartial = counting("chol_semipartial", identities.chol_semipartial)
+        for module in (cli, identities):
+            monkeypatch.setattr(module, "chol_semipartial", semipartial)
         assert main(["verify", str(src)]) == 0
         assert calls == {"solve": 24, "chol_semipartial": 1}
 

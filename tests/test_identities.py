@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from cholcorr.errors import NotPositiveDefinite
 from cholcorr.identities import (
     ALL_VERIFIERS,
-    TOL_ORD,
     check_order_conditions,
     verify_general_recursion,
     verify_product_sums,
@@ -29,6 +28,7 @@ from cholcorr.identities import (
     verify_recursion,
 )
 from cholcorr.matrix_core import (
+    TOL_PD,
     CorrelationMatrix,
     _schur_steps,
     leading_minor_determinants,
@@ -379,10 +379,11 @@ class TestDeterminantLadders:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_orders_hold_on_valid_input(self, seed):
-        # ratios in (0, 1] that never increase, within TOL_ORD
+        # ratios above TOL_PD, the containers' pivot floor, that start at 1
+        # and never increase, up to a rounding slack of TOL_PD
         for ladder in pivot_ladders(random_correlation(7, seed)):
-            assert np.all(ladder > TOL_ORD) and np.all(ladder <= 1.0 + TOL_ORD)
-            assert np.all(np.diff(ladder) <= TOL_ORD)
+            assert np.all(ladder > TOL_PD) and np.all(ladder <= 1.0 + TOL_PD)
+            assert np.all(np.diff(ladder) <= TOL_PD)
 
 
 def lu_bordered(a, i, j):
@@ -453,7 +454,7 @@ class TestCheckOrderConditions:
             pivots, steps = _schur_steps(a)
         d = schur_ladders(a, steps)
         ok = check_order_conditions(a)
-        assert ok == bool(np.all(pivots > TOL_ORD))
+        assert ok == bool(np.all(pivots > TOL_PD))
         if family == "zero_pivot":
             assert not ok
         if ok:
@@ -514,8 +515,9 @@ class TestCheckOrderConditions:
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_kappa_family_keeps_both_orderings(self, n, kappa):
-        # from n = 12, kappa = 1e4 (about 3e-13) the determinant lies far below
-        # TOL_ORD, while each ratio of successive leading minors stays above it
+        # from n = 12, kappa = 1e4 (2.8e-14 to 8.1e-13) the determinant lies
+        # below TOL_PD, while each ratio of successive leading minors stays
+        # above it
         for seed in range(5):
             assert check_order_conditions(kappa_correlation(n, kappa, seed).values) is True
 
