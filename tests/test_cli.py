@@ -588,7 +588,8 @@ class TestDecompose:
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
         # verify fails at the order check when the file's Schur pivots do,
-        # and otherwise at the semi-partial route, before any verifier runs
+        # and otherwise at the semi-partial route, which product_sums builds
+        # before it prints a residual
         assert main(["verify", str(src)]) == 1
         if check_order_conditions(load_table(str(src), None)):
             expected = ("det-order: ok\nratio-order: ok\n",
@@ -877,9 +878,9 @@ class TestVerify:
         assert all(np.isfinite(x) and x <= contract_bound(r) for x in residuals)
 
     def test_walks_the_inverse_chain_once(self, tmp_path, monkeypatch):
-        # the three chain verifiers share one walk (n - 1 solves), and
-        # cmd_verify and the two semi-partial readers share one factor; each
-        # is counted where cli and the identities module look it up
+        # the three chain verifiers share one walk (n - 1 solves) and the
+        # two semi-partial readers share one factor; each is counted where
+        # the identities module looks it up
         import cholcorr.identities as identities
         src = tmp_path / "r.csv"
         write_csv(src, generate_batch(GeneratorConfig(n=25, seed=4), 1)[0].values)
@@ -892,9 +893,8 @@ class TestVerify:
             return wrapped
 
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-        semipartial = counting("chol_semipartial", identities.chol_semipartial)
-        for module in (cli, identities):
-            monkeypatch.setattr(module, "chol_semipartial", semipartial)
+        monkeypatch.setattr(identities, "chol_semipartial",
+                            counting("chol_semipartial", identities.chol_semipartial))
         assert main(["verify", str(src)]) == 0
         assert calls == {"solve": 24, "chol_semipartial": 1}
 
