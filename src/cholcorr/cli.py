@@ -28,6 +28,8 @@ import functools
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -102,7 +104,8 @@ def infer_format(path: str | None, flag: str | None) -> str:
 
 
 def load_table(path: str, fmt: str | None) -> np.ndarray:
-    """Rectangular float table from a CSV or JSON file.
+    """Rectangular float table from a CSV or JSON file, read as UTF-8 with
+    any leading byte-order mark skipped.
 
     CSV lines that are empty or whitespace-only are dropped, and a
     well-formed table is read by one ``np.loadtxt`` call on the rest of
@@ -115,7 +118,7 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     """
     fmt = infer_format(path, fmt)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: cannot read: {exc}") from exc
     source, a = text, None
@@ -181,7 +184,7 @@ def write_output(text: str, args) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        _write_file(Path(args.out), text)
         write_manifest(Path(args.out + ".manifest.json"), args, [args.out])
 
 
@@ -204,7 +207,22 @@ def write_manifest(path: Path, args, outputs: list[str]) -> None:
             "tol_rec": TOL_REC,
         },
     }
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_file(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _write_file(path: Path, text: str) -> None:
+    """``text`` to ``path``. A regular file with one link is unlinked and
+    created anew: on ext4, a file truncated to zero starts writeback when it
+    is closed, and the next truncate waits for it. Any other path (missing,
+    a symlink, a hard-linked file, a device, a FIFO), and one that cannot be
+    stat'ed or unlinked, is written in place."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass
+    path.write_text(text)
 
 
 def cmd_decompose(args) -> int:
@@ -242,7 +260,7 @@ def cmd_generate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         texts = render_table(np.stack([m.values for m in matrices]), args.format)
         for k, text in zip(chunk, texts):
-            (outdir / names[k]).write_text(text)
+            _write_file(outdir / names[k], text)
         del matrices, texts  # one chunk at a time sets the command's peak memory
     write_manifest(outdir / "manifest.json", args, names)
     return 0

@@ -50,10 +50,11 @@ matrix A it was given, correlation or covariance, meets
 
 The bound does not depend on kappa, and A -> D A D leaves it unchanged,
 so it has no units. The same tests pin it on the same families for every
-route, the reference included; the worst ratio of the two sides is about
-0.17. It is the sharper of the two: one entry of the kappa = 1e12 detratio
-factor moved by 1e-10 relative takes the ratio to 11.6, while the entry
-stays within the forward contract.
+route, the reference included; the worst ratio of the two sides is 0.17
+under OpenBLAS's SkylakeX kernel and 0.20 under Haswell, Sandybridge and
+Prescott. It is the sharper of the two: one entry of the kappa = 1e12
+detratio factor moved by 1e-10 relative takes the ratio to 11.6, while
+the entry stays within the forward contract.
 """
 
 from __future__ import annotations

@@ -79,6 +79,14 @@ def contract_bound(r):
     return r.n * np.linalg.cond(r.values) * np.finfo(float).eps
 
 
+def margin(error, bound):
+    """How many times over ``error`` meets ``bound``: bound / error, and inf
+    for an error of 0 (nan for a nan error, which fails any floor). The
+    accuracy tests hold a floor on it, so a margin that falls far below the
+    one measured fails before the bound itself does."""
+    return bound / error if error else math.inf
+
+
 def backward_ratio(l, a):
     """max |L L^T - A| / (gamma_{n+1} |L| |L^T|) entrywise, with
     gamma_{n+1} = (n + 1) eps / (1 - (n + 1) eps): at most 1 when the factor

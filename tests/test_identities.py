@@ -12,6 +12,7 @@ from helpers import (
     contract_bound,
     hard_correlations,
     kappa_correlation,
+    margin,
     random_correlation,
     schur_ladders,
 )
@@ -198,18 +199,21 @@ class TestKappaSweep:
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
     def test_residuals_within_n_kappa_eps(self, n, kappa):
-        # every accepted matrix is evaluated: no verifier raises
+        # every accepted matrix is evaluated: no verifier raises. The smallest
+        # margin over the four OpenBLAS kernels is 480x; the floor is 240x.
         bound = n * kappa * np.finfo(float).eps
         for seed in range(20):
             r = kappa_correlation(n, kappa, seed)
             for _, fn, _ in ALL_VERIFIERS:
-                assert fn(r).max_residual <= bound
+                assert margin(fn(r).max_residual, bound) >= 240
 
 
 class TestHardInputs:
     """The n * kappa * eps contract on the families ``TestAccuracyContract``
     runs the factor routes over: AR(1) near |rho| = 1, equicorrelation near
-    -1/(n-1), and planted tiny entries."""
+    -1/(n-1), and planted tiny entries. The smallest margin over the OpenBLAS
+    SkylakeX, Haswell, Sandybridge and Prescott kernels is 74x; the floor
+    is 35x."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("family", ["ar1", "equicorrelation", "planted"])
@@ -218,7 +222,7 @@ class TestHardInputs:
     def test_residuals_within_n_kappa_eps(self, family, n, data):
         r = data.draw(hard_correlations(n)[family])
         for _, fn, _ in ALL_VERIFIERS:
-            assert fn(r).max_residual <= contract_bound(r)
+            assert margin(fn(r).max_residual, contract_bound(r)) >= 35
 
 
 class TestStreamedChain:

@@ -6,6 +6,7 @@ from helpers import (
     contract_bound,
     hard_correlations,
     kappa_correlation,
+    margin,
     random_correlation,
 )
 from hypothesis import given, settings
@@ -319,8 +320,9 @@ ROUTES = ["semipartial", "detratio", "covariance"]
 
 class TestAccuracyContract:
     """Every route within n * kappa * eps of the reference on the three
-    families of ``helpers.hard_correlations``; the margins measured over
-    200 draws per family and n are 50x or more."""
+    families of ``helpers.hard_correlations``. The smallest margin of these
+    draws is 72x over the OpenBLAS SkylakeX, Haswell, Sandybridge and
+    Prescott kernels; the test holds a floor of 35x."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("route", ROUTES)
@@ -329,23 +331,27 @@ class TestAccuracyContract:
     @given(data=st.data())
     def test_within_bound(self, family, route, n, data):
         r = data.draw(hard_correlations(n)[family])
-        assert route_error(route, r) <= contract_bound(r)
+        assert margin(route_error(route, r), contract_bound(r)) >= 35
 
 
 class TestDetratioAccuracy:
+    """The smallest margin over the four kernels is 1170x; the floor is 500x."""
+
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8, 1e10, 1e12])
     def test_kappa_sweep_within_contract(self, n, kappa):
         for seed in range(20):
             r = kappa_correlation(n, kappa, seed)
-            assert route_error("detratio", r) <= contract_bound(r), seed
+            assert margin(route_error("detratio", r), contract_bound(r)) >= 500, seed
 
 
 class TestBackwardErrorContract:
     """Every route, the reference included, within the backward-error
     bound |L L^T - A| <= gamma_{n+1} |L| |L^T| on the matrix it factors
     (module docstring), on the hard families and the kappa sweep. The
-    worst ratio measured over them is about 0.17."""
+    smallest margin over the four kernels, 1 / ratio, is 4.9 on the hard
+    families (worst ratio 0.20) and 5.2 on the sweep; the floors are 2.4
+    and 2.5."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("route", ["reference", *ROUTES])
@@ -354,7 +360,7 @@ class TestBackwardErrorContract:
     @given(data=st.data())
     def test_hard_families_within_bound(self, family, route, n, data):
         factor, m, _ = route_factor(route, data.draw(hard_correlations(n)[family]))
-        assert backward_ratio(factor.entries, m.values) <= 1
+        assert margin(backward_ratio(factor.entries, m.values), 1) >= 2.4
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("route", ["reference", *ROUTES])
@@ -362,7 +368,7 @@ class TestBackwardErrorContract:
         for kappa in (1e4, 1e6, 1e8, 1e10, 1e12):
             for seed in range(10):
                 factor, m, _ = route_factor(route, kappa_correlation(n, kappa, seed))
-                assert backward_ratio(factor.entries, m.values) <= 1, (kappa, seed)
+                assert margin(backward_ratio(factor.entries, m.values), 1) >= 2.5, (kappa, seed)
 
     def test_one_entry_off_by_1e_10_relative_breaks_it(self):
         # the forward contract, n * kappa * eps at kappa = 1e12, lets it pass
