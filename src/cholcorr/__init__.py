@@ -38,7 +38,7 @@ from .parametrizations import (
     chol_semipartial,
     extract_signs,
 )
-from .randcorr import GeneratorConfig, generate, generate_batch, stream
+from .randcorr import GeneratorConfig, generate, stream
 
 __all__ = [
     "Ar1Spec",
@@ -61,7 +61,6 @@ __all__ = [
     "chol_semipartial",
     "extract_signs",
     "generate",
-    "generate_batch",
     "leading_minor_determinants",
     "reference_cholesky",
     "sample_mvn",

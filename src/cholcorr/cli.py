@@ -48,7 +48,7 @@ from .matrix_core import (
     CovarianceMatrix,
     reference_cholesky,
 )
-from .parametrizations import chol_detratio, chol_semipartial, extract_signs
+from .parametrizations import chol_detratio, chol_semipartial
 from .randcorr import GeneratorConfig, _batches
 
 
@@ -231,7 +231,7 @@ def cmd_decompose(args) -> int:
     # names are looked up when the command runs, so a name rebound after
     # import (the benchmark's tracer) is honoured
     routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
-              "detratio": lambda m: chol_detratio(m, extract_signs(m._once(chol_semipartial)))}
+              "detratio": chol_detratio}
     factor = m._once(routes[args.method])
     # every route the command reports is built before anything is written
     factors = [m._once(route).entries for route in routes.values()] if args.check else []

@@ -19,10 +19,11 @@ units of the data. Leading principal minors are running products of
 pivots, which is numerically sturdier than recursing on the determinant
 identity directly; the recursion itself is exercised by the
 ``identities`` module as a cross-check. One Schur elimination
-(``_schur_steps``) that shares no code with LAPACK returns its pivots
-and its steps, s_ji^2 / s_ii, the diagonal of the rank-one update that
+(``_schur_steps``) that shares no code with LAPACK returns its pivots,
+its steps, s_ji^2 / s_ii, the diagonal of the rank-one update that
 step i subtracts: the squared factor entries, read where they are
-formed rather than as a difference of two ratios of order 1. Pivot j is
+formed rather than as a difference of two ratios of order 1, and the
+signs of the s_ji, which are the factor's signs. Pivot j is
 a_jj less the steps of column j, so the ratios of bordered minors, the
 partial sums on the way, follow from the steps;
 ``identities.verify_ratio_differences`` is the one caller that forms
@@ -342,8 +343,8 @@ def leading_minor_determinants(m) -> np.ndarray:
 
 
 def _schur_steps(a):
-    """The pivots and the steps of one Schur elimination, as
-    ``(pivots, steps)``.
+    """The pivots, the steps and the signs of one Schur elimination, as
+    ``(pivots, steps, signs)``.
 
     ``pivots[i]`` (0-based) is the diagonal entry i that the elimination
     leaves: the Schur complement of the leading i-block, the ratio
@@ -353,14 +354,18 @@ def _schur_steps(a):
     ``steps[j, 0]``, ..., ``steps[j, j - 1]``, rounded once per step in
     that order. The partial sums on the way are the ladder of column j,
     the bordered-minor ratios |B_{i+1}^{j+1}| / |R_i| for i = 0..j.
+    ``signs`` is the integer (n, n) array of the signs of the s_ji that
+    the steps square, -1 or +1 below the diagonal (0 maps to +1) and 0
+    elsewhere: s_ji / sqrt(s_ii) is entry (j, i) of the Cholesky factor.
 
     One right-looking symmetric elimination, O(n^3), with no pivoting, no
     square root and no definiteness assumed (Golub & Van Loan, *Matrix
     Computations*, 4.2); an exactly zero pivot leaves inf or nan below it.
     Step i writes only below and right of pivot i, so the elimination
-    runs in place and both arrays are read off its result: the pivots, a
-    read-only view, from its diagonal, and ``steps`` from each column
-    below its pivot, with the rounding the update used.
+    runs in place and all three arrays are read off its result: the
+    pivots, a read-only view, from its diagonal, and ``steps`` and
+    ``signs`` from each column below its pivot, with the rounding the
+    update used.
     """
     s = np.array(a, dtype=float)
     with np.errstate(all="ignore"):  # a zero pivot leaves inf/nan below it
@@ -368,4 +373,5 @@ def _schur_steps(a):
             col = s[i + 1:, i]
             s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
         low = np.tril(s, -1)  # column i below pivot i, as step i read it
-        return s.diagonal(), np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
+        steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
+        return s.diagonal(), steps, np.tril(np.where(low < 0.0, -1, 1), -1)

@@ -13,10 +13,10 @@ successive ratios of bordered principal minors,
     l_ji = s_ij sqrt( |B_i^j| / |R_{i-1}| - |B_{i+1}^j| / |R_i| ),
 
 with ``B_i^j`` the leading (i-1)-block bordered by column j's prefix and
-``s_ij`` an externally supplied sign (the determinants fix magnitudes
-only). Both routes must agree with the reference factorization entrywise:
-``decompose --check`` fails beyond its ``--tol`` (default ``TOL_REC``),
-and acceptance gate 1 holds them to 1e-9 on generated matrices.
+``s_ij`` a sign that the determinants do not fix. Both routes must
+agree with the reference factorization entrywise: ``decompose --check``
+fails beyond its ``--tol`` (default ``TOL_REC``), and acceptance gate 1
+holds them to 1e-9 on generated matrices.
 
 With the reference they compute the same quantities by different code,
 not different mathematics, and share none of its code: q_ij grows by the
@@ -26,9 +26,11 @@ after eliminating 1..i-1, so one right-looking elimination
 (``matrix_core._schur_steps``) passes through every row's ladder. The
 difference of two successive ratios is the diagonal entry s_ji^2 / s_ii
 of the rank-one update that step i subtracts, and the last ratio is the
-pivot; the kernel returns just these ``pivots`` and ``steps``, and the
-second route reads its squared entries there, where a small one keeps
-its digits, instead of subtracting two ratios of order 1.
+pivot. The kernel returns just these ``pivots`` and ``steps``, and the
+signs of the s_ji, which are the signs s_ij of the l_ji. The second route
+reads its squared entries and its signs there, where a small entry keeps
+its digits, instead of subtracting two ratios of order 1 (a caller may
+pass other signs). So the two routes share no code and no signs.
 ``identities.verify_ratio_differences`` forms the ratios and checks the
 subtracted form. The other ``identities`` verifiers solve against the
 leading blocks instead.
@@ -90,17 +92,20 @@ def chol_semipartial(r: CorrelationMatrix | CovarianceMatrix) -> CholeskyFactor:
     at or below ``TOL_PD * a_ii`` raises ``NotPositiveDefinite``, the
     reference's unit-free test.
 
-    Accurate to n * kappa * eps (module docstring); over 200 draws per
-    tested family at n = 12 and 64 the smallest margin is about 110x.
+    Accurate to n * kappa * eps (module docstring). On the hard families
+    of ``TestAccuracyContract`` at n = 12 and 64 the smallest margin over
+    OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernels is
+    259x.
 
     Known limit: this recursion and ``potrf`` round a pivot differently,
     so where it lies within rounding of ``TOL_PD * a_ii`` the two can
     disagree about definiteness. With OpenBLAS's SkylakeX kernel, on seed
     837 of ``one_tiny_eigenvalue`` in ``tests/helpers.py`` (n = 65),
     written with ``%.17g``, ``CorrelationMatrix`` accepts (``potrf``'s
-    pivot 65 is 1.0004e-12) but this route rejects pivot 65 at
+    pivot 65 is 1.000477e-12) but this route rejects pivot 65 at
     9.989787e-13; on seed 2345 (n = 54) it rejects pivot 54 at
-    -5.341949e-12 against 1.195e-11. Other kernels round otherwise, so
+    -5.341949e-12 against ``potrf``'s 3.008675e-11. Other kernels round
+    otherwise (README tabulates four), so
     ``TestDecompose::test_routes_split_at_the_tol_pd_edge`` in
     ``tests/test_cli.py`` builds such a matrix on the running kernel.
     """
@@ -127,9 +132,10 @@ def extract_signs(l: CholeskyFactor) -> np.ndarray:
     return s
 
 
-def chol_detratio(r: CorrelationMatrix | CovarianceMatrix, signs: np.ndarray) -> CholeskyFactor:
+def chol_detratio(r: CorrelationMatrix | CovarianceMatrix,
+                  signs: np.ndarray | None = None) -> CholeskyFactor:
     """Cholesky factor with magnitudes from determinant-ratio differences
-    and signs supplied externally.
+    and the signs of its own elimination, or of ``signs``.
 
     For row j the ratios |B_i^j| / |R_{i-1}| (i = 1..j, starting at a_jj
     and ending at |R_j|/|R_{j-1}|) are the diagonal entries j of one Schur
@@ -138,25 +144,27 @@ def chol_detratio(r: CorrelationMatrix | CovarianceMatrix, signs: np.ndarray) ->
     and each difference of successive ratios, a squared entry, is the
     step s_ji^2 / s_ii that the elimination's update forms, so it is
     never negative. A pivot at or below ``TOL_PD * a_ii`` raises
-    ``NotPositiveDefinite``. ``signs`` is an (n, n) array with +1 or -1
+    ``NotPositiveDefinite``. The sign of entry (j, i) is that of the s_ji
+    the same elimination forms (0 taken as +1, as ``extract_signs``
+    does), unless ``signs`` is given: an (n, n) array with +1 or -1
     below the diagonal and 0 elsewhere, as ``extract_signs`` returns. The
-    diagonal does not depend on signs; ``decompose`` takes them from the
-    semi-partial factor, so the two routes are not independent in sign.
-    On a covariance matrix row j equals sigma_j times row j of the
-    correlation factor.
+    diagonal does not depend on signs. On a covariance matrix row j
+    equals sigma_j times row j of the correlation factor.
 
     Accurate to n * kappa * eps, row j to sigma_j times that on a
-    covariance matrix (module docstring); over 200 draws per tested
-    family at n = 12 and 64 the smallest margin is about 50x on
-    correlation input and about 120x on covariance input.
+    covariance matrix (module docstring). Over OpenBLAS's SkylakeX,
+    Haswell, Sandybridge and Prescott kernels the smallest margin is 84x
+    on the hard families of ``TestAccuracyContract`` at n = 12 and 64
+    (132x on covariance input), and 1173x on the kappa sweep of
+    ``TestDetratioAccuracy``.
     """
     n = r.n
-    signs = np.asarray(signs)
+    pivots, steps, own = _schur_steps(r.values)
+    signs = own if signs is None else np.asarray(signs)
     if signs.shape != (n, n):
         raise ValueError(f"sign array is {signs.shape}, matrix has n={n}")
     if np.any(np.abs(signs) != np.tri(n, k=-1)):  # true for nan
         raise ValueError("signs must be +1 or -1 below the diagonal and 0 elsewhere")
-    pivots, steps = _schur_steps(r.values)
     ok = pivots > TOL_PD * r.values.diagonal()
     if not ok.all():
         k = int(np.argmin(ok))

@@ -55,7 +55,7 @@ def input_tables():
 
 # decompose --check builds every route once, whichever --method it writes
 ROUTES = {"matrix_core.reference_cholesky": 1, "parametrizations.chol_semipartial": 1,
-          "parametrizations.chol_detratio": 1, "parametrizations.extract_signs": 1}
+          "parametrizations.chol_detratio": 1}
 VERIFIERS = {f"identities.{fn.__name__}": 1 for _, fn, _ in ALL_VERIFIERS}
 
 # case -> (argv, exit code, the spans of one traced run, the input whose

@@ -604,18 +604,31 @@ class TestDecompose:
 
     @pytest.mark.parametrize("negative", [False, True], ids=["below-tol-pd", "negative"])
     def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, negative):
+        # each route reports its own decision. The semi-partial route
+        # rejects, and so does --check, which builds it before the ratio
+        # route. The ratio route judges the Schur pivots that verify's
+        # order check judges: where they pass, it writes its factor and
+        # verify fails at the semi-partial route, which product_sums
+        # builds before it prints a residual
         src, rejected = self.edge_file(tmp_path, capsys, negative)
-        for flags in (["--method", "semipartial"], ["--method", "detratio"], ["--check"]):
+        for flags in (["--method", "semipartial"], ["--check"]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
-        # verify fails at the order check when the file's Schur pivots do,
-        # and otherwise at the semi-partial route, which product_sums builds
-        # before it prints a residual
+        a = load_table(str(src), None)
+        pivots = _schur_steps(CorrelationMatrix(a).values)[0]
+        ok = bool(np.all(pivots > TOL_PD))
+        assert check_order_conditions(a) == ok
+        code = main(["decompose", str(src), "--method", "detratio"])
+        captured = capsys.readouterr()
         assert main(["verify", str(src)]) == 1
-        if check_order_conditions(load_table(str(src), None)):
+        if ok:
+            assert (code, captured.err) == (0, "")
             expected = ("det-order: ok\nratio-order: ok\n",
                         f"failed: positive-definite construction ({rejected})\n")
         else:
+            k = int(np.argmin(pivots > TOL_PD))
+            own = NotPositiveDefinite(k + 1, pivots[k])
+            assert (code, captured.out, captured.err) == (3, "", f"error: {own}\n")
             expected = ("det-order: violated\nratio-order: violated\n",
                         "failed: leading-minor ordering, ratio-ladder ordering\n")
         assert capsys.readouterr() == expected

@@ -455,7 +455,7 @@ class TestCheckOrderConditions:
         # to its pivot
         a = order_input(family, n, seed)
         with np.errstate(all="ignore"):
-            pivots, steps = _schur_steps(a)
+            pivots, steps, _ = _schur_steps(a)
         d = schur_ladders(a, steps)
         ok = check_order_conditions(a)
         assert ok == bool(np.all(pivots > TOL_PD))
@@ -502,7 +502,7 @@ class TestCheckOrderConditions:
 
     def test_identity(self):
         assert check_order_conditions(np.eye(5)) is True
-        pivots, steps = _schur_steps(np.eye(5))
+        pivots, steps, _ = _schur_steps(np.eye(5))
         np.testing.assert_array_equal(pivots, np.ones(5))
         np.testing.assert_array_equal(schur_ladders(np.eye(5), steps), np.triu(np.ones((5, 5))))
 

@@ -23,7 +23,7 @@ PUBLIC = [
     "NotPositiveDefinite", "SampleMatrix",
     "StageResult", "TestReport", "ar1_cholesky", "ar1_matrix", "check_order_conditions",
     "chol_detratio", "chol_semipartial", "extract_signs", "generate",
-    "generate_batch", "leading_minor_determinants", "reference_cholesky", "sample_mvn",
+    "leading_minor_determinants", "reference_cholesky", "sample_mvn",
     "sequential_test", "stream", "verify_general_recursion", "verify_product_sums",
     "verify_ratio_differences", "verify_recursion",
 ]

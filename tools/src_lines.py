@@ -14,13 +14,18 @@ Lines that are blank or comments outside docstrings count only in the
 total, so total >= docstring + code.
 
 Run from the root of a checkout; an optional argument names another
-package directory to count instead:
+package directory to count instead. ``--against`` names a second package
+directory, such as a parent commit's unpacked with
+``git archive <commit> src | tar -x -C /tmp/parent``; each row then also
+gives the change of its three numbers from that directory's, a module
+missing from one side counting as zero lines there:
 
-    python3 tools/src_lines.py [path/to/src/cholcorr]
+    python3 tools/src_lines.py [path/to/src/cholcorr] [--against /tmp/parent/src/cholcorr]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -53,18 +58,34 @@ def count(path: Path) -> tuple[int, int, int]:
     return len(lines), len(docs), code
 
 
+def counts(src: Path) -> dict[str, tuple[int, int, int]]:
+    """``count`` of every module of the package directory ``src``, by file name."""
+    return {path.name: count(path) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else SRC
-    if not src.is_dir():
-        print(f"{src} not found", file=sys.stderr)
-        return 2
-    print(f"{'module':<22}{'total':>7}{'docstring':>11}{'code':>7}")
-    sums = [0, 0, 0]
-    for path in sorted(src.glob("*.py")):
-        row = count(path)
-        sums = [s + v for s, v in zip(sums, row)]
-        print(f"{path.name:<22}{row[0]:>7}{row[1]:>11}{row[2]:>7}")
-    print(f"{'all modules':<22}{sums[0]:>7}{sums[1]:>11}{sums[2]:>7}")
+    parser = argparse.ArgumentParser(description="Count the lines of each module.")
+    parser.add_argument("src", nargs="?", type=Path, default=SRC)
+    parser.add_argument("--against", type=Path, metavar="BASE")
+    args = parser.parse_args(argv)
+    for src in (args.src, args.against):
+        if src is not None and not src.is_dir():
+            print(f"{src} not found", file=sys.stderr)
+            return 2
+    rows = counts(args.src)
+    base = counts(args.against) if args.against else {}
+    for table in (rows, base):
+        table["all modules"] = tuple(sum(row[k] for row in table.values()) for k in range(3))
+    header = f"{'module':<22}{'total':>7}{'docstring':>11}{'code':>7}"
+    print(header + (f"{'Δtotal':>8}{'Δdocstring':>12}{'Δcode':>7}" if args.against else ""))
+    names = sorted((rows.keys() | base.keys()) - {"all modules"}) + ["all modules"]
+    for name in names:
+        row = rows.get(name, (0, 0, 0))
+        line = f"{name:<22}{row[0]:>7}{row[1]:>11}{row[2]:>7}"
+        if args.against:
+            delta = [v - b for v, b in zip(row, base.get(name, (0, 0, 0)))]
+            line += f"{delta[0]:>+8}{delta[1]:>+12}{delta[2]:>+7}"
+        print(line)
     return 0
 
 
