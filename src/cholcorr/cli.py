@@ -10,12 +10,15 @@ output can be piped. Exit codes are a stable contract:
 
 Matrix files are headerless CSV (one row per line, '.' decimals) or JSON
 objects {"n": <int>, "rows": [[...], ...]}. Sample files for ``test`` are
-rectangular CSV/JSON blocks, one row per observation. All numbers are
-printed in shortest round-trip form, so parse -> print -> parse is
-lossless for 64-bit floats. Whenever a command writes files, a manifest
-is written alongside them. It records the command, every parsed option
-except --out as the command resolved it (the inferred format, test's
-default target), the library version and the tolerances.
+rectangular CSV/JSON blocks, one row per observation. An input's format is
+read from its content, whatever the file is named: JSON when its first
+non-blank character is '{' or '[', CSV otherwise. ``--format`` names only
+what a command writes. All numbers are printed in shortest round-trip
+form, so parse -> print -> parse is lossless for 64-bit floats. Whenever a
+command writes files, a manifest is written alongside them. It records the
+command, every parsed option except --out as the command resolved it (the
+output format, test's default target), the library version and the
+tolerances.
 
 Run as the program (``main()`` with no argv), ``main`` freezes the objects
 left by the imports, so that the collections at interpreter exit skip them.
@@ -103,9 +106,11 @@ def infer_format(path: str | None, flag: str | None) -> str:
     return "csv"
 
 
-def load_table(path: str, fmt: str | None) -> np.ndarray:
+def load_table(path: str) -> np.ndarray:
     """Rectangular float table from a CSV or JSON file, read as UTF-8 with
-    any leading byte-order mark skipped.
+    any leading byte-order mark skipped. The text is JSON when its first
+    non-blank character is ``{`` or ``[``, and CSV otherwise; the file's
+    name plays no part.
 
     CSV lines that are empty or whitespace-only are dropped, and a
     well-formed table is read by one ``np.loadtxt`` call on the rest of
@@ -116,11 +121,11 @@ def load_table(path: str, fmt: str | None) -> np.ndarray:
     which words the error for the first bad cell or accepts the syntax
     numpy does not (``1_0``, non-ASCII digits).
     """
-    fmt = infer_format(path, fmt)
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: cannot read: {exc}") from exc
+    fmt = "json" if text.lstrip().startswith(("{", "[")) else "csv"
     source, a = text, None
     if fmt == "csv":
         source = [line for line in text.splitlines() if line.strip()]
@@ -191,9 +196,9 @@ def write_output(text: str, args) -> None:
 def write_manifest(path: Path, args, outputs: list[str]) -> None:
     """The manifest of the command ``args`` ran: every parsed option but
     ``--out``, as the command resolved it (a command stores a value it
-    infers, such as ``format``, on ``args`` before it writes). The file is
-    strict JSON: a non-finite option, such as ``--tol inf``, is the string
-    ``"inf"``."""
+    infers, such as the output ``format``, on ``args`` before it writes).
+    The file is strict JSON: a non-finite option, such as ``--tol inf``,
+    is the string ``"inf"``."""
     options = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
                for k, v in vars(args).items() if k not in ("command", "func", "out")}
     payload = {
@@ -226,7 +231,7 @@ def _write_file(path: Path, text: str) -> None:
 
 
 def cmd_decompose(args) -> int:
-    a = load_table(args.input, args.format)
+    a = load_table(args.input)
     m = CovarianceMatrix(a) if args.covariance else CorrelationMatrix(a)
     # names are looked up when the command runs, so a name rebound after
     # import (the benchmark's tracer) is honoured
@@ -253,7 +258,6 @@ def cmd_decompose(args) -> int:
 def cmd_generate(args) -> int:
     cfg = GeneratorConfig(n=args.n, seed=args.seed, sign_bias=args.sign_bias)
     outdir = Path(args.out)
-    args.format = args.format or "csv"
     names = [f"corr_{k:04d}.{args.format}" for k in range(args.count)]
     for chunk, matrices in _batches(cfg, args.count):
         # made once a chunk is built, so a bad --count or --seed makes no directory
@@ -267,7 +271,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a = load_table(args.input, args.format)
+    a = load_table(args.input)
     ok = check_order_conditions(a)  # one decision stands for both orderings
     word = "ok" if ok else "violated"
     print(f"det-order: {word}\nratio-order: {word}")
@@ -295,8 +299,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_test(args) -> int:
-    args.format = infer_format(args.data, args.format)
-    a = load_table(args.data, args.format)
+    a = load_table(args.data)
     try:
         x = SampleMatrix(a)
     except ValueError as exc:
@@ -344,11 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
+    def add_common(p):
         p.add_argument("--format", choices=("csv", "json"),
-                       help="file format (default: inferred from extension, csv otherwise)")
-        if out:
-            p.add_argument("--out", help="output path (default: stdout)")
+                       help="output format (default: json if --out ends in .json, csv otherwise)")
+        p.add_argument("--out", help="output path (default: stdout)")
 
     d = sub.add_parser("decompose", help="factor a correlation or covariance matrix")
     d.add_argument("input", help="matrix file")
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=int, default=1, help="number of matrices")
     g.add_argument("--sign-bias", type=float, default=0.5,
                    help="probability of a positive off-diagonal factor entry")
-    g.add_argument("--format", choices=("csv", "json"))
+    g.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default: csv)")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     g.set_defaults(func=cmd_generate)
@@ -377,14 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("input", help="matrix file")
     v.add_argument("--tol", type=_tolerance, default=TOL_REC,
                    help="largest acceptable identity residual")
-    add_common(v, out=False)  # verify writes only to stdout
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("test", help="sequential dependence t-test on a sample block")
     t.add_argument("data", help="N x p sample file, one row per observation")
     t.add_argument("--target", type=int, help="1-based column to test (default: last)")
     t.add_argument("--alpha", type=float, default=0.05, help="test level")
-    add_common(t)
+    t.add_argument("--out", help="output path (default: stdout)")
     t.set_defaults(func=cmd_test)
 
     r = sub.add_parser("ar1", help="AR(1) matrix, factor, or autocorrelated samples")

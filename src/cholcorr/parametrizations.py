@@ -52,11 +52,12 @@ matrix A it was given, correlation or covariance, meets
 
 The bound does not depend on kappa, and A -> D A D leaves it unchanged,
 so it has no units. The same tests pin it on the same families for every
-route, the reference included; the worst ratio of the two sides is 0.17
-under OpenBLAS's SkylakeX kernel and 0.20 under Haswell, Sandybridge and
-Prescott. It is the sharper of the two: one entry of the kappa = 1e12
-detratio factor moved by 1e-10 relative takes the ratio to 11.6, while
-the entry stays within the forward contract.
+route, the reference included; the worst ratio of the two sides is 0.18
+under OpenBLAS's SkylakeX and Haswell kernels and 0.19 under Sandybridge
+and Prescott (``tools/margins.py`` prints 1 / ratio per test). It is the
+sharper of the two: one entry of the kappa = 1e12 detratio factor moved
+by 1e-10 relative takes the ratio to 11.6, while the entry stays within
+the forward contract.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def chol_semipartial(r: CorrelationMatrix | CovarianceMatrix) -> CholeskyFactor:
     Accurate to n * kappa * eps (module docstring). On the hard families
     of ``TestAccuracyContract`` at n = 12 and 64 the smallest margin over
     OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott kernels is
-    259x.
+    259x; ``tools/margins.py`` prints it on the running kernel.
 
     Known limit: this recursion and ``potrf`` round a pivot differently,
     so where it lies within rounding of ``TOL_PD * a_ii`` the two can
@@ -156,7 +157,8 @@ def chol_detratio(r: CorrelationMatrix | CovarianceMatrix,
     Haswell, Sandybridge and Prescott kernels the smallest margin is 84x
     on the hard families of ``TestAccuracyContract`` at n = 12 and 64
     (132x on covariance input), and 1173x on the kappa sweep of
-    ``TestDetratioAccuracy``.
+    ``TestDetratioAccuracy``; ``tools/margins.py`` prints them on the
+    running kernel.
     """
     n = r.n
     pivots, steps, own = _schur_steps(r.values)

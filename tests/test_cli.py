@@ -255,7 +255,7 @@ class TestLoadTable:
         src = tmp_path / "m.csv"
         src.write_text(text)
         with pytest.raises(ValueError) as err:
-            load_table(str(src), None)
+            load_table(str(src))
         assert str(err.value) == f"{src}: {self.FAILURES[text]}"
 
     @pytest.mark.parametrize("text", [
@@ -276,7 +276,7 @@ class TestLoadTable:
         src.write_bytes(text.encode())
         lines = [line for line in text.splitlines() if line.strip()]
         expected = [[float(v) for v in line.split(",")] for line in lines]
-        assert load_table(str(src), None).tolist() == expected
+        assert load_table(str(src)).tolist() == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, shape", [
@@ -290,9 +290,9 @@ class TestLoadTable:
         src.write_text(text)
         if shape is None:
             with pytest.raises(ValueError, match="the table has no rows"):
-                load_table(str(src), None)
+                load_table(str(src))
         else:
-            assert load_table(str(src), None).shape == shape
+            assert load_table(str(src)).shape == shape
 
     def test_whitespace_only_lines_skip_the_per_cell_loop(self, tmp_path, monkeypatch):
         def refuse(*args):
@@ -301,13 +301,13 @@ class TestLoadTable:
         monkeypatch.setattr(cli, "_parse_cells", refuse)
         src = tmp_path / "m.csv"
         src.write_text("1,0.5\n  \n0.5,1\n\t\n  \n")
-        assert load_table(str(src), None).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        assert load_table(str(src)).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_json_n_must_match_the_row_width(self, tmp_path):
         src = tmp_path / "m.json"
         src.write_text('{"n": 5, "rows": [[1, 0.5], [0.5, 1]]}')
         with pytest.raises(ValueError) as err:
-            load_table(str(src), None)
+            load_table(str(src))
         assert str(err.value) == f"{src}: 'n' is 5 but the rows have 2 columns"
         assert main(["decompose", str(src)]) == 2
 
@@ -327,7 +327,7 @@ class TestLoadTable:
         src = tmp_path / "m.json"
         src.write_text(text)
         with pytest.raises(ValueError) as err:
-            load_table(str(src), None)
+            load_table(str(src))
         assert str(err.value) == f"{src}: {message}"
         assert main(["decompose", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {src}: {message}\n"
@@ -377,7 +377,7 @@ class TestLoadTable:
         plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
         plain.write_bytes(text.encode())
         marked.write_bytes(codecs.BOM_UTF8 + text.encode())
-        assert load_table(str(marked), None).tobytes() == load_table(str(plain), None).tobytes()
+        assert load_table(str(marked)).tobytes() == load_table(str(plain)).tobytes()
         outs = []
         for src in (marked, plain):
             assert main(["decompose", str(src)]) == 0
@@ -385,25 +385,25 @@ class TestLoadTable:
         assert outs[0] == outs[1]
         marked.write_bytes(codecs.BOM_UTF8 + text.encode() + b"\xe9")
         with pytest.raises(ValueError, match=f"^{re.escape(str(marked))}: cannot read: "):
-            load_table(str(marked), None)
+            load_table(str(marked))
 
     @pytest.mark.parametrize("header", ['"n": 3, ', ""])
     def test_json_n_equal_to_the_width_or_missing_is_accepted(self, tmp_path, header):
         # a 2 x 3 sample block: "n" counts columns, as render_table writes it
         src = tmp_path / "m.json"
         src.write_text('{' + header + '"rows": [[1, 2, 3], [4, 5, 6]]}')
-        assert load_table(str(src), None).tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert load_table(str(src)).tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_json_cells_are_numbers_or_float_strings(self, tmp_path):
         src = tmp_path / "m.json"
         src.write_text('{"rows": [[1, "0.5"], [" 5e-1 ", 1e0]]}')
-        assert load_table(str(src), None).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        assert load_table(str(src)).tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_json_written_by_render_table_reads_back(self, tmp_path):
         a = np.random.default_rng(6).standard_normal((4, 3))
         src = tmp_path / "m.json"
         src.write_text(render_table(a, "json"))
-        assert load_table(str(src), None).tobytes() == a.tobytes()
+        assert load_table(str(src)).tobytes() == a.tobytes()
 
     @settings(max_examples=500, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -415,7 +415,7 @@ class TestLoadTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                got = load_table(str(src), None)
+                got = load_table(str(src))
             except ValueError as exc:
                 got = str(exc)
         if isinstance(expected, str):
@@ -424,6 +424,76 @@ class TestLoadTable:
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+class TestFormatByContent:
+    """An input is JSON when its first non-blank character is ``{`` or ``[``
+    and CSV otherwise, whatever its file is called; ``--format`` names only
+    the output."""
+
+    def test_load_table_takes_only_a_path(self):
+        assert list(inspect.signature(load_table).parameters) == ["path"]
+
+    def test_decompose_writes_json_from_a_csv_matrix(self, tmp_path, capsys):
+        src, out = tmp_path / "r.csv", tmp_path / "L.json"
+        write_csv(src, planted_correlation(5, 2).values)
+        assert main(["decompose", str(src), "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert main(["decompose", str(src), "--out", str(out)]) == 0
+        assert captured.out == out.read_text()
+        assert json.loads(captured.out)["n"] == 5
+
+    @pytest.mark.parametrize("command", ["decompose", "verify", "test"])
+    def test_a_misnamed_file_is_read_by_its_content(self, tmp_path, capsys, command):
+        a = (planted_correlation(5, 2).values if command != "test"
+             else np.random.default_rng(8).standard_normal((40, 3)))
+        outs = []
+        for name, fmt in [("m.csv", "csv"), ("m.json", "json"),
+                          ("json.csv", "json"), ("csv.json", "csv")]:
+            src = tmp_path / name
+            src.write_text(render_table(a, fmt))
+            assert main([command, str(src)]) == 0, name
+            outs.append(capsys.readouterr())
+        assert outs[2:] == outs[:2]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text", ['  \n\t{"rows": [[1, 0.5], [0.5, 1]]}',
+                                      '\ufeff{"rows": [[1, 0.5], [0.5, 1]]}'])
+    def test_blanks_and_a_byte_order_mark_before_json(self, tmp_path, text):
+        src = tmp_path / "m.csv"
+        src.write_text(text, encoding="utf-8")
+        assert load_table(str(src)).tolist() == [[1, 0.5], [0.5, 1]]
+
+    @pytest.mark.parametrize("command, name", [("verify", "m.csv"), ("test", "x.csv")])
+    def test_format_is_not_an_option_of_verify_or_test(self, tmp_path, capsys, command, name):
+        src = tmp_path / name
+        write_csv(src, planted_correlation(4, 1).values)
+        with pytest.raises(SystemExit) as stop:
+            main([command, str(src), "--format", "csv"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_a_top_level_json_array_is_not_a_table(self, tmp_path, capsys):
+        # the same text in m.json is a case of test_json_failure_messages
+        src = tmp_path / "m.csv"
+        src.write_text("[[1, 0.5], [0.5, 1]]")
+        assert main(["decompose", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: expected an object with a 'rows' field\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "verify", "test"])
+    @pytest.mark.parametrize("name", ["m.csv", "m.json"])
+    def test_an_empty_file_is_a_usage_error(self, tmp_path, capsys, command, name):
+        src = tmp_path / name
+        src.write_text("")
+        assert main([command, str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: the table has no rows\n"
+
+    def test_a_bare_number_is_a_one_by_one_csv_table(self, tmp_path):
+        src = tmp_path / "m.json"
+        src.write_text("5\n")
+        assert load_table(str(src)).tolist() == [[5.0]]
 
 
 def tol_pd_edge(negative):
@@ -614,7 +684,7 @@ class TestDecompose:
         for flags in (["--method", "semipartial"], ["--check"]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
-        a = load_table(str(src), None)
+        a = load_table(str(src))
         pivots = _schur_steps(CorrelationMatrix(a).values)[0]
         ok = bool(np.all(pivots > TOL_PD))
         assert check_order_conditions(a) == ok
@@ -1069,7 +1139,7 @@ class TestManifest:
                          {"n": 3, "count": 1, "sign_bias": 0.5, "format": "csv", "seed": 0}),
             "test": (["test", str(block), "--out", str(tmp_path / "t.txt")],
                      tmp_path / "t.txt.manifest.json",
-                     {"data": str(block), "target": 3, "alpha": 0.05, "format": "json"}),
+                     {"data": str(block), "target": 3, "alpha": 0.05}),
             "ar1": (["ar1", "--n", "3", "--rho", "0.2", "--out", str(tmp_path / "a.out")],
                     tmp_path / "a.out.manifest.json",
                     {"n": 3, "rho": 0.2, "emit": "matrix", "count": 1, "format": "csv",

@@ -39,8 +39,8 @@ options:
   --check               report reconstruction error and cross-method
                         discrepancy on stderr
   --tol TOL             threshold for --check failures
-  --format {csv,json}   file format (default: inferred from extension, csv
-                        otherwise)
+  --format {csv,json}   output format (default: json if --out ends in .json,
+                        csv otherwise)
   --out OUT             output path (default: stdout)
 """,
     ("generate",): """\
@@ -53,37 +53,31 @@ options:
   --count COUNT         number of matrices
   --sign-bias SIGN_BIAS
                         probability of a positive off-diagonal factor entry
-  --format {csv,json}
+  --format {csv,json}   output format (default: csv)
   --out OUT             output directory
   --seed SEED           64-bit stream seed
 """,
     ("verify",): """\
-usage: cholcorr verify [-h] [--tol TOL] [--format {csv,json}] input
+usage: cholcorr verify [-h] [--tol TOL] input
 
 positional arguments:
-  input                matrix file
+  input       matrix file
 
 options:
-  -h, --help           show this help message and exit
-  --tol TOL            largest acceptable identity residual
-  --format {csv,json}  file format (default: inferred from extension, csv
-                       otherwise)
+  -h, --help  show this help message and exit
+  --tol TOL   largest acceptable identity residual
 """,
     ("test",): """\
-usage: cholcorr test [-h] [--target TARGET] [--alpha ALPHA]
-                     [--format {csv,json}] [--out OUT]
-                     data
+usage: cholcorr test [-h] [--target TARGET] [--alpha ALPHA] [--out OUT] data
 
 positional arguments:
-  data                 N x p sample file, one row per observation
+  data             N x p sample file, one row per observation
 
 options:
-  -h, --help           show this help message and exit
-  --target TARGET      1-based column to test (default: last)
-  --alpha ALPHA        test level
-  --format {csv,json}  file format (default: inferred from extension, csv
-                       otherwise)
-  --out OUT            output path (default: stdout)
+  -h, --help       show this help message and exit
+  --target TARGET  1-based column to test (default: last)
+  --alpha ALPHA    test level
+  --out OUT        output path (default: stdout)
 """,
     ("ar1",): """\
 usage: cholcorr ar1 [-h] --n N --rho RHO [--emit {matrix,factor,samples}]
@@ -96,8 +90,8 @@ options:
   --rho RHO             lag-one coefficient, |rho| < 1
   --emit {matrix,factor,samples}
   --count COUNT         sample rows (emit=samples)
-  --format {csv,json}   file format (default: inferred from extension, csv
-                        otherwise)
+  --format {csv,json}   output format (default: json if --out ends in .json,
+                        csv otherwise)
   --out OUT             output path (default: stdout)
   --seed SEED           64-bit stream seed
 """,

@@ -200,7 +200,8 @@ class TestKappaSweep:
     @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
     def test_residuals_within_n_kappa_eps(self, n, kappa):
         # every accepted matrix is evaluated: no verifier raises. The smallest
-        # margin over the four OpenBLAS kernels is 480x; the floor is 240x.
+        # margin over the four OpenBLAS kernels is 480x (tools/margins.py);
+        # the floor is 240x.
         bound = n * kappa * np.finfo(float).eps
         for seed in range(20):
             r = kappa_correlation(n, kappa, seed)
@@ -212,8 +213,8 @@ class TestHardInputs:
     """The n * kappa * eps contract on the families ``TestAccuracyContract``
     runs the factor routes over: AR(1) near |rho| = 1, equicorrelation near
     -1/(n-1), and planted tiny entries. The smallest margin over the OpenBLAS
-    SkylakeX, Haswell, Sandybridge and Prescott kernels is 74x; the floor
-    is 35x."""
+    SkylakeX, Haswell, Sandybridge and Prescott kernels is 148x, as printed
+    by ``tools/margins.py``; the floor is 35x."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("family", ["ar1", "equicorrelation", "planted"])

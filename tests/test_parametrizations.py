@@ -349,7 +349,7 @@ class TestAccuracyContract:
     families of ``helpers.hard_correlations``. The smallest margin of these
     draws is 84x over the OpenBLAS SkylakeX, Haswell, Sandybridge and
     Prescott kernels (the ratio route under Prescott); the test holds a
-    floor of 35x."""
+    floor of 35x. ``tools/margins.py`` prints the margins of these tests."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("route", ROUTES)
@@ -363,7 +363,7 @@ class TestAccuracyContract:
 
 class TestDetratioAccuracy:
     """The smallest margin over the four kernels is 1173x (under
-    Sandybridge); the floor is 500x."""
+    Sandybridge, printed by ``tools/margins.py``); the floor is 500x."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("kappa", [1e4, 1e6, 1e8, 1e10, 1e12])
@@ -377,9 +377,9 @@ class TestBackwardErrorContract:
     """Every route, the reference included, within the backward-error
     bound |L L^T - A| <= gamma_{n+1} |L| |L^T| on the matrix it factors
     (module docstring), on the hard families and the kappa sweep. The
-    smallest margin over the four kernels, 1 / ratio, is 4.9 on the hard
-    families (worst ratio 0.20) and 5.2 on the sweep; the floors are 2.4
-    and 2.5."""
+    smallest margin over the four kernels, 1 / ratio, is 5.45 on the hard
+    families (worst ratio 0.18) and 5.2 on the sweep, as printed by
+    ``tools/margins.py``; the floors are 2.4 and 2.5."""
 
     @pytest.mark.parametrize("n", [12, 64])
     @pytest.mark.parametrize("route", ["reference", *ROUTES])
