@@ -237,9 +237,11 @@ def cmd_decompose(args) -> int:
     # import (the benchmark's tracer) is honoured
     routes = {"reference": reference_cholesky, "semipartial": chol_semipartial,
               "detratio": chol_detratio}
-    factor = m._once(routes[args.method])
-    # every route the command reports is built before anything is written
-    factors = [m._once(route).entries for route in routes.values()] if args.check else []
+    # each route the command reports, every one under --check, is built once
+    # in table order before anything is written: --check reports the first
+    # rejection in that order, whatever --method is
+    factors = {k: route(m) for k, route in routes.items() if args.check or k == args.method}
+    factor = factors[args.method]
     args.format = infer_format(args.out, args.format)
     write_output(render_table(factor.entries, args.format), args)
     if args.check:
@@ -247,7 +249,7 @@ def cmd_decompose(args) -> int:
         # have no units; a correlation matrix's sigmas are exactly 1
         sigma = np.sqrt(m.values.diagonal())
         recon = float(np.max(np.abs(factor.reconstruct() - m.values) / np.outer(sigma, sigma)))
-        cross = float(np.max(np.ptp(np.stack(factors), axis=0) / sigma[:, None]))
+        cross = float(np.max(np.ptp([f.entries for f in factors.values()], 0) / sigma[:, None]))
         print(f"check: reconstruction-error={format_value(recon)} "
               f"cross-method-discrepancy={format_value(cross)}", file=sys.stderr)
         if recon > args.tol or cross > args.tol:

@@ -31,7 +31,7 @@ n * kappa * eps. The verifiers evaluate every matrix that
 orthogonal spectra log-spaced from 1 to 1/kappa (n in {12, 64}, kappa in
 {1e2, 1e6, 1e10}, 20 seeds each) the smallest margin is 480x, and on
 AR(1) near |rho| = 1, equicorrelation near -1/(n-1) and planted tiny
-entries it is 148x, over the OpenBLAS SkylakeX, Haswell, Sandybridge and
+entries it is 72x, over the OpenBLAS SkylakeX, Haswell, Sandybridge and
 Prescott kernels; ``tests/test_identities.py`` holds about half of each.
 ``python3 tools/margins.py`` prints these margins on the running kernel.
 

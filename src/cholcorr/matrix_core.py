@@ -34,10 +34,10 @@ are immutable and safe to share across threads. ``CorrelationMatrix`` and
 ``CovarianceMatrix`` keep the factor they were validated with, which
 ``reference_cholesky`` returns and whose squared diagonal, the pivots,
 ``leading_minor_determinants`` reads (both take only a container, so every
-matrix they see has been validated), and keep every value derived from
-them through ``_once`` (a factor route, the verifiers' walk of the leading
-blocks): each is built once per container. Two threads may each build the
-same value, but the results are equal.
+matrix they see has been validated). ``_once`` serves the ``identities``
+verifiers: it keeps the values they share, their walk of the leading
+blocks and the semi-partial factor, each built once per container. Two
+threads may each build the same value, but the results are equal.
 
 The one validation path takes a stack: each check, and the ``potrf``
 factorization, reads one n x n matrix or a (k, n, n) stack alike, so a

@@ -6,6 +6,7 @@ it checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -156,6 +157,31 @@ def schur_steps_reference(a):
         s[i + 1:, i + 1:] -= update
         steps[i + 1:, i] = update.diagonal()
     return d, steps
+
+
+def exact_schur(a):
+    """The Schur elimination of ``matrix_core._schur_steps`` in
+    ``fractions.Fraction`` arithmetic on the same float input, as
+    ``(pivots, steps, signs)``: nested lists of the exact values that the
+    kernel rounds. ``pivots[i]`` is the exact pivot i, ``steps[j][i]``
+    (j > i, 0 elsewhere) the exact s_ji^2 / s_ii, and ``signs[j][i]`` the
+    sign of the exact s_ji, -1 or +1 (0 maps to +1) below the diagonal
+    and 0 elsewhere. Every float converts exactly, so nothing is rounded.
+    As in the kernel, only the lower triangle is read. A zero pivot
+    raises ``ZeroDivisionError``. The fractions grow with each step;
+    keep n small."""
+    n = len(a)
+    s = [[Fraction(x) for x in row[:j + 1]] for j, row in enumerate(np.asarray(a).tolist())]
+    steps = [[Fraction(0)] * n for _ in range(n)]
+    signs = [[0] * n for _ in range(n)]
+    for i in range(n):
+        scaled = {k: s[k][i] / s[i][i] for k in range(i + 1, n)}
+        for j in range(i + 1, n):
+            steps[j][i] = s[j][i] * scaled[j]
+            signs[j][i] = -1 if s[j][i] < 0 else 1
+            for k in range(i + 1, j + 1):
+                s[j][k] -= s[j][i] * scaled[k]
+    return [s[i][i] for i in range(n)], steps, signs
 
 
 def per_cell_csv(text):

@@ -571,11 +571,6 @@ class TestDecompose:
         assert captured.out == ""
         assert "unit diagonal" in captured.err
 
-    def test_nonsquare_exit_code(self, tmp_path):
-        src = tmp_path / "rect.csv"
-        src.write_text("1,0.5,0\n0.5,1,0\n")
-        assert main(["decompose", str(src)]) == 2
-
     @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_nonsquare_is_usage_error(self, tmp_path, capsys, command):
         src = tmp_path / "rect.csv"
@@ -676,12 +671,13 @@ class TestDecompose:
     def test_routes_split_at_the_tol_pd_edge(self, tmp_path, capsys, negative):
         # each route reports its own decision. The semi-partial route
         # rejects, and so does --check, which builds it before the ratio
-        # route. The ratio route judges the Schur pivots that verify's
-        # order check judges: where they pass, it writes its factor and
-        # verify fails at the semi-partial route, which product_sums
-        # builds before it prints a residual
+        # route whatever --method is. The ratio route judges the Schur
+        # pivots that verify's order check judges: where they pass, it
+        # writes its factor and verify fails at the semi-partial route,
+        # which product_sums builds before it prints a residual
         src, rejected = self.edge_file(tmp_path, capsys, negative)
-        for flags in (["--method", "semipartial"], ["--check"]):
+        for flags in (["--method", "semipartial"], ["--check"],
+                      ["--method", "detratio", "--check"]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
         a = load_table(str(src))
@@ -708,7 +704,8 @@ class TestDecompose:
         # --check builds every route before it writes anything
         src, rejected = self.edge_file(tmp_path, capsys, negative)
         out = ["--out", str(tmp_path / "L.csv")]
-        for flags in (["--method", "reference", "--check", *out], ["--check", *out]):
+        for flags in (["--method", "reference", "--check", *out], ["--check", *out],
+                      ["--method", "detratio", "--check", *out]):
             assert main(["decompose", str(src), *flags]) == 3
             assert capsys.readouterr() == ("", f"error: {rejected}\n")
         assert list(tmp_path.iterdir()) == [src]
