@@ -337,6 +337,21 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _tol_joined(argv) -> list[str]:
+    """``argv`` with each ``--tol`` and a value after it that starts with a
+    single '-' joined into one ``--tol=<value>``: argparse takes a negative
+    number in exponent form, such as ``-1e-9``, for an option, so
+    ``_tolerance`` would not see it. A long option after ``--tol`` is left
+    alone, so a missing value still reads ``expected one argument``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tol" and arg[:1] == "-" and arg[1:2] != "-":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs far
@@ -408,7 +423,7 @@ def main(argv=None) -> int:
         # run as the program: every object the imports left lives until exit,
         # and frozen ones are skipped by the collections at exit
         gc.freeze()
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_tol_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NotPositiveDefinite, NearSingular) as exc:

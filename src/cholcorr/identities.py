@@ -12,16 +12,16 @@ makes one LAPACK ``gesv`` solve (LU with partial pivoting, no code
 shared with ``potrf`` or the semi-partial recursion) and from it the
 bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i}, holding only
 the current and previous G. Block i's LU costs O(i^3), so the walk, and
-with it ``cholcorr verify``, is O(n^4): 10.8 ms at n = 100 and 781 ms at
-n = 400 in a one-off measurement (best of 3-8 walks on
-``kappa_correlation(n, 1e4, 1)``, one BLAS thread, a shared 2-core
-x86-64 host). The one- and two-column recursions are checked on the
-difference of successive G; ``verify_recursion`` is one column of the
-two-column recursion that ``verify_general_recursion`` checks. The walk
-does not read the semi-partial factor C: ``verify_product_sums``
-compares the rows of G the walk keeps with all running sums of products
-at once, as the one triangular product tril(C, -1) C^T. The semi-partial
-factor is built once per matrix as well.
+with it ``cholcorr verify``, is O(n^4): 9.6 ms at n = 100 and 776 ms at
+n = 400, as ``python3 tools/growth.py`` measured it (best of 3 walks,
+one BLAS thread, a shared 2-core x86-64 host with AVX-512). The one-
+and two-column recursions are checked on the difference of successive
+G; ``verify_recursion`` is one column of the two-column recursion that
+``verify_general_recursion`` checks. The walk does not read the
+semi-partial factor C: ``verify_product_sums`` compares the rows of G
+the walk keeps with all running sums of products at once, as the one
+triangular product tril(C, -1) C^T. The semi-partial factor is built
+once per matrix as well.
 
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
@@ -85,22 +85,30 @@ def _chain(r: CorrelationMatrix):
     with rest_j = rho_ij - q_ij, whose entry j = i is 1 - q_ii, the
     two-column residual at step i is
     |G_i - G_{i-1} - rest^T rest / (1 - q_ii)| over j >= l >= i+1, and the
-    one-column ``recursion`` residual is its l = i+1 column. ``q[i, j-1]``
-    (0-based row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is
-    what ``verify_product_sums`` reads, and the walk does not read the
+    one-column ``recursion`` residual is its l = i+1 column. One step is
+    the solve and the product that give G_i, then the residual in one
+    array, in place: the difference, less the rank-one step, its absolute
+    value, and 0 at l > j through a mask built once before the loop. Each
+    operation rounds as on a fresh array, so the bytes are those of the
+    plain loop in ``tests/helpers.chain_reference``. ``q[i, j-1]`` (0-based
+    row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is what
+    ``verify_product_sums`` reads, and the walk does not read the
     semi-partial factor. Each report is the first worst residual in
     (i, j, l) order, 1-based; l is 0 for the one-column identity.
     """
     a, n = r.values, r.n
     prev = np.zeros((n + 1, n + 1))  # G_0 on indices 0..n
     q, rec = np.zeros((n, n)), np.zeros((n, n))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # l > j, cut from each residual
     general = (-1.0, (0, 0, 0))
     for i in range(1, n):
         border = a[:i, i - 1:]
         g = border.T @ np.linalg.solve(a[:i, :i], border)  # G_i on indices i..n
         rest = a[i - 1, i - 1:] - prev[1, 1:]  # rho_ij - q_ij; 1 - q_ii first
-        step = np.multiply.outer(rest[1:], rest[1:]) / rest[0]
-        res = np.tril(np.abs(g[1:, 1:] - prev[2:, 2:] - step))
+        res = g[1:, 1:] - prev[2:, 2:]
+        res -= np.multiply.outer(rest[1:], rest[1:]) / rest[0]
+        np.abs(res, out=res)
+        np.copyto(res, 0.0, where=upper[i:, i:])
         q[i, i:], rec[i, i:] = g[1, 1:], res[:, 0]
         j, l = divmod(int(np.argmax(res)), n - i)
         if res[j, l] > general[0]:
@@ -112,8 +120,8 @@ def _chain(r: CorrelationMatrix):
 def _worst(name: str, res: np.ndarray, first: int) -> IdentityReport:
     """The report of the first largest entry of ``res`` over j >= i+1, in
     (i, j) order, where row 0 of ``res`` is i = ``first`` and column j - 1
-    is column j."""
-    res = np.where(np.triu(np.ones(res.shape, dtype=bool), first), res, -1.0)
+    is column j. Writes -1 into ``res`` below that range."""
+    np.copyto(res, -1.0, where=np.tri(*res.shape, first - 1, dtype=bool))
     i, j = divmod(int(np.argmax(res)), res.shape[1])
     return IdentityReport(name, float(res[i, j]), (i + first, j + 1, 0))
 
@@ -130,7 +138,9 @@ def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
     if r.n < 2:
         raise ValueError("need n >= 2")
     c = r._once(chol_semipartial).entries  # a rejected pivot raises here, before the walk
-    return _worst("product_sums", np.abs(r._once(_chain)[0] - np.tril(c, -1) @ c.T)[1:], 1)
+    strict = c.copy()  # c is lower-triangular, so only its diagonal is cut
+    np.fill_diagonal(strict, 0.0)
+    return _worst("product_sums", np.abs(r._once(_chain)[0] - strict @ c.T)[1:], 1)
 
 
 def verify_recursion(r: CorrelationMatrix) -> IdentityReport:

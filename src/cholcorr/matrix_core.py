@@ -372,6 +372,6 @@ def _schur_steps(a):
         for i in range(len(s)):
             col = s[i + 1:, i]
             s[i + 1:, i + 1:] -= np.multiply.outer(col, col / s[i, i])
-        low = np.tril(s, -1)  # column i below pivot i, as step i read it
-        steps = np.tril(low * (low / s.diagonal()), -1)  # 0 above a zero pivot too
-        return s.diagonal(), steps, np.tril(np.where(low < 0.0, -1, 1), -1)
+        below = np.tri(len(s), k=-1, dtype=bool)  # s holds column i there as step i read it
+        steps = np.where(below, s * (s / s.diagonal()), 0.0)  # 0 above a zero pivot too
+        return s.diagonal(), steps, np.where(below, np.where(s < 0.0, -1, 1), 0)

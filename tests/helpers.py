@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from cholcorr.identities import IdentityReport
 from cholcorr.matrix_core import CorrelationMatrix
 from cholcorr.randcorr import GeneratorConfig, generate
 
@@ -157,6 +158,33 @@ def schur_steps_reference(a):
         s[i + 1:, i + 1:] -= update
         steps[i + 1:, i] = update.diagonal()
     return d, steps
+
+
+def chain_reference(r):
+    """The walk of ``identities._chain`` as a plain loop that forms each
+    step's residual as a fresh array and cuts its upper part with
+    ``np.tril``, as ``(q, recursion, general_recursion)``; the recursion
+    report is taken as ``identities._worst`` takes it, through a
+    ``np.triu`` mask."""
+    a, n = r.values, r.n
+    prev = np.zeros((n + 1, n + 1))  # G_0 on indices 0..n
+    q, rec = np.zeros((n, n)), np.zeros((n, n))
+    general = (-1.0, (0, 0, 0))
+    for i in range(1, n):
+        border = a[:i, i - 1:]
+        g = border.T @ np.linalg.solve(a[:i, :i], border)  # G_i on indices i..n
+        rest = a[i - 1, i - 1:] - prev[1, 1:]  # rho_ij - q_ij; 1 - q_ii first
+        step = np.multiply.outer(rest[1:], rest[1:]) / rest[0]
+        res = np.tril(np.abs(g[1:, 1:] - prev[2:, 2:] - step))
+        q[i, i:], rec[i, i:] = g[1, 1:], res[:, 0]
+        j, l = divmod(int(np.argmax(res)), n - i)
+        if res[j, l] > general[0]:
+            general = (float(res[j, l]), (i, j + i + 1, l + i + 1))
+        prev = g
+    worst = np.where(np.triu(np.ones(rec[1:].shape, dtype=bool), 1), rec[1:], -1.0)
+    i, j = divmod(int(np.argmax(worst)), worst.shape[1])
+    return (q, IdentityReport("recursion", float(worst[i, j]), (i + 1, j + 1, 0)),
+            IdentityReport("general_recursion", *general))
 
 
 def exact_schur(a):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
 
+from cholcorr import dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, sample_mvn
 from cholcorr.dependence_test import SampleMatrix, _sample_correlation, _t_quantile, sequential_test
 from cholcorr.errors import DegenerateColumn, NearSingular
@@ -158,6 +159,49 @@ class TestTQuantile:
                 _t_quantile(tail, 5)
         with pytest.raises(ValueError):
             _t_quantile(0.4, 0)
+
+
+class TestCriticalValueCache:
+    """``sequential_test`` reads its critical value through a bounded cache
+    keyed by (alpha / 2, N - 2); ``_t_quantile`` itself is not cached, so
+    ``TestTQuantile`` checks and times the real computation."""
+
+    @pytest.fixture
+    def quantile_calls(self, monkeypatch):
+        calls = []
+
+        def counted(tail, df):
+            calls.append((tail, df))
+            return _t_quantile(tail, df)
+
+        dependence_test._critical_value.cache_clear()
+        monkeypatch.setattr(dependence_test, "_t_quantile", counted)
+        yield calls
+        dependence_test._critical_value.cache_clear()
+
+    @staticmethod
+    def block(seed):
+        return SampleMatrix(np.random.default_rng(seed).standard_normal((50, 4)))
+
+    def test_same_n_and_alpha_compute_one_quantile(self, quantile_calls):
+        first = sequential_test(self.block(5), target=4, alpha=0.05)
+        assert quantile_calls == [(0.025, 48)]
+        assert sequential_test(self.block(5), target=4, alpha=0.05) == first
+        sequential_test(self.block(6), target=2, alpha=0.05)
+        assert quantile_calls == [(0.025, 48)]
+
+    def test_another_alpha_computes_its_own(self, quantile_calls):
+        sequential_test(self.block(5), target=4, alpha=0.05)
+        report = sequential_test(self.block(5), target=4, alpha=0.01)
+        assert quantile_calls == [(0.025, 48), (0.005, 48)]
+        assert report.per_k[0].critical == _t_quantile(0.005, 48)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, math.nan, sys.float_info.min / 2])
+    def test_invalid_alpha_raises_on_every_call(self, quantile_calls, alpha):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                sequential_test(self.block(5), target=4, alpha=alpha)
+        assert quantile_calls == []
 
 
 class TestSequentialTest:

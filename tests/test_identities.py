@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers import (
+    chain_reference,
     cofactor_det,
     contract_bound,
     exact_schur,
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from cholcorr.errors import NotPositiveDefinite
 from cholcorr.identities import (
     ALL_VERIFIERS,
+    _chain,
     check_order_conditions,
     verify_general_recursion,
     verify_product_sums,
@@ -275,6 +277,34 @@ class TestHardInputs:
         r = data.draw(hard_correlations(n)[family])
         for _, fn, _ in ALL_VERIFIERS:
             assert margin(fn(r).max_residual, contract_bound(r)) >= HARD_INPUTS_FLOOR
+
+
+class TestChainBits:
+    """The walk forms each step's residual in place and cuts its upper part
+    with one mask built before the loop. It must give the bytes of the plain
+    loop in ``helpers.chain_reference``: both call the same BLAS and LAPACK,
+    so this holds under every OpenBLAS kernel and is not marked blas_bits."""
+
+    @staticmethod
+    def assert_same_walk(r):
+        q, recursion, general = _chain(r)
+        want_q, want_recursion, want_general = chain_reference(r)
+        assert q.tobytes() == want_q.tobytes()
+        assert (recursion, general) == (want_recursion, want_general)
+
+    @pytest.mark.parametrize("n", [3, 12, 25, 64])
+    def test_random_and_conditioned_inputs(self, n):
+        for seed in range(3):
+            self.assert_same_walk(random_correlation(n, seed))
+        for kappa in (1e2, 1e6, 1e10):
+            self.assert_same_walk(kappa_correlation(n, kappa, seed=n))
+
+    @pytest.mark.parametrize("n", [3, 12, 25, 64])
+    @pytest.mark.parametrize("family", ["ar1", "equicorrelation", "planted"])
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_hard_inputs(self, family, n, data):
+        self.assert_same_walk(data.draw(hard_correlations(n)[family]))
 
 
 class TestStreamedChain:

@@ -9,8 +9,8 @@ prints it next to the exponent claimed for the stage:
 - ``chain_walk``, the walk of the leading blocks, timed as
   ``verify_recursion`` on a fresh container: O(n^4), in the
   ``identities`` docstring. It stops at n = 400: one walk took 0.78 s at
-  n = 400 and 9.4 s at n = 800 (shared 2-core x86-64 host, one BLAS
-  thread);
+  n = 400 and 9.4 s at n = 800 (a shared 2-core x86-64 host with AVX-512,
+  one BLAS thread);
 - ``ar1_cholesky``: O(n^2), in its docstring;
 - ``render_table`` (CSV): no claim, shown as ``-``.
 
