@@ -17,15 +17,7 @@ from .errors import (
     NearSingular,
     NotPositiveDefinite,
 )
-from .identities import (
-    ALL_VERIFIERS,
-    IdentityReport,
-    check_order_conditions,
-    verify_general_recursion,
-    verify_product_sums,
-    verify_ratio_differences,
-    verify_recursion,
-)
+from .identities import IdentityReport, check_order_conditions, verify
 from .matrix_core import (
     CholeskyFactor,
     CorrelationMatrix,
@@ -53,7 +45,6 @@ __all__ = [
     "SampleMatrix",
     "StageResult",
     "TestReport",
-    "ALL_VERIFIERS",
     "ar1_cholesky",
     "ar1_matrix",
     "check_order_conditions",
@@ -66,8 +57,5 @@ __all__ = [
     "sample_mvn",
     "sequential_test",
     "stream",
-    "verify_general_recursion",
-    "verify_product_sums",
-    "verify_ratio_differences",
-    "verify_recursion",
+    "verify",
 ]

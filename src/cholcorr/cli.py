@@ -42,7 +42,7 @@ from . import __version__
 from .ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from .dependence_test import SampleMatrix, sequential_test
 from .errors import NearSingular, NotPositiveDefinite
-from .identities import ALL_VERIFIERS, check_order_conditions
+from .identities import IDENTITIES, check_order_conditions, verify
 from .matrix_core import (
     TOL_PD,
     TOL_REC,
@@ -280,23 +280,21 @@ def cmd_verify(args) -> int:
     if not ok:
         print("failed: leading-minor ordering, ratio-ladder ordering", file=sys.stderr)
         return 1
-    failed = False
     try:
-        # the container, or the semi-partial route that product_sums (the
-        # first verifier) builds, may reject a matrix the order check passed
-        r = CorrelationMatrix(a)
-        for name, fn, min_n in ALL_VERIFIERS:
-            if r.n < min_n:
-                print(f"{name}: n/a (needs n >= {min_n})")
-                continue
-            report = fn(r)
-            print(f"{name}: residual={format_value(report.max_residual)}")
-            if not report.max_residual <= args.tol:  # true for nan
-                failed = True
-                print(f"failed: {name} residual exceeds {args.tol}", file=sys.stderr)
+        # the container, or the semi-partial route that verify builds before
+        # its walk, may reject a matrix the order check passed
+        reports = verify(CorrelationMatrix(a))
     except NotPositiveDefinite as exc:
         print(f"failed: positive-definite construction ({exc})", file=sys.stderr)
         return 1
+    failed = False
+    for report in reports:
+        print(f"{report.name}: residual={format_value(report.max_residual)}")
+        if not report.max_residual <= args.tol:  # true for nan
+            failed = True
+            print(f"failed: {report.name} residual exceeds {args.tol}", file=sys.stderr)
+    for name, min_n in IDENTITIES[len(reports):]:  # the identities n does not allow
+        print(f"{name}: n/a (needs n >= {min_n})")
     return 1 if failed else 0
 
 

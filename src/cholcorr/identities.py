@@ -1,13 +1,13 @@
 """Numeric verifiers for the determinant and semi-partial identities that
 make the two factor constructions interchangeable.
 
-Each verifier computes both sides of an identity through deliberately
-different code paths (LU solves against leading blocks, or ladders
-formed from the Schur elimination's steps, against the semi-partial
-recursion) and reports the worst absolute residual with its location,
-so a shared bug cannot cancel. The three solve-based verifiers read one
-walk of the leading blocks, made once per matrix by the first of them to
-be called and kept by the container. For each leading block R_i the walk
+``verify`` reports each identity that n allows. Each report computes
+both sides of an identity through deliberately different code paths (LU
+solves against leading blocks, or ladders formed from the Schur
+elimination's steps, against the semi-partial recursion) and holds the
+worst absolute residual with its location, so a shared bug cannot
+cancel. Three reports read one walk of the leading blocks, which
+``verify`` makes once per call. For each leading block R_i the walk
 makes one LAPACK ``gesv`` solve (LU with partial pivoting, no code
 shared with ``potrf`` or the semi-partial recursion) and from it the
 bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i}, holding only
@@ -16,17 +16,16 @@ with it ``cholcorr verify``, is O(n^4): 9.6 ms at n = 100 and 776 ms at
 n = 400, as ``python3 tools/growth.py`` measured it (best of 3 walks,
 one BLAS thread, a shared 2-core x86-64 host with AVX-512). The one-
 and two-column recursions are checked on the difference of successive
-G; ``verify_recursion`` is one column of the two-column recursion that
-``verify_general_recursion`` checks. The walk does not read the
-semi-partial factor C: ``verify_product_sums`` compares the rows of G
-the walk keeps with all running sums of products at once, as the one
-triangular product tril(C, -1) C^T. The semi-partial factor is built
-once per matrix as well.
+G; ``recursion`` is one column of the two-column recursion that
+``general_recursion`` checks. The walk does not read the semi-partial
+factor C: ``product_sums`` compares the rows of G the walk keeps with
+all running sums of products at once, as the one triangular product
+tril(C, -1) C^T. ``verify`` builds C once per call as well.
 
 Accuracy contract, in the backward-error form of Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10: on a correlation matrix of
 condition number kappa every report's ``max_residual`` is at most
-n * kappa * eps. The verifiers evaluate every matrix that
+n * kappa * eps. ``verify`` evaluates every matrix that
 ``CorrelationMatrix`` and ``chol_semipartial`` accept. On random
 orthogonal spectra log-spaced from 1 to 1/kappa (n in {12, 64}, kappa in
 {1e2, 1e6, 1e10}, 20 seeds each) the smallest margin is 480x, and on
@@ -75,8 +74,8 @@ class IdentityReport(_Record):
 
 def _chain(r: CorrelationMatrix):
     """One walk of the leading blocks: ``q`` and the ``recursion`` and
-    ``general_recursion`` reports; reach it through ``r._once`` so one
-    walk serves all three chain verifiers.
+    ``general_recursion`` reports; ``verify`` makes it once per call and
+    reads ``product_sums`` from ``q``.
 
     For i = 1..n-1 one LAPACK solve (``gesv``) against the leading i-block
     gives the bordered quadratic forms G_i = A_{:i}^T R_i^{-1} A_{:i} on
@@ -92,7 +91,7 @@ def _chain(r: CorrelationMatrix):
     operation rounds as on a fresh array, so the bytes are those of the
     plain loop in ``tests/helpers.chain_reference``. ``q[i, j-1]`` (0-based
     row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is what
-    ``verify_product_sums`` reads, and the walk does not read the
+    ``product_sums`` reads, and the walk does not read the
     semi-partial factor. Each report is the first worst residual in
     (i, j, l) order, 1-based; l is 0 for the one-column identity.
     """
@@ -126,65 +125,51 @@ def _worst(name: str, res: np.ndarray, first: int) -> IdentityReport:
     return IdentityReport(name, float(res[i, j]), (i + first, j + 1, 0))
 
 
-def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
-    """Residual of: the bordered quadratic form toward column j equals the
-    running sum of products of semi-partial coefficients,
+# The reports of ``verify`` in their order, each with the smallest n that has it.
+IDENTITIES = (("product_sums", 2), ("recursion", 3), ("ratio_differences", 3),
+              ("general_recursion", 3))
+
+
+def verify(r: CorrelationMatrix) -> tuple[IdentityReport, ...]:
+    """The reports of the identities that n allows, in ``IDENTITIES``
+    order: none at n = 1, ``product_sums`` alone at n = 2 and all four
+    from n = 3. The semi-partial factor C, the walk of the leading blocks
+    (``_chain``) and the Schur steps are each built once, in that order,
+    so a pivot that the semi-partial route rejects raises
+    ``NotPositiveDefinite`` before any solve. Indices are 1-based.
+
+    ``product_sums``: the bordered quadratic form toward column j equals
+    the running sum of products of semi-partial coefficients,
 
         rho_{i+1}^{*j} R_i^{-1} rho_{i+1}^T = sum_{k<=i} c[k, i+1] c[k, j],
 
-    for 1 <= i < j <= n. Left side via one LU solve per leading block,
-    right side via the semi-partial factor.
-    """
-    if r.n < 2:
-        raise ValueError("need n >= 2")
-    c = r._once(chol_semipartial).entries  # a rejected pivot raises here, before the walk
-    strict = c.copy()  # c is lower-triangular, so only its diagonal is cut
-    np.fill_diagonal(strict, 0.0)
-    return _worst("product_sums", np.abs(r._once(_chain)[0] - strict @ c.T)[1:], 1)
+    for 1 <= i < j <= n; left side from the walk's solves, right side
+    from C.
 
-
-def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
-    """Residual of the one-step recursion that grows the bordered quadratic
-    form from block i-1 to block i, the l = i+1 column of
-    ``verify_general_recursion``:
+    ``recursion``: the one-step recursion that grows the bordered
+    quadratic form from block i-1 to block i, the l = i+1 column of
+    ``general_recursion``,
 
         Q_{i+1}(j) = rho_i^{*j} R_{i-1}^{-1} (rho_i^{*i+1})^T
                      + (rho_{i,i+1} - q_{i,i+1})(rho_ij - q_ij) / (1 - q_ii),
 
     for 1 <= i < j <= n.
-    """
-    if r.n < 3:
-        raise ValueError("need n >= 3")
-    return r._once(_chain)[1]
 
-
-def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
-    """Residual of: the difference between two successive bordered-minor
-    ratios equals the squared semi-partial numerator scaled by a minor
-    ratio,
+    ``ratio_differences``: the difference between two successive
+    bordered-minor ratios equals the squared semi-partial numerator
+    scaled by a minor ratio,
 
         |B_i^j|/|R_{i-1}| - |B_{i+1}^j|/|R_i|
             = (rho_ij - q_ij)^2 |R_{i-1}| / |R_i|,
 
     for j >= i+1 >= 3. Left side from the ladders of one right-looking
     Schur elimination, each column's diagonal entry less its steps one
-    at a time, as the elimination rounds them; right side from the
-    left-looking semi-partial recursion and the reference's pivots:
-    |R_i| / |R_{i-1}| is pivot i, read as such because the minors
-    themselves underflow at moderate n.
-    """
-    if r.n < 3:
-        raise ValueError("need n >= 3")
-    # row i of d: each column's ratio after i steps, a_jj less those steps
-    d = np.subtract.accumulate(np.vstack((r.values.diagonal(), _schur_steps(r.values)[1].T[:-1])))
-    coeffs = r._once(chol_semipartial).entries
-    num = coeffs.T * np.diag(coeffs)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
-    rhs = num[:-1] ** 2 / np.diagonal(r._lower)[:-1, None] ** 2
-    return _worst("ratio_differences", np.abs(d[:-1] - d[1:] - rhs)[1:], 2)  # i = 1 is excluded
+    at a time, as the elimination rounds them; right side from C and
+    the reference's pivots: |R_i| / |R_{i-1}| is pivot i, read as such
+    because the minors themselves underflow at moderate n.
 
-
-def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
-    """Residual of the two-column generalization of the recursion,
+    ``general_recursion``: the two-column generalization of the
+    recursion,
 
         rho_{i+1}^{*j} R_i^{-1} (rho_{i+1}^{*l})^T
             = rho_i^{*j} R_{i-1}^{-1} (rho_i^{*l})^T
@@ -192,17 +177,40 @@ def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
 
     for j >= l >= i+1.
     """
+    if r.n < 2:
+        return ()
+    c = chol_semipartial(r).entries  # a rejected pivot raises here, before the walk
+    q, recursion, general_recursion = _chain(r)
+    strict = c.copy()  # c is lower-triangular, so only its diagonal is cut
+    np.fill_diagonal(strict, 0.0)
+    product_sums = _worst("product_sums", np.abs(q - strict @ c.T)[1:], 1)
     if r.n < 3:
-        raise ValueError("need n >= 3")
-    return r._once(_chain)[2]
+        return (product_sums,)
+    # row i of d: each column's ratio after i steps, a_jj less those steps
+    d = np.subtract.accumulate(np.vstack((r.values.diagonal(), _schur_steps(r.values)[1].T[:-1])))
+    num = c.T * np.diag(c)[:, None]  # num[i-1, j-1] = rho_ij - q_ij
+    rhs = num[:-1] ** 2 / np.diagonal(r._lower)[:-1, None] ** 2
+    # i = 1 is excluded
+    ratio_differences = _worst("ratio_differences", np.abs(d[:-1] - d[1:] - rhs)[1:], 2)
+    return product_sums, recursion, ratio_differences, general_recursion
 
 
-ALL_VERIFIERS = (
-    ("product_sums", verify_product_sums, 2),
-    ("recursion", verify_recursion, 3),
-    ("ratio_differences", verify_ratio_differences, 3),
-    ("general_recursion", verify_general_recursion, 3),
-)
+# Not public: the benchmark's LAYERS (perfbench/spans.py) and the test that
+# resolves them still name these. They go with ROADMAP item 4 step 1.
+def verify_product_sums(r: CorrelationMatrix) -> IdentityReport:
+    return verify(r)[0]
+
+
+def verify_recursion(r: CorrelationMatrix) -> IdentityReport:
+    return verify(r)[1]
+
+
+def verify_ratio_differences(r: CorrelationMatrix) -> IdentityReport:
+    return verify(r)[2]
+
+
+def verify_general_recursion(r: CorrelationMatrix) -> IdentityReport:
+    return verify(r)[3]
 
 
 def check_order_conditions(m) -> bool:

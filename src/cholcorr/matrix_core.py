@@ -26,18 +26,15 @@ formed rather than as a difference of two ratios of order 1, and the
 signs of the s_ji, which are the factor's signs. Pivot j is
 a_jj less the steps of column j, so the ratios of bordered minors, the
 partial sums on the way, follow from the steps;
-``identities.verify_ratio_differences`` is the one caller that forms
-them.
+``identities.verify`` is the one caller that forms them, for its
+``ratio_differences`` report.
 
 All containers copy and freeze their arrays after validation, so instances
 are immutable and safe to share across threads. ``CorrelationMatrix`` and
 ``CovarianceMatrix`` keep the factor they were validated with, which
 ``reference_cholesky`` returns and whose squared diagonal, the pivots,
 ``leading_minor_determinants`` reads (both take only a container, so every
-matrix they see has been validated). ``_once`` serves the ``identities``
-verifiers: it keeps the values they share, their walk of the leading
-blocks and the semi-partial factor, each built once per container. Two
-threads may each build the same value, but the results are equal.
+matrix they see has been validated).
 
 The one validation path takes a stack: each check, and the ``potrf``
 factorization, reads one n x n matrix or a (k, n, n) stack alike, so a
@@ -173,15 +170,6 @@ class _FactoredMatrix:
 
     def _hold(self, values, lower):
         self._values, self._lower = values, lower
-        self._memo = {}
-
-    def _once(self, build):
-        """``build(self)``, computed on the first call and kept: the
-        container is immutable, so the value cannot go stale. A build that
-        raises keeps nothing."""
-        if build not in self._memo:
-            self._memo[build] = build(self)
-        return self._memo[build]
 
     @property
     def values(self) -> np.ndarray:

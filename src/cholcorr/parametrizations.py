@@ -31,8 +31,8 @@ signs of the s_ji, which are the signs s_ij of the l_ji. The second route
 reads its squared entries and its signs there, where a small entry keeps
 its digits, instead of subtracting two ratios of order 1 (a caller may
 pass other signs). So the two routes share no code and no signs.
-``identities.verify_ratio_differences`` forms the ratios and checks the
-subtracted form. The other ``identities`` verifiers solve against the
+``identities.verify`` forms the ratios and checks the subtracted form in
+its ``ratio_differences`` report. Its other reports solve against the
 leading blocks instead.
 
 Accuracy contract (Higham, *Accuracy and Stability of Numerical

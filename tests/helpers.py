@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
-from cholcorr.identities import IdentityReport
+from cholcorr.identities import IDENTITIES, IdentityReport, verify
 from cholcorr.matrix_core import CorrelationMatrix
 from cholcorr.randcorr import GeneratorConfig, generate
 
@@ -185,6 +185,27 @@ def chain_reference(r):
     i, j = divmod(int(np.argmax(worst)), worst.shape[1])
     return (q, IdentityReport("recursion", float(worst[i, j]), (i + 1, j + 1, 0)),
             IdentityReport("general_recursion", *general))
+
+
+def report_of(name):
+    """The verifier of one identity: the report named ``name`` that
+    ``identities.verify`` returns, and ``ValueError`` at an n without one."""
+    def verifier(r):
+        for report in verify(r):
+            if report.name == name:
+                return report
+        raise ValueError(f"verify gives no {name} report at n = {r.n}")
+
+    verifier.__name__ = f"verify_{name}"
+    return verifier
+
+
+# The verifiers the identity tests iterate, each read from ``verify``. The
+# Hypothesis tests name them in their bodies, whose source seeds their draws.
+ALL_VERIFIERS = tuple((name, report_of(name), min_n) for name, min_n in IDENTITIES)
+verify_product_sums, verify_recursion, verify_ratio_differences, verify_general_recursion = (
+    fn for _, fn, _ in ALL_VERIFIERS)
+CHAIN_VERIFIERS = (verify_product_sums, verify_recursion, verify_general_recursion)
 
 
 def exact_schur(a):

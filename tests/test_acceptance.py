@@ -14,7 +14,7 @@ from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, ar1_matrix, sample_mvn
 from cholcorr.cli import main
 from cholcorr.dependence_test import SampleMatrix, sequential_test
 from cholcorr.errors import NotPositiveDefinite
-from cholcorr.identities import ALL_VERIFIERS, check_order_conditions
+from cholcorr.identities import check_order_conditions, verify
 from cholcorr.matrix_core import (
     CorrelationMatrix,
     _reference_factor,
@@ -51,16 +51,16 @@ def test_criterion_2_identity_suite():
     """All four identity verifiers stay below 1e-9 on 200 random matrices
     with n <= 15 and return exactly zero on identity inputs."""
     for n in (2, 5, 9):
-        ident = CorrelationMatrix(np.eye(n))
-        for _, fn, min_n in ALL_VERIFIERS:
-            if n >= min_n:
-                assert fn(ident).max_residual == 0.0
+        for report in verify(CorrelationMatrix(np.eye(n))):
+            assert report.max_residual == 0.0
     worst = 0.0
     for idx in range(200):
         n = 3 + idx % 13
         _, r = generate(GeneratorConfig(n=n, seed=1000 + idx))
-        for _, fn, _ in ALL_VERIFIERS:
-            worst = max(worst, fn(r).max_residual)
+        reports = verify(r)
+        assert len(reports) == 4
+        for report in reports:
+            worst = max(worst, report.max_residual)
     assert worst <= 1e-9
     print(f"ACCEPTANCE 2 identity suite: PASS (max residual {worst:.3e})")
 

@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,3 +29,22 @@ def test_prints_the_claimed_next_to_the_fitted_exponent(capsys):
     for row in cells:
         assert len(row) == 5 and all(float(ms) > 0 for ms in row[3:])
         float(row[2])
+
+
+
+def test_best_of_prepares_two_calls_and_times_one(monkeypatch):
+    # the first call carries one-time warm-up, so it is made and not timed
+    tool = load_tool()
+    events, clock = [], iter([10.0, 12.5])
+
+    def prepare(a):
+        events.append(("prepare", a))
+        return lambda: events.append("call")
+
+    def perf_counter():
+        events.append("clock")
+        return next(clock)
+
+    monkeypatch.setattr(tool, "time", SimpleNamespace(perf_counter=perf_counter))
+    assert tool.best_of(prepare, "a", 1) == 2.5
+    assert events == [("prepare", "a"), "call", ("prepare", "a"), "clock", "call", "clock"]

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers import (
+    ALL_VERIFIERS,
+    CHAIN_VERIFIERS,
     chain_reference,
     cofactor_det,
     contract_bound,
@@ -19,20 +21,16 @@ from helpers import (
     margin,
     random_correlation,
     schur_ladders,
-)
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from cholcorr.errors import NotPositiveDefinite
-from cholcorr.identities import (
-    ALL_VERIFIERS,
-    _chain,
-    check_order_conditions,
     verify_general_recursion,
     verify_product_sums,
     verify_ratio_differences,
     verify_recursion,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cholcorr.errors import NotPositiveDefinite
+from cholcorr.identities import IDENTITIES, _chain, check_order_conditions, verify
 from cholcorr.matrix_core import (
     TOL_PD,
     CorrelationMatrix,
@@ -232,13 +230,8 @@ class TestGeneralRecursion:
 class TestAllVerifiersSweep:
     @pytest.mark.parametrize("n,seed", [(3, 0), (6, 1), (10, 2), (15, 3), (20, 4)])
     def test_residuals_small_on_valid_input(self, n, seed):
-        r = random_correlation(n, seed)
-        for _, fn, min_n in ALL_VERIFIERS:
-            if n >= min_n:
-                assert fn(r).max_residual <= 1e-9
-
-
-CHAIN_VERIFIERS = (verify_product_sums, verify_recursion, verify_general_recursion)
+        for report in verify(random_correlation(n, seed)):
+            assert report.max_residual <= 1e-9
 
 
 class TestKappaSweep:
@@ -250,9 +243,8 @@ class TestKappaSweep:
         # the floor is 240x.
         bound = n * kappa * np.finfo(float).eps
         for seed in range(20):
-            r = kappa_correlation(n, kappa, seed)
-            for _, fn, _ in ALL_VERIFIERS:
-                assert margin(fn(r).max_residual, bound) >= 240
+            for report in verify(kappa_correlation(n, kappa, seed)):
+                assert margin(report.max_residual, bound) >= 240
 
 
 # Outside the test body: Hypothesis seeds the derandomized draws from a
@@ -321,79 +313,48 @@ class TestStreamedChain:
         assert peak < 2_000_000
 
 
-class TestOneWalkPerMatrix:
-    """A container keeps the chain walk and the semi-partial factor, which
-    must change no report."""
+class TestVerify:
+    """``verify`` builds the semi-partial factor, the walk and the Schur
+    steps once per call, as locals, and returns the reports n allows."""
 
-    @staticmethod
-    def fresh_reports(values):
-        return [fn(CorrelationMatrix(values)) for _, fn, _ in ALL_VERIFIERS]
+    @pytest.mark.parametrize("n,names", [
+        (1, ()),
+        (2, ("product_sums",)),
+        (3, ("product_sums", "recursion", "ratio_differences", "general_recursion")),
+    ])
+    def test_reports_the_identities_n_allows_in_table_order(self, n, names):
+        assert tuple(report.name for report in verify(random_correlation(n, seed=n))) == names
+        assert tuple(name for name, min_n in IDENTITIES if n >= min_n) == names
 
-    def test_call_order_changes_no_report(self):
-        values = random_correlation(10, seed=6).values
-        expected = self.fresh_reports(values)
-        for order in itertools.permutations(range(len(ALL_VERIFIERS))):
-            r = CorrelationMatrix(values)
-            got = {k: ALL_VERIFIERS[k][1](r) for k in order}
-            assert [got[k] for k in range(len(ALL_VERIFIERS))] == expected
-
-    def test_interleaved_matrices_keep_their_own_reports(self):
-        a, b = (random_correlation(8, seed).values for seed in (1, 2))
-        expected = {"a": self.fresh_reports(a), "b": self.fresh_reports(b)}
-        ra, rb = CorrelationMatrix(a), CorrelationMatrix(b)
-        got = {"a": [], "b": []}
-        for _, fn, _ in reversed(ALL_VERIFIERS):
-            got["b"].append(fn(rb))
-            got["a"].append(fn(ra))
-        assert {k: v[::-1] for k, v in got.items()} == expected
-
-    def test_threads_sharing_one_container_get_the_same_reports(self):
-        # two threads may each build a kept value; either way every report is equal
-        values = random_correlation(12, seed=8).values
-        expected = self.fresh_reports(values)
+    def test_threads_sharing_one_container_get_equal_reports(self):
+        r = random_correlation(12, seed=8)
+        expected = verify(r)
+        assert len(expected) == 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                r = CorrelationMatrix(values)
-                with ThreadPoolExecutor(max_workers=6) as pool:
-                    futures = [pool.submit(fn, r) for _ in range(6) for _, fn, _ in ALL_VERIFIERS]
-                    got = [f.result(timeout=60) for f in futures]
-                assert got == expected * 6
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(verify, r) for _ in range(6)]
+                got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
+        assert got == [expected] * 6
 
-    def test_rejected_semipartial_factor_fails_product_sums_alone(self, monkeypatch):
+    def test_rejected_semipartial_factor_raises_before_any_solve(self, monkeypatch):
         # at the TOL_PD edge the semi-partial recursion can reject a pivot the
-        # container accepted; the walk must still serve the other two verifiers
+        # container accepted; verify builds that factor before its walk
         import cholcorr.identities as identities
-        values = random_correlation(9, seed=3).values
-        expected = {fn: fn(CorrelationMatrix(values))
-                    for fn in (verify_recursion, verify_general_recursion)}
+        r = random_correlation(9, seed=3)
+        solves = []
 
         def reject(r):
             raise NotPositiveDefinite(4, 1e-13)
 
         monkeypatch.setattr(identities, "chol_semipartial", reject)
-        for order in (CHAIN_VERIFIERS, CHAIN_VERIFIERS[::-1]):
-            r = CorrelationMatrix(values)
-            got = {}
-            for fn in order:
-                if fn is verify_product_sums:
-                    with pytest.raises(NotPositiveDefinite):
-                        fn(r)
-                else:
-                    got[fn] = fn(r)
-            assert got == expected
-
-    def test_ill_conditioned_walk_serves_every_chain_verifier(self):
-        # kappa = 1e10, seed 5: the kept walk gives each chain verifier the
-        # report a fresh container gives, within n * kappa * eps
-        r = kappa_correlation(64, 1e10, 5)
-        for fn in CHAIN_VERIFIERS + CHAIN_VERIFIERS:
-            rep = fn(r)
-            assert rep == fn(kappa_correlation(64, 1e10, 5))
-            assert rep.max_residual <= 64 * 1e10 * np.finfo(float).eps
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args))
+        with pytest.raises(NotPositiveDefinite):
+            verify(r)
+        assert solves == []
 
 
 def bordered_minors(a, j):

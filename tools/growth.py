@@ -1,16 +1,17 @@
 """Check the complexity that docstrings claim against timings.
 
-For each stage the script times best-of-k calls at n = 100, 200, 400 and
-800, fits the slope of log(time) against log(n) by least squares, and
-prints it next to the exponent claimed for the stage:
+For each stage the script makes one untimed call, then times best-of-k
+calls at n = 100, 200, 400 and 800, fits the slope of log(time) against
+log(n) by least squares, and prints it next to the exponent claimed for
+the stage:
 
 - ``_schur_steps``, ``chol_semipartial``: O(n^3), in their docstrings;
 - ``CorrelationMatrix``: O(n^3), the reference factorization it runs;
-- ``chain_walk``, the walk of the leading blocks, timed as
-  ``verify_recursion`` on a fresh container: O(n^4), in the
-  ``identities`` docstring. It stops at n = 400: one walk took 0.78 s at
-  n = 400 and 9.4 s at n = 800 (a shared 2-core x86-64 host with AVX-512,
-  one BLAS thread);
+- ``chain_walk``, the walk of the leading blocks that
+  ``identities.verify`` makes, timed as ``identities._chain`` on a fresh
+  container: O(n^4), in the ``identities`` docstring. It stops at
+  n = 400: one walk took 0.78 s at n = 400 and 9.4 s at n = 800 (a
+  shared 2-core x86-64 host with AVX-512, one BLAS thread);
 - ``ar1_cholesky``: O(n^2), in its docstring;
 - ``render_table`` (CSV): no claim, shown as ``-``.
 
@@ -18,7 +19,9 @@ Inputs are normalised A A^T with A an n x 2n standard normal matrix
 from a fixed seed. BLAS is pinned to one thread, as in the benchmark.
 The script writes nothing; it is a diagnostic, not a gate, and a fitted
 slope moves by a few tenths between runs on a shared host. With the
-defaults it ran in 6 s on that host.
+defaults, the untimed calls included, it ran in 9.7 s on that host
+while its walk at n = 100 read 13.6 ms, so the host was busier than
+for the figures above.
 
 Run from anywhere:
 
@@ -44,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky  # noqa: E402
 from cholcorr.cli import render_table  # noqa: E402
-from cholcorr.identities import verify_recursion  # noqa: E402
+from cholcorr.identities import _chain  # noqa: E402
 from cholcorr.matrix_core import CorrelationMatrix, _schur_steps  # noqa: E402
 from cholcorr.parametrizations import chol_semipartial  # noqa: E402
 
@@ -73,7 +76,7 @@ STAGES = [
     ("_schur_steps", 3, None, lambda a: functools.partial(_schur_steps, a)),
     ("chol_semipartial", 3, None, fresh(chol_semipartial)),
     ("CorrelationMatrix", 3, None, lambda a: functools.partial(CorrelationMatrix, a)),
-    ("chain_walk", 4, WALK_MAX_N, fresh(verify_recursion)),
+    ("chain_walk", 4, WALK_MAX_N, fresh(_chain)),
     ("ar1_cholesky", 2, None,
      lambda a: functools.partial(ar1_cholesky, Ar1Spec(n=len(a), rho=0.5))),
     ("render_table", None, None, lambda a: functools.partial(render_table, a, "csv")),
@@ -81,7 +84,9 @@ STAGES = [
 
 
 def best_of(prepare, a: np.ndarray, reps: int) -> float:
-    """Fastest of ``reps`` calls, each on what ``prepare`` builds afresh."""
+    """Fastest of ``reps`` calls, each on what ``prepare`` builds afresh,
+    after one untimed call that takes the first call's warm-up."""
+    prepare(a)()
     best = math.inf
     for _ in range(reps):
         call = prepare(a)
