@@ -5,7 +5,7 @@ output can be piped. Exit codes are a stable contract:
 
     0  success
     1  a requested check failed
-    2  usage or parse error
+    2  usage or parse error, or a request too large to allocate
     3  input not positive-definite
 
 Matrix files are headerless CSV (one row per line, '.' decimals) or JSON
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except (NotPositiveDefinite, NearSingular) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

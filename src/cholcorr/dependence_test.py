@@ -26,11 +26,12 @@ centering; the variance divisor cancels in the ratio, so the N vs N-1
 choice is immaterial. The inverse-t quantile takes the tail mass
 alpha/2 itself, not the probability 1 - alpha/2, which rounds: the
 critical value is within 2e-14 relative for 5e-13 <= alpha/2 < 1/2 and
-N - 2 <= 10^6, and finite for every normal alpha in (0, 1). It is
-cached per (alpha, N - 2), bounded to the 16 pairs used last, so tests
-repeated in one process compute it once. The estimator and the quantile
-are private helpers of ``sequential_test``; the public names are the
-sample container, the test and its report.
+N - 2 <= 10^6, and finite for every normal alpha in (0, 1). The
+quantile function caches itself per (alpha/2, N - 2), bounded to the 16
+pairs used last, so tests repeated in one process compute it once; its
+``__wrapped__`` is the uncached computation. The estimator and the
+quantile are private helpers of ``sequential_test``; the public names
+are the sample container, the test and its report.
 """
 
 from __future__ import annotations
@@ -142,12 +143,16 @@ _NEWTON_STEPS = 20  # the normal start leaves at most 5
 _FRACTION_TERMS = 1000  # at most about 150 are needed, at t near 1
 
 
+@functools.lru_cache(maxsize=16)
 def _t_quantile(tail: float, df: int) -> float:
     """The t > 0 with P(T > t) = ``tail`` under the t distribution with
     ``df`` degrees of freedom, for 0 < tail < 1/2.
 
     Imports only ``math``. The caller passes the tail mass itself, so no
-    probability is formed as 1 minus a small number.
+    probability is formed as 1 minus a small number. The function caches
+    the 16 (tail, df) pairs used last, since a process that runs the test
+    repeatedly mostly asks for the same one; ``_t_quantile.__wrapped__``
+    is the uncached computation.
 
     - df = 1 and df = 2 have closed forms.
     - Otherwise Newton's method on s = log t starts at the normal quantile
@@ -259,13 +264,6 @@ def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
     return r
 
 
-@functools.lru_cache(maxsize=16)
-def _critical_value(tail: float, df: int) -> float:
-    """``_t_quantile(tail, df)``, kept for the 16 pairs used last: a
-    process that runs the test repeatedly mostly asks for the same one."""
-    return _t_quantile(tail, df)
-
-
 def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
     """Scan k = 1..p-1 for dependence of the target variable on the first
     k others (in their given order), rejecting each stage at level alpha.
@@ -283,7 +281,7 @@ def sequential_test(x: SampleMatrix, target: int, alpha: float) -> TestReport:
     order = [c for c in range(1, x.p + 1) if c != target] + [target]
     factor = chol_semipartial(_sample_correlation(x.data[:, [c - 1 for c in order]]))
     df = x.N - 2
-    critical = _critical_value(alpha / 2.0, df)
+    critical = _t_quantile(alpha / 2.0, df)
     stages = []
     largest = None
     for k in range(1, x.p):

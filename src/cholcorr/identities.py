@@ -93,13 +93,17 @@ def _chain(r: CorrelationMatrix):
     row i) keeps Q_{i+1}(j), row i+1 of G_i, for j >= i+1; it is what
     ``product_sums`` reads, and the walk does not read the
     semi-partial factor. Each report is the first worst residual in
-    (i, j, l) order, 1-based; l is 0 for the one-column identity.
+    (i, j, l) order, 1-based; l is 0 for the one-column identity. A NaN
+    residual counts as the worst, as under ``np.argmax``: each step's
+    peak and the peak over steps are both taken by it, so the report
+    holds the first NaN and ``general_recursion`` never reads below
+    ``recursion``, its l = i+1 column.
     """
     a, n = r.values, r.n
     prev = np.zeros((n + 1, n + 1))  # G_0 on indices 0..n
     q, rec = np.zeros((n, n)), np.zeros((n, n))
     upper = np.triu(np.ones((n, n), dtype=bool), 1)  # l > j, cut from each residual
-    general = (-1.0, (0, 0, 0))
+    peaks = []  # each step's first worst residual with its (i, j, l)
     for i in range(1, n):
         border = a[:i, i - 1:]
         g = border.T @ np.linalg.solve(a[:i, :i], border)  # G_i on indices i..n
@@ -110,9 +114,9 @@ def _chain(r: CorrelationMatrix):
         np.copyto(res, 0.0, where=upper[i:, i:])
         q[i, i:], rec[i, i:] = g[1, 1:], res[:, 0]
         j, l = divmod(int(np.argmax(res)), n - i)
-        if res[j, l] > general[0]:
-            general = (float(res[j, l]), (i, j + i + 1, l + i + 1))
+        peaks.append((float(res[j, l]), (i, j + i + 1, l + i + 1)))
         prev = g
+    general = peaks[int(np.argmax([peak for peak, _ in peaks]))]
     return q, _worst("recursion", rec[1:], 1), IdentityReport("general_recursion", *general)
 
 

@@ -205,7 +205,6 @@ def report_of(name):
 ALL_VERIFIERS = tuple((name, report_of(name), min_n) for name, min_n in IDENTITIES)
 verify_product_sums, verify_recursion, verify_ratio_differences, verify_general_recursion = (
     fn for _, fn, _ in ALL_VERIFIERS)
-CHAIN_VERIFIERS = (verify_product_sums, verify_recursion, verify_general_recursion)
 
 
 def exact_schur(a):

@@ -800,6 +800,18 @@ class TestGenerate:
         assert "expected non-negative integer" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_unallocatable_batch_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # stands in for `--n 100000`, whose first chunk numpy cannot allocate
+        def unallocatable(cfg, count):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+            yield  # a generator, as `_batches` is: it raises when iterated
+
+        monkeypatch.setattr(cli, "_batches", unallocatable)
+        outdir = tmp_path / "x"
+        assert main(["generate", "--n", "3", "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
+        assert not outdir.exists()
+
 
 def stdout_digest(capsys, argv):
     """sha256 of what ``main(argv)`` writes to stdout; the command must succeed."""
@@ -1355,13 +1367,7 @@ class TestTest:
         assert main(["test", str(src)]) == 0
         ours = capsys.readouterr().out
         monkeypatch.setattr(dependence_test, "_t_quantile", t_quantile_betaincinv)
-        # the critical value is cached: drop ours so the swapped quantile is
-        # read, then drop its value so no later test reads it
-        dependence_test._critical_value.cache_clear()
-        try:
-            assert main(["test", str(src)]) == 0
-        finally:
-            dependence_test._critical_value.cache_clear()
+        assert main(["test", str(src)]) == 0
         theirs = capsys.readouterr().out
 
         def other_lines(text):
@@ -1430,6 +1436,19 @@ class TestAr1:
         assert main(["ar1", "--n", "3", "--rho", "0.3", "--emit", "samples",
                      "--count", "0", "--out", str(out)]) == 2
         assert "count must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_samples_are_usage_error(self, tmp_path, capsys, monkeypatch):
+        # stands in for `--count 100000000000`, whose block numpy cannot allocate
+        def unallocatable(factor, count, seed):
+            raise MemoryError("Unable to allocate 2.91 TiB")
+
+        monkeypatch.setattr(cli, "sample_mvn", unallocatable)
+        out = tmp_path / "s.csv"
+        assert main(["ar1", "--n", "3", "--rho", "0.3", "--emit", "samples",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: Unable to allocate 2.91 TiB\n")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from helpers import gram_schmidt_columns, t_cdf_quadrature, t_quantile_betaincinv
 
-from cholcorr import dependence_test
 from cholcorr.ar1_sampling import Ar1Spec, ar1_cholesky, sample_mvn
 from cholcorr.dependence_test import SampleMatrix, _sample_correlation, _t_quantile, sequential_test
 from cholcorr.errors import DegenerateColumn, NearSingular
@@ -144,11 +143,13 @@ class TestTQuantile:
         assert all(a > b > 0.0 for a, b in zip(qs, qs[1:]))
 
     def test_large_df_is_bounded(self):
-        _t_quantile(0.025, 10)
+        # the uncached computation: a cached call would time one lookup
+        compute = _t_quantile.__wrapped__
+        compute(0.025, 10)
         elapsed = []
         for _ in range(3):
             start = time.perf_counter()
-            q = _t_quantile(0.025, 10**6)
+            q = compute(0.025, 10**6)
             elapsed.append(time.perf_counter() - start)
         assert min(elapsed) <= 0.010
         assert abs(q - t_quantile_betaincinv(0.025, 10**6)) <= 1e-10 * q
@@ -162,46 +163,38 @@ class TestTQuantile:
 
 
 class TestCriticalValueCache:
-    """``sequential_test`` reads its critical value through a bounded cache
-    keyed by (alpha / 2, N - 2); ``_t_quantile`` itself is not cached, so
-    ``TestTQuantile`` checks and times the real computation."""
+    """``_t_quantile`` caches itself, keyed by (alpha / 2, N - 2), so a
+    test repeated in one process computes its critical value once."""
 
     @pytest.fixture
-    def quantile_calls(self, monkeypatch):
-        calls = []
-
-        def counted(tail, df):
-            calls.append((tail, df))
-            return _t_quantile(tail, df)
-
-        dependence_test._critical_value.cache_clear()
-        monkeypatch.setattr(dependence_test, "_t_quantile", counted)
-        yield calls
-        dependence_test._critical_value.cache_clear()
+    def cache(self):
+        _t_quantile.cache_clear()
+        yield _t_quantile.cache_info
+        _t_quantile.cache_clear()
 
     @staticmethod
     def block(seed):
         return SampleMatrix(np.random.default_rng(seed).standard_normal((50, 4)))
 
-    def test_same_n_and_alpha_compute_one_quantile(self, quantile_calls):
+    def test_same_n_and_alpha_compute_one_quantile(self, cache):
         first = sequential_test(self.block(5), target=4, alpha=0.05)
-        assert quantile_calls == [(0.025, 48)]
+        assert (cache().misses, cache().hits) == (1, 0)
         assert sequential_test(self.block(5), target=4, alpha=0.05) == first
         sequential_test(self.block(6), target=2, alpha=0.05)
-        assert quantile_calls == [(0.025, 48)]
+        assert (cache().misses, cache().hits) == (1, 2)
 
-    def test_another_alpha_computes_its_own(self, quantile_calls):
+    def test_another_alpha_computes_its_own(self, cache):
         sequential_test(self.block(5), target=4, alpha=0.05)
         report = sequential_test(self.block(5), target=4, alpha=0.01)
-        assert quantile_calls == [(0.025, 48), (0.005, 48)]
-        assert report.per_k[0].critical == _t_quantile(0.005, 48)
+        assert (cache().misses, cache().hits, cache().currsize) == (2, 0, 2)
+        assert report.per_k[0].critical == _t_quantile.__wrapped__(0.005, 48)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, math.nan, sys.float_info.min / 2])
-    def test_invalid_alpha_raises_on_every_call(self, quantile_calls, alpha):
+    def test_invalid_alpha_raises_on_every_call(self, cache, alpha):
         for _ in range(3):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 sequential_test(self.block(5), target=4, alpha=alpha)
-        assert quantile_calls == []
+        assert (cache().misses, cache().hits) == (0, 0)
 
 
 class TestSequentialTest:
